@@ -227,18 +227,19 @@ module BPgc = Workloads.Bench_suite.Make (Pgc16)
 let print_ablations () =
   Report.Render.section fmt
     "Ablations: run-queue discipline and concurrent GC (paper §7 future work)";
-  (* central (Figure 3) vs distributed (evaluation package) run queue *)
-  let time_rq run_queue bench =
+  (* central (Figure 3, a single LIFO queue) vs distributed (evaluation
+     package) run queue *)
+  let time_rq sched bench =
     (match bench with
-    | `Mm -> ignore (BSeq.mm ~procs:16 ~run_queue ())
-    | `Allpairs -> ignore (BSeq.allpairs ~procs:16 ~run_queue ()));
+    | `Mm -> ignore (BSeq.mm ~procs:16 ~sched ())
+    | `Allpairs -> ignore (BSeq.allpairs ~procs:16 ~sched ()));
     (Seq16.stats ()).Mp.Stats.elapsed
   in
   let rq_rows =
     List.map
       (fun (name, bench) ->
-        let central = time_rq `Central bench in
-        let distributed = time_rq `Distributed bench in
+        let central = time_rq Mpthreads.Sched_policy.Lifo bench in
+        let distributed = time_rq Mpthreads.Sched_policy.Distributed bench in
         [
           name;
           Printf.sprintf "%.3fs" central;

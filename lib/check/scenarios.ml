@@ -734,7 +734,6 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
                    survival;
                    cycles_per_word = 1.0;
                    fixed_cycles = 1;
-                   parallelism = 1.0;
                    minor_fixed_cycles = 1;
                    barrier_cycles = 1;
                  })
@@ -833,7 +832,6 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
                    survival = 1.0;
                    cycles_per_word = 1.0;
                    fixed_cycles = 1;
-                   parallelism = 1.0;
                    minor_fixed_cycles = 1;
                    barrier_cycles = 1;
                  })

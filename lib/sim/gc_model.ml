@@ -24,9 +24,8 @@
      with [finish_episode].
 
    The [Stw] instance is the old code moved, term for term: same strict
-   admission, same [>=] trigger, same
-   [fixed + cycles_per_word * copied / min parallelism waiters] duration.
-   Every golden is pinned under it. *)
+   admission, same [>=] trigger, same [fixed + cycles_per_word * copied]
+   duration.  Every golden is pinned under it. *)
 
 type t = Stw | Par_stw of int | Minor_pp
 
@@ -82,7 +81,6 @@ type params = {
   survival : float;
   cycles_per_word : float;
   fixed_cycles : int;
-  parallelism : float;
   minor_fixed_cycles : int;
   barrier_cycles : int;
 }
@@ -136,8 +134,8 @@ module type MODEL = sig
 end
 
 (* The paper's collector (§5): one shared region, stop-the-world, one proc
-   collects (gc_parallelism > 1 models the §7 concurrent-collector
-   extension).  This is the pre-refactor [Mp_sim] code verbatim. *)
+   collects; [Par_stw] models the §7 concurrent-collector extension.  This
+   is the pre-refactor [Mp_sim] code verbatim. *)
 let stw_instance sel (p : params) : (module MODEL) =
   (module struct
     let model = sel
@@ -166,8 +164,7 @@ let stw_instance sel (p : params) : (module MODEL) =
             let n = max 1 waiters in
             let n = if cap > 0 then min cap n else n in
             (Par, float_of_int n, p.barrier_cycles * n)
-        | Stw | Minor_pp ->
-            (Major, Float.min p.parallelism (float_of_int (max 1 waiters)), 0)
+        | Stw | Minor_pp -> (Major, 1.0, 0)
       in
       let duration =
         p.fixed_cycles + barrier

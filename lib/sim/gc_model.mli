@@ -11,7 +11,7 @@
     {- [par_stw[:N]] — the §7 "concurrent collection" extension priced as
        N collectors splitting the copy, each paying a sync-barrier
        surcharge; every proc at the barrier collects (capped at N when
-       given).  Subsumes the old [Sim_config.with_parallel_gc] knob.}
+       given).}
     {- [minor_pp] — OCaml-5-style per-proc minor heaps: the region is
        divided among the procs, a full minor region is collected by its
        owner alone (no other proc stops), and survivors promote into a
@@ -47,7 +47,6 @@ type params = {
   survival : float;  (** fraction of a collected region that is live *)
   cycles_per_word : float;  (** copy cost per surviving word *)
   fixed_cycles : int;  (** stop-the-world synchronization + redivision *)
-  parallelism : float;  (** legacy [stw] collection-speedup knob *)
   minor_fixed_cycles : int;  (** per-minor-collection fixed cost *)
   barrier_cycles : int;  (** per-collector sync surcharge ([par_stw]) *)
 }

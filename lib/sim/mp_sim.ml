@@ -51,14 +51,9 @@ struct
   }
 
   (* Lock representation, lifted out of [module Lock] so the scheduler's
-     lock state machine (below) can name it.  [sharers] is the set of nodes
-     whose caches hold the lock word (a bitmask); every probe/release is an
-     RMW that claims the line exclusive, so under a hierarchical machine a
-     probe from a node outside the sharer set crosses the inter-node link
-     and invalidates the remote copies.  Under [Flat_bus] there is one node,
-     the sharer set is always a subset of [{0}], and the remote path is
-     unreachable — the arithmetic is exactly the single-bus model's. *)
-  type sim_lock = { mutable held : bool; mutable sharers : int }
+     lock state machine (below) can name it.  Every probe/release is an RMW
+     on the lock word's cache [line], routed by its sharer set. *)
+  type sim_lock = { mutable held : bool; line : Interconnect.line }
 
   (* One op of a work program ([Work.step]'s interleaved compute/alloc
      slices, [Work.alloc]'s slice loop): the unit at which the reference
@@ -72,19 +67,20 @@ struct
     | K_lock of unit Engine.cont
     | K_locked of (unit -> unit) * unit Engine.cont
 
+  (* Where a lock episode stopped: acquired, or at the reference machine's
+     next dispatch of the spinning proc — with probe [n]'s charge applied
+     and its held-test pending, or with the retry delay after failed probe
+     [n] applied and the next probe pending. *)
+  type lock_stop = Won | Test_pending of int | Probe_pending of int
+
   (* Parked episodes serviced by the scheduler without re-entering the
-     fiber.  Each constructor records exactly which reference-machine
-     suspension it stands in for; the pending effects are applied at the
-     pop, at the same (clock, id) positions the always-suspend twin would
-     use, so virtual time is bit-identical while a whole episode costs at
-     most one effect-handler suspension. *)
+     fiber.  Each records exactly which reference-machine dispatch it
+     stands in for, so virtual time is bit-identical while a whole episode
+     costs at most one effect-handler suspension. *)
   type Engine.action +=
     | A_work of work_op list * unit Engine.cont
         (* previous op's charge applied; remaining ops pending *)
-    | A_lock_probe of sim_lock * int * lock_kont
-        (* probe charge + bus applied; the held-test is pending *)
-    | A_lock_wait of sim_lock * int * lock_kont
-        (* spin-retry charge applied; the next probe is pending *)
+    | A_lock of sim_lock * lock_stop * lock_kont
     | A_unlock of sim_lock * unit Engine.cont
         (* unlock charge + bus applied; the release write is pending *)
 
@@ -110,40 +106,12 @@ struct
   let ready = Ready_heap.create ~ids:config.procs ~dummy:procs.(0)
   let current = ref 0
   let cur () = procs.(!current)
-
-  (* Machine topology.  [Flat_bus] is one node; [Numa] groups the procs
-     into [n_nodes] contiguous nodes, each with its own FCFS bus, joined by
-     a single shared FCFS link with its own latency and bandwidth.  All
-     per-node state is indexed by node id; with one node the arrays are
-     singletons and behave exactly like the former scalar refs. *)
-  let n_nodes = Sim_config.nodes config
-  let per_node = Sim_config.procs_per_node config
-  let node_of_proc id = if n_nodes = 1 then 0 else id / per_node
-
-  let link_latency, link_bytes_per_cycle =
-    match config.machine with
-    | Sim_config.Flat_bus -> (0, config.bus_bytes_per_cycle)
-    | Sim_config.Numa { link_latency_cycles; link_bytes_per_cycle; _ } ->
-        (link_latency_cycles, link_bytes_per_cycle)
-
-  let popcount x =
-    let rec go acc x = if x = 0 then acc else go (acc + 1) (x land (x - 1)) in
-    go 0 x
-
-  (* Per-node bus state, plus the shared inter-node link. *)
-  let bus_free_at = Array.make n_nodes 0
-  let bus_busy = Array.make n_nodes 0
-  let link_free_at = ref 0
-  let link_busy = ref 0
-  let bus_total_bytes = ref 0
-  let remote_bytes = ref 0
-  let invalidations = ref 0
+  let ic = Interconnect.create config
 
   (* GC cost model: all region accounting (admission, trigger, episode
      pricing) lives behind [Gc_model.MODEL]; the scheduler only parks
      procs while [gc_pending] is set and prices the barrier via
-     [GcM.episode].  The default [Stw] instance is the former inline code
-     term for term, so goldens are unchanged. *)
+     [GcM.episode]. *)
   module GcM = (val Gc_model.instance config.gc
                       {
                         Gc_model.procs = config.procs;
@@ -151,7 +119,6 @@ struct
                         survival = config.gc_survival;
                         cycles_per_word = config.gc_cycles_per_word;
                         fixed_cycles = config.gc_fixed_cycles;
-                        parallelism = config.gc_parallelism;
                         minor_fixed_cycles = config.gc_minor_fixed_cycles;
                         barrier_cycles = config.gc_barrier_cycles;
                       })
@@ -159,6 +126,7 @@ struct
   let gc_pending = GcM.pending
   let gc_collections () = GcM.minor_collections () + GcM.major_collections ()
   let gc_pause_cycles () = GcM.pause_cycles ()
+  let gc_wait_cycles () = Array.fold_left (fun acc p -> acc + p.gc_wait) 0 procs
   let max_clock = ref 0
   let sched_decisions_ct = ref 0
   let coalesced_ct = ref 0
@@ -169,7 +137,6 @@ struct
   let escaped : exn option ref = ref None
   let poll_hook = ref (fun () -> ())
   let running = ref false
-  let trace : Sim_trace.t option ref = ref None
 
   module Telemetry = Mp_intf.Telemetry_of (struct
     (* Single stream: the simulator multiplexes every proc over one domain,
@@ -182,16 +149,11 @@ struct
         ()
   end)
 
-  (* Events flow both to the legacy [Machine.enable_trace] ring and to the
-     platform's telemetry capability; construction at every emit site is
-     guarded by [tracing] so a quiet run allocates no events, charges no
-     virtual time and takes no extra suspensions. *)
-  let tracing () = !trace <> None || Telemetry.enabled ()
-
-  let trace_event e =
-    (match !trace with Some t -> Sim_trace.record t e | None -> ());
-    Telemetry.emit e
-
+  (* Construction at every emit site is guarded by [tracing] so a quiet run
+     allocates no events, charges no virtual time and takes no extra
+     suspensions. *)
+  let tracing = Telemetry.enabled
+  let emit = Telemetry.emit
   let observe_clock n = if n > !max_clock then max_clock := n
 
   (* Real-time watchdog for debugging client deadlocks: dump proc states if
@@ -209,16 +171,15 @@ struct
   (* Ready-set maintenance.                                             *)
   (* ------------------------------------------------------------------ *)
 
-  let check_heap () =
-    if config.heap_debug then assert (Ready_heap.valid ready)
+  let check_heap () = if config.debug then assert (Ready_heap.valid ready)
 
   (* A suspension flushes any run-ahead accumulation: later inline charges
      belong to the next dispatch. *)
   let flush_run_ahead p =
     if p.ran_ahead > 0 then begin
       if tracing () then
-        trace_event
-          (Sim_trace.Coalesced
+        emit
+          (Obs.Event.Coalesced
              { proc = p.id; clock = p.clock; cycles = p.ran_ahead });
       p.ran_ahead <- 0
     end
@@ -229,264 +190,145 @@ struct
     Ready_heap.push ready ~clock:p.clock ~id:p.id p;
     check_heap ()
 
+  let resume c = Engine.Resume (c, ())
+
   (* ------------------------------------------------------------------ *)
-  (* Fiber-side charging primitives.                                    *)
+  (* The cost function.                                                  *)
   (* ------------------------------------------------------------------ *)
 
-  let yield_ready p c =
-    set_ready p (Engine.Resume (c, ()));
-    A_yield
+  let advance p clock' ~idle =
+    let d = clock' - p.clock in
+    if idle then p.idle <- p.idle + d else p.busy <- p.busy + d;
+    p.clock <- clock';
+    observe_clock clock'
 
-  (* Run-ahead fast path.  [inline_charge p ~cpu ~bytes ~idle] advances [p]
-     past [cpu] cycles of work followed by a [bytes]-byte bus transfer
-     (0 = none) without suspending, and returns [true], exactly when the
-     scheduler would hand control straight back to [p] anyway: no GC is
-     pending and [p]'s post-charge (clock, id) key still precedes every
-     ready proc's key.  In that case the suspend/dispatch round-trip it
-     skips is a virtual-time no-op, so results are bit-identical to the
-     always-suspend scheduler; all accounting below mirrors the slow path
-     ([charge_busy]/[charge_idle] + [bus_transfer]) term for term. *)
-  let inline_charge p ~cpu ~bytes ~idle =
-    run_ahead_enabled
-    && (not !gc_pending)
-    (* Early out on a lower bound of the post-charge clock before any bus
-       arithmetic: the key is monotone in the clock, so failing here means
-       the exact check below would fail too.  This keeps the cost of a
-       failed attempt (the common case under multi-proc contention) to a
-       few integer compares. *)
-    && Ready_heap.precedes_min ready
-         ~clock:(if bytes = 0 then p.clock + cpu else p.clock + cpu + 1)
-         ~id:p.id
-    &&
-    let node = node_of_proc p.id in
-    let dur =
-      if bytes = 0 then 0
-      else
-        max 1 (int_of_float (float_of_int bytes /. config.bus_bytes_per_cycle))
+  (* Every simulated charge: [cpu] cycles of work, then a [bytes]-byte
+     transfer on [route] ({!Interconnect.transact}), booked as busy or
+     idle time; bus queueing stalls count as busy (the proc is stalled on
+     memory, not idle).  The charge is always applied at once, at [p]'s
+     current position.  The result says whether it was {e inline}: the
+     run-ahead gate passed — [admit] holds, no GC is pending and [p]'s
+     post-charge (clock, id) key still precedes every ready proc's, so the
+     scheduler would hand control straight back to [p] and the
+     suspend/dispatch round trip the reference machine takes here is a
+     virtual-time no-op.  The gate reads only the GC flag and the ready
+     heap, which the charge does not touch, so it is evaluated after
+     applying.  On [false] the caller gives up the proc: the fiber side
+     suspends ([yield_unless]), the scheduler side re-queues, and either
+     way the next dispatch is where the reference machine's would be. *)
+  let apply ~admit p ~cpu ~bytes ~route ~idle =
+    let clock = p.clock in
+    advance p (Interconnect.transact ic ~proc:p.id ~clock ~cpu ~bytes ~route) ~idle;
+    let inline =
+      admit && run_ahead_enabled
+      && (not !gc_pending)
+      && Ready_heap.precedes_min ready ~clock:p.clock ~id:p.id
     in
-    let start =
-      if bytes = 0 then p.clock + cpu else max (p.clock + cpu) bus_free_at.(node)
-    in
-    let clock' = start + dur in
-    let total = clock' - p.clock in
-    p.ran_ahead + total <= config.run_ahead_window
-    && (bytes = 0 || Ready_heap.precedes_min ready ~clock:clock' ~id:p.id)
-    && begin
-         p.clock <- clock';
-         if idle then p.idle <- p.idle + total else p.busy <- p.busy + total;
-         if bytes > 0 then begin
-           bus_free_at.(node) <- clock';
-           bus_busy.(node) <- bus_busy.(node) + dur;
-           bus_total_bytes := !bus_total_bytes + bytes
-         end;
-         p.ran_ahead <- p.ran_ahead + total;
-         incr coalesced_ct;
-         observe_clock clock';
-         true
-       end
+    if inline then begin
+      p.ran_ahead <- p.ran_ahead + (p.clock - clock);
+      incr coalesced_ct
+    end;
+    inline
 
-  let charge_busy n =
-    if n > 0 then begin
-      let p = cur () in
-      if not (inline_charge p ~cpu:n ~bytes:0 ~idle:false) then
-        Engine.suspend (fun c ->
-            p.clock <- p.clock + n;
-            p.busy <- p.busy + n;
-            observe_clock p.clock;
-            yield_ready p c)
-    end
+  let busy p n = apply ~admit:true p ~cpu:n ~bytes:0 ~route:0 ~idle:false
 
-  let charge_idle n =
-    if n > 0 then begin
-      let p = cur () in
-      if not (inline_charge p ~cpu:n ~bytes:0 ~idle:true) then
-        Engine.suspend (fun c ->
-            p.clock <- p.clock + n;
-            p.idle <- p.idle + n;
-            observe_clock p.clock;
-            yield_ready p c)
-    end
+  (* One RMW on a shared word: routed by the word's sharer set, which it
+     claims exclusive for [p]'s node. *)
+  let rmw p ln ~cpu ~bytes =
+    apply ~admit:true p ~cpu ~bytes
+      ~route:(Interconnect.claim ic ln ~proc:p.id)
+      ~idle:false
 
-  (* FCFS node-local bus: runs inside a suspend body, advances [p] past the
-     end of its transfer.  Queueing stall counts as busy time (the proc is
-     stalled on memory, not idle). *)
-  let bus_transfer p bytes =
-    let node = node_of_proc p.id in
-    let dur =
-      max 1 (int_of_float (float_of_int bytes /. config.bus_bytes_per_cycle))
-    in
-    let start = max p.clock bus_free_at.(node) in
-    let stall = start - p.clock in
-    p.clock <- start + dur;
-    p.busy <- p.busy + stall + dur;
-    bus_free_at.(node) <- p.clock;
-    bus_busy.(node) <- bus_busy.(node) + dur;
-    bus_total_bytes := !bus_total_bytes + bytes;
-    observe_clock p.clock
-
-  (* A transfer that must cross the inter-node link: a local-bus leg (the
-     request occupies the requesting node's bus as usual) followed by a link
-     leg that pays the link latency and serializes on the shared link's FCFS
-     queue.  [invals] remote cached copies are invalidated by the transfer.
-     Only reachable when [n_nodes > 1]. *)
-  let remote_transfer p bytes ~invals =
-    let node = node_of_proc p.id in
-    let ldur =
-      max 1 (int_of_float (float_of_int bytes /. config.bus_bytes_per_cycle))
-    in
-    let lstart = max p.clock bus_free_at.(node) in
-    let lend = lstart + ldur in
-    let kdur =
-      link_latency
-      + max 1 (int_of_float (float_of_int bytes /. link_bytes_per_cycle))
-    in
-    let kstart = max lend !link_free_at in
-    let kend = kstart + kdur in
-    p.busy <- p.busy + (kend - p.clock);
-    p.clock <- kend;
-    bus_free_at.(node) <- lend;
-    bus_busy.(node) <- bus_busy.(node) + ldur;
-    link_free_at := kend;
-    link_busy := !link_busy + kdur;
-    bus_total_bytes := !bus_total_bytes + bytes;
-    remote_bytes := !remote_bytes + bytes;
-    invalidations := !invalidations + invals;
-    observe_clock p.clock
-
-  (* Run-ahead twin of [remote_transfer] preceded by [cpu] cycles of work:
-     same gate structure as [inline_charge], same arithmetic as the slow
-     path ([charge] then [remote_transfer]) term for term. *)
-  let inline_charge_remote p ~cpu ~bytes ~invals =
-    run_ahead_enabled
-    && (not !gc_pending)
-    && Ready_heap.precedes_min ready ~clock:(p.clock + cpu + 1) ~id:p.id
-    &&
-    let node = node_of_proc p.id in
-    let ldur =
-      max 1 (int_of_float (float_of_int bytes /. config.bus_bytes_per_cycle))
-    in
-    let lstart = max (p.clock + cpu) bus_free_at.(node) in
-    let lend = lstart + ldur in
-    let kdur =
-      link_latency
-      + max 1 (int_of_float (float_of_int bytes /. link_bytes_per_cycle))
-    in
-    let clock' = max lend !link_free_at + kdur in
-    let total = clock' - p.clock in
-    p.ran_ahead + total <= config.run_ahead_window
-    && Ready_heap.precedes_min ready ~clock:clock' ~id:p.id
-    && begin
-         p.clock <- clock';
-         p.busy <- p.busy + total;
-         bus_free_at.(node) <- lend;
-         bus_busy.(node) <- bus_busy.(node) + ldur;
-         link_free_at := clock';
-         link_busy := !link_busy + kdur;
-         bus_total_bytes := !bus_total_bytes + bytes;
-         remote_bytes := !remote_bytes + bytes;
-         invalidations := !invalidations + invals;
-         p.ran_ahead <- p.ran_ahead + total;
-         incr coalesced_ct;
-         observe_clock clock';
-         true
-       end
-
-  (* One RMW bus transaction on a lock word from proc [p]: route it by the
-     line's sharer set (node-local when no other node caches the word,
-     across the link otherwise) and claim the line exclusive for [p]'s
-     node.  The sharer set is read and written at the charge, i.e. at the
-     same virtual position in the inline and always-suspend machines, so
-     the routing decision is deterministic and identical in both.  The
-     inline variant returns [false] without side effects when the run-ahead
-     gates fail; callers then apply [lock_rmw_slow] inside a suspend body. *)
-  let lock_rmw_inline p l ~cpu =
-    let me = 1 lsl node_of_proc p.id in
-    let others = l.sharers land lnot me in
-    let ok =
-      if others = 0 then
-        inline_charge p ~cpu ~bytes:config.lock_bus_bytes ~idle:false
-      else
-        inline_charge_remote p ~cpu ~bytes:config.lock_bus_bytes
-          ~invals:(popcount others)
-    in
-    if ok then l.sharers <- me;
-    ok
-
-  let lock_rmw_slow p l ~cpu =
-    let me = 1 lsl node_of_proc p.id in
-    let others = l.sharers land lnot me in
-    p.clock <- p.clock + cpu;
-    p.busy <- p.busy + cpu;
-    if others = 0 then bus_transfer p config.lock_bus_bytes
-    else remote_transfer p config.lock_bus_bytes ~invals:(popcount others);
-    l.sharers <- me
-
-  (* Allocation is spread over the computation it belongs to: one suspend
+  (* Allocation is spread over the computation it belongs to: one charge
      per small slice, so bus occupancy interleaves with other procs instead
      of arriving as one long FCFS burst. *)
   let alloc_slice_words = 256
 
-  (* Slow-path allocation accounting, shared by [alloc_one_slice] and
-     [work_slow]: route the words through the GC model (which may set
-     [gc_pending]) and, when the model ran an independent minor collection
-     ([minor_pp]), charge its pause to this proc alone — the other procs
-     keep running, which is the whole point of per-proc minor heaps.  The
-     pause is a suspension-path effect, so virtual time stays identical
-     with and without the run-ahead fast path. *)
-  let alloc_slow_account p words =
+  (* One allocation slice, routed through the GC model.  It may run inline
+     only if the model admits it (it cannot fill the allocation region: a
+     GC trigger must park the proc).  Otherwise [alloc_slow] may set
+     [gc_pending] and, when the model ran an independent minor collection
+     ([minor_pp]), its pause is charged to this proc alone — the other
+     procs keep running, which is the whole point of per-proc minor
+     heaps. *)
+  let alloc_slice p words =
+    let inline =
+      apply
+        ~admit:(GcM.admit ~proc:p.id ~words)
+        p
+        ~cpu:(int_of_float (config.alloc_cycles_per_word *. float_of_int words))
+        ~bytes:(words * config.word_bytes) ~route:0 ~idle:false
+    in
     p.alloc_words <- p.alloc_words + words;
-    let pause, collected = GcM.alloc_slow ~proc:p.id ~words in
-    if pause > 0 then begin
-      if tracing () then
-        trace_event
-          (Sim_trace.Gc_start
-             {
-               clock = p.clock;
-               region_words = collected;
-               kind = Minor;
-               waiters = 0;
-             });
-      p.clock <- p.clock + pause;
-      p.gc_wait <- p.gc_wait + pause;
-      observe_clock p.clock;
-      if tracing () then
-        trace_event (Sim_trace.Gc_end { clock = p.clock; duration = pause })
-    end
-
-  let alloc_one_slice words =
-    if words > 0 then begin
-      let p = cur () in
-      let cpu =
-        int_of_float (config.alloc_cycles_per_word *. float_of_int words)
-      in
-      (* Fast path additionally requires the model's admission predicate
-         (this slice cannot fill the allocation region): a GC trigger must
-         park the proc. *)
-      if
-        GcM.admit ~proc:p.id ~words
-        && inline_charge p ~cpu ~bytes:(words * config.word_bytes) ~idle:false
-      then begin
-        p.alloc_words <- p.alloc_words + words;
-        GcM.commit_fast ~proc:p.id ~words
+    if inline then GcM.commit_fast ~proc:p.id ~words
+    else begin
+      let pause, collected = GcM.alloc_slow ~proc:p.id ~words in
+      if pause > 0 then begin
+        if tracing () then
+          emit
+            (Obs.Event.Gc_start
+               {
+                 clock = p.clock;
+                 region_words = collected;
+                 kind = Minor;
+                 waiters = 0;
+               });
+        p.clock <- p.clock + pause;
+        p.gc_wait <- p.gc_wait + pause;
+        observe_clock p.clock;
+        if tracing () then
+          emit (Obs.Event.Gc_end { clock = p.clock; duration = pause })
       end
-      else
-        Engine.suspend (fun c ->
-            p.clock <- p.clock + cpu;
-            p.busy <- p.busy + cpu;
-            bus_transfer p (words * config.word_bytes);
-            alloc_slow_account p words;
-            yield_ready p c)
+    end;
+    inline
+
+  let work_step p = function
+    | W_charge n -> n <= 0 || busy p n
+    | W_alloc w -> w <= 0 || alloc_slice p w
+
+  (* Run a work program inline while the gate allows.  [Some rest] when an
+     op stopped at a dispatch, [rest] being the ops after it. *)
+  let rec work_run p = function
+    | [] -> None
+    | op :: rest -> if work_step p op then work_run p rest else Some rest
+
+  (* The delay before probe [attempt], with the deterministic jitter of
+     [Sim_config.spin_jitter_mod]. *)
+  let retry_delay proc attempt =
+    config.spin_retry_cycles
+    + (((proc * config.spin_jitter_proc) + (attempt * config.spin_jitter_attempt))
+      mod config.spin_jitter_mod)
+
+  let note_acquired p attempt =
+    incr lock_acquires_ct;
+    if tracing () then begin
+      emit (Obs.Event.Lock_acquired { proc = p.id; clock = p.clock });
+      if attempt > 0 then
+        emit
+          (Obs.Event.Lock_contended
+             { proc = p.id; clock = p.clock; spins = attempt })
     end
 
-  let alloc_slices words =
-    let ops = ref [] in
-    let remaining = ref words in
-    while !remaining > 0 do
-      let slice = min !remaining alloc_slice_words in
-      ops := W_alloc slice :: !ops;
-      remaining := !remaining - slice
-    done;
-    List.rev !ops
+  (* A spin-lock episode, shared by the fiber ([Lock.lock]) and the
+     scheduler (a parked [A_lock]): probe and test inline while the gate
+     allows, and stop where the reference machine would next dispatch. *)
+  let rec lock_probe p l attempt =
+    if rmw p l.line ~cpu:config.try_lock_cycles ~bytes:config.lock_bus_bytes
+    then lock_test p l attempt
+    else Test_pending attempt
+
+  and lock_test p l attempt =
+    if l.held then begin
+      p.spins <- p.spins + 1;
+      let attempt = attempt + 1 in
+      if busy p (retry_delay p.id attempt) then lock_probe p l attempt
+      else Probe_pending attempt
+    end
+    else begin
+      l.held <- true;
+      note_acquired p attempt;
+      Won
+    end
 
   (* ------------------------------------------------------------------ *)
   (* Simulation loop.                                                    *)
@@ -531,8 +373,8 @@ struct
     let dur = ep.Gc_model.duration in
     let finish = gc_start + dur in
     if tracing () then
-      trace_event
-        (Sim_trace.Gc_start
+      emit
+        (Obs.Event.Gc_start
            {
              clock = gc_start;
              region_words = ep.Gc_model.region_words;
@@ -553,160 +395,73 @@ struct
       procs;
     observe_clock finish;
     if tracing () then
-      trace_event (Sim_trace.Gc_end { clock = finish; duration = dur });
+      emit (Obs.Event.Gc_end { clock = finish; duration = dur });
     GcM.finish_episode ep
 
-  (* Service a parked poller popped at its wake key.  Each iteration is one
-     reference-machine dispatch: count a decision, evaluate the predicate at
-     the current (clock, id) position, and either resume the fiber or charge
-     one idle quantum.  After a charge, keep going inline exactly when the
-     scheduler would re-pop this proc next anyway (its key still precedes
-     the heap minimum, no GC pending, horizon window not exhausted);
-     otherwise re-queue and let the next pop continue — either way no
-     effect-handler suspension is taken, which is the entire saving. *)
-  let poll_dispatch p rdy k =
-    let q = config.idle_quantum_cycles in
-    let budget = ref config.horizon_window in
-    let continue_ = ref true in
-    while !continue_ do
-      incr sched_decisions_ct;
-      incr idle_polls_ct;
-      if tracing () then
-        trace_event (Sim_trace.Dispatch { proc = p.id; clock = p.clock });
-      let r = rdy () in
-      if config.horizon_debug then
-        (* The equivalence argument needs a pure predicate: a second
-           evaluation at the same position must agree. *)
-        assert (rdy () = r);
-      if r then begin
-        continue_ := false;
-        interp p (Engine.Resume (k, ()))
-      end
-      else begin
-        p.clock <- p.clock + q;
-        p.idle <- p.idle + q;
-        observe_clock p.clock;
-        incr coalesced_ct;
-        budget := !budget - q;
-        if
-          !gc_pending || !budget < 0
-          || not (Ready_heap.precedes_min ready ~clock:p.clock ~id:p.id)
-        then begin
-          continue_ := false;
-          set_ready p (A_poll (rdy, k))
-        end
-        else if config.horizon_debug then check_heap ()
-      end
-    done
+  (* One scheduling decision: [p] is handed its pending action. *)
+  let note_dispatch p =
+    incr sched_decisions_ct;
+    if tracing () then emit (Obs.Event.Dispatch { proc = p.id; clock = p.clock })
 
-  (* ------------------------------------------------------------------ *)
-  (* Scheduler-side episode machines.  Each function below replicates,    *)
-  (* term for term, what the reference fiber does during one dispatch:    *)
-  (* first the inline gate (identical conditions to the fiber fast path), *)
-  (* else the slow body's call-time effects followed by a re-queue.       *)
-  (* ------------------------------------------------------------------ *)
-
-  (* Apply one work-program op inline if the fiber's fast path would have;
-     [true] = applied, continue within this dispatch. *)
-  let work_inline p = function
-    | W_charge n -> n <= 0 || inline_charge p ~cpu:n ~bytes:0 ~idle:false
-    | W_alloc w ->
-        w <= 0
-        || GcM.admit ~proc:p.id ~words:w
-           && (let cpu =
-                 int_of_float (config.alloc_cycles_per_word *. float_of_int w)
-               in
-               inline_charge p ~cpu ~bytes:(w * config.word_bytes) ~idle:false)
-           && begin
-                p.alloc_words <- p.alloc_words + w;
-                GcM.commit_fast ~proc:p.id ~words:w;
-                true
-              end
-
-  (* The slow body's call-time effects (mirrors [charge_busy] /
-     [alloc_one_slice]'s suspend bodies). *)
-  let work_slow p = function
-    | W_charge n ->
-        p.clock <- p.clock + n;
-        p.busy <- p.busy + n;
-        observe_clock p.clock
-    | W_alloc w ->
-        let cpu =
-          int_of_float (config.alloc_cycles_per_word *. float_of_int w)
-        in
-        p.clock <- p.clock + cpu;
-        p.busy <- p.busy + cpu;
-        bus_transfer p (w * config.word_bytes);
-        alloc_slow_account p w
-
-  let rec work_dispatch p ops k =
-    match ops with
-    | [] -> interp p (Engine.Resume (k, ()))
-    | op :: rest ->
-        if work_inline p op then work_dispatch p rest k
-        else begin
-          work_slow p op;
-          set_ready p (A_work (rest, k))
-        end
-
-  let retry_delay proc attempt =
-    config.spin_retry_cycles
-    + (((proc * config.spin_jitter_proc) + (attempt * config.spin_jitter_attempt))
-      mod config.spin_jitter_mod)
-
-  let note_acquired p attempt =
-    incr lock_acquires_ct;
-    if tracing () then begin
-      trace_event (Sim_trace.Lock_acquired { proc = p.id; clock = p.clock });
-      if attempt > 0 then
-        trace_event
-          (Sim_trace.Lock_contended
-             { proc = p.id; clock = p.clock; spins = attempt })
-    end
-
-  (* Position: probe complete (charge + bus applied); test the lock. *)
-  let rec lock_probe_result p l attempt kont =
-    if l.held then begin
-      p.spins <- p.spins + 1;
-      let attempt = attempt + 1 in
-      let d = retry_delay p.id attempt in
-      if inline_charge p ~cpu:d ~bytes:0 ~idle:false then
-        lock_send_probe p l attempt kont
-      else begin
-        p.clock <- p.clock + d;
-        p.busy <- p.busy + d;
-        observe_clock p.clock;
-        set_ready p (A_lock_wait (l, attempt, kont))
-      end
-    end
+  (* Service a parked poller popped at its wake key.  Each round is one
+     reference-machine dispatch: evaluate the predicate at the current
+     (clock, id) position, and either resume the fiber or charge one idle
+     quantum.  After a charge, keep going exactly when the scheduler would
+     re-pop this proc next anyway (no GC pending, its key still precedes
+     the heap minimum); otherwise re-queue and let the next pop continue —
+     either way no effect-handler suspension is taken. *)
+  let rec poll_dispatch p rdy k =
+    note_dispatch p;
+    incr idle_polls_ct;
+    let r = rdy () in
+    (* The equivalence argument needs a pure predicate: a second evaluation
+       at the same position must agree. *)
+    if config.debug then assert (rdy () = r);
+    if r then interp p (resume k)
     else begin
-      l.held <- true;
-      note_acquired p attempt;
-      lock_won p l kont
+      advance p (p.clock + config.idle_quantum_cycles) ~idle:true;
+      incr coalesced_ct;
+      if !gc_pending || not (Ready_heap.precedes_min ready ~clock:p.clock ~id:p.id)
+      then set_ready p (A_poll (rdy, k))
+      else begin
+        check_heap ();
+        poll_dispatch p rdy k
+      end
     end
 
-  (* Position: about to issue the next probe. *)
-  and lock_send_probe p l attempt kont =
-    if lock_rmw_inline p l ~cpu:config.try_lock_cycles then
-      lock_probe_result p l attempt kont
-    else begin
-      lock_rmw_slow p l ~cpu:config.try_lock_cycles;
-      set_ready p (A_lock_probe (l, attempt, kont))
-    end
-
-  and lock_won p l kont =
-    match kont with
-    | K_lock k -> interp p (Engine.Resume (k, ()))
-    | K_locked (run, k) ->
+  (* The scheduler side of a lock episode: resume the fiber once
+     the lock is won (for [K_locked], after the critical section and the
+     unlock), else re-queue at the position where the episode stopped. *)
+  let lock_continue p l stop kont =
+    match (stop, kont) with
+    | Won, K_lock k -> interp p (resume k)
+    | Won, K_locked (run, k) ->
         run ();
-        if lock_rmw_inline p l ~cpu:config.unlock_cycles then begin
+        if rmw p l.line ~cpu:config.unlock_cycles ~bytes:config.lock_bus_bytes
+        then begin
           l.held <- false;
-          interp p (Engine.Resume (k, ()))
+          interp p (resume k)
         end
-        else begin
-          lock_rmw_slow p l ~cpu:config.unlock_cycles;
-          set_ready p (A_unlock (l, k))
-        end
+        else set_ready p (A_unlock (l, k))
+    | (Test_pending _ | Probe_pending _), _ -> set_ready p (A_lock (l, stop, kont))
+
+  let dispatch p = function
+    | A_poll (rdy, k) -> poll_dispatch p rdy k
+    | a -> (
+        note_dispatch p;
+        match a with
+        | A_work (ops, k) -> (
+            match work_run p ops with
+            | None -> interp p (resume k)
+            | Some rest -> set_ready p (A_work (rest, k)))
+        | A_lock (l, Test_pending n, kont) ->
+            lock_continue p l (lock_test p l n) kont
+        | A_lock (l, Probe_pending n, kont) ->
+            lock_continue p l (lock_probe p l n) kont
+        | A_unlock (l, k) ->
+            l.held <- false;
+            interp p (resume k)
+        | a -> interp p a)
 
   let any_gc_waiting () =
     Array.exists (fun p -> match p.state with Gc_waiting _ -> true | _ -> false) procs
@@ -726,11 +481,8 @@ struct
              | Gc_waiting _ -> "Gc_waiting")))
       procs;
     Buffer.add_string b
-      (Printf.sprintf "region=%d gc_pending=%b bus_free_at=[%s] link_free_at=%d\n"
-         (GcM.region_used ()) !gc_pending
-         (String.concat ";"
-            (Array.to_list (Array.map string_of_int bus_free_at)))
-         !link_free_at);
+      (Printf.sprintf "region=%d gc_pending=%b %s\n" (GcM.region_used ())
+         !gc_pending (Interconnect.describe ic));
     Buffer.contents b
 
   let rec loop () =
@@ -755,41 +507,9 @@ struct
           let a = match p.state with Ready a -> a | _ -> assert false in
           p.state <- Current;
           current := p.id;
-          (match a with
-          | A_poll (rdy, k) -> poll_dispatch p rdy k
-          | A_work (ops, k) ->
-              incr sched_decisions_ct;
-              (if tracing () then
-                 trace_event
-                   (Sim_trace.Dispatch { proc = p.id; clock = p.clock }));
-              work_dispatch p ops k
-          | A_lock_probe (l, attempt, kont) ->
-              incr sched_decisions_ct;
-              (if tracing () then
-                 trace_event
-                   (Sim_trace.Dispatch { proc = p.id; clock = p.clock }));
-              lock_probe_result p l attempt kont
-          | A_lock_wait (l, attempt, kont) ->
-              incr sched_decisions_ct;
-              (if tracing () then
-                 trace_event
-                   (Sim_trace.Dispatch { proc = p.id; clock = p.clock }));
-              lock_send_probe p l attempt kont
-          | A_unlock (l, k) ->
-              incr sched_decisions_ct;
-              (if tracing () then
-                 trace_event
-                   (Sim_trace.Dispatch { proc = p.id; clock = p.clock }));
-              l.held <- false;
-              interp p (Engine.Resume (k, ()))
-          | a ->
-              incr sched_decisions_ct;
-              (if tracing () then
-                 trace_event
-                   (Sim_trace.Dispatch { proc = p.id; clock = p.clock }));
-              interp p a);
+          dispatch p a;
           (if tracing () && p.state = Free then
-             trace_event (Sim_trace.Freed { proc = p.id; clock = p.clock }));
+             emit (Obs.Event.Freed { proc = p.id; clock = p.clock }));
           loop ()
         end
     end
@@ -803,8 +523,28 @@ struct
     (* else: all procs free — simulation over *)
 
   (* ------------------------------------------------------------------ *)
-  (* Platform interface.                                                 *)
+  (* Fiber side and the platform interface.                             *)
   (* ------------------------------------------------------------------ *)
+
+  (* Give up the proc until the scheduler dispatches it with [act c]. *)
+  let park p act =
+    Engine.suspend (fun c ->
+        set_ready p (act c);
+        A_yield)
+
+  (* After an [apply]: an applied-but-not-inline charge must yield here, so
+     the fiber resumes at the reference machine's next dispatch. *)
+  let yield_unless inline p = if not inline then park p resume
+
+  let charge_busy n =
+    if n > 0 then
+      let p = cur () in
+      yield_unless (busy p n) p
+
+  let charge_idle n =
+    if n > 0 then
+      let p = cur () in
+      yield_unless (apply ~admit:true p ~cpu:n ~bytes:0 ~route:0 ~idle:true) p
 
   module Proc = struct
     type proc_datum = D.t
@@ -816,9 +556,7 @@ struct
       let ok =
         Engine.suspend (fun c ->
             let p = cur () in
-            p.clock <- p.clock + config.acquire_proc_cycles;
-            p.busy <- p.busy + config.acquire_proc_cycles;
-            observe_clock p.clock;
+            advance p (p.clock + config.acquire_proc_cycles) ~idle:false;
             let free = Array.find_opt (fun q -> q.state = Free && q.id <> p.id) procs in
             match free with
             | Some q ->
@@ -826,10 +564,10 @@ struct
                 let start = max q.clock p.clock in
                 q.idle <- q.idle + (start - q.clock);
                 q.clock <- start;
-                set_ready q (Engine.Resume (cont, ()));
+                set_ready q (resume cont);
                 if tracing () then
-                  trace_event
-                    (Sim_trace.Acquired { proc = q.id; by = p.id; clock = p.clock });
+                  emit
+                    (Obs.Event.Acquired { proc = q.id; by = p.id; clock = p.clock });
                 set_ready p (Engine.Resume (c, true));
                 A_yield
             | None ->
@@ -856,127 +594,78 @@ struct
         (fun acc p -> if p.state = Free then acc else acc + 1)
         0 procs
 
-    let nodes () = n_nodes
-    let node_of = node_of_proc
+    let nodes () = Interconnect.nodes ic
+    let node_of = Interconnect.node_of ic
   end
 
   module Lock = struct
     type mutex_lock = sim_lock
 
-    let mutex_lock () = { held = false; sharers = 0 }
+    let mutex_lock () = { held = false; line = Interconnect.line () }
 
     (* Charge the probe first (a suspension point), then test-and-set with
        no intervening suspension — atomic in virtual time.  When the
-       run-ahead probe says the proc would be re-dispatched immediately, no
-       other proc can run between charge and test either way, so the
-       inline charge preserves the same atomicity. *)
+       charge runs inline no other proc can run between charge and test
+       either, so the atomicity is the same. *)
     let try_lock l =
       let p = cur () in
-      if not (lock_rmw_inline p l ~cpu:config.try_lock_cycles) then
-        Engine.suspend (fun c ->
-            lock_rmw_slow p l ~cpu:config.try_lock_cycles;
-            yield_ready p c);
+      yield_unless
+        (rmw p l.line ~cpu:config.try_lock_cycles ~bytes:config.lock_bus_bytes)
+        p;
       if l.held then begin
-        (cur ()).spins <- (cur ()).spins + 1;
+        p.spins <- p.spins + 1;
         false
       end
       else begin
         l.held <- true;
         incr lock_acquires_ct;
-        (if tracing () then
-           let q = cur () in
-           trace_event (Sim_trace.Lock_acquired { proc = q.id; clock = q.clock }));
+        if tracing () then
+          emit (Obs.Event.Lock_acquired { proc = p.id; clock = p.clock });
         true
       end
 
-    (* One parked lock episode: spin inline exactly as the reference loop
-       below for as long as the gates allow, and on the first gate failure
-       suspend once, handing the rest of the episode (probes, retry
-       delays, held-test, acquisition — and for [K_locked] the critical
-       section and unlock too) to the scheduler's lock machine.  The
-       reference loop costs up to two suspensions per spin iteration; this
-       costs at most one per episode. *)
+    (* One lock episode run from the fiber: inline as far as the gate
+       allows, then at most one suspension that hands the rest of the
+       episode (and for [K_locked] the critical section and unlock too) to
+       the scheduler.  [true] when the episode was parked. *)
     let lock_fast l kont_of =
       let p = cur () in
-      let attempt = ref 0 in
-      let done_ = ref false in
-      let parked = ref false in
-      while not !done_ do
-        if lock_rmw_inline p l ~cpu:config.try_lock_cycles then begin
-          if l.held then begin
-            p.spins <- p.spins + 1;
-            incr attempt;
-            let d = retry_delay p.id !attempt in
-            if not (inline_charge p ~cpu:d ~bytes:0 ~idle:false) then begin
-              done_ := true;
-              parked := true;
-              Engine.suspend (fun c ->
-                  p.clock <- p.clock + d;
-                  p.busy <- p.busy + d;
-                  observe_clock p.clock;
-                  set_ready p (A_lock_wait (l, !attempt, kont_of c));
-                  A_yield)
-            end
-          end
-          else begin
-            l.held <- true;
-            done_ := true;
-            note_acquired p !attempt
-          end
-        end
-        else begin
-          done_ := true;
-          parked := true;
-          Engine.suspend (fun c ->
-              lock_rmw_slow p l ~cpu:config.try_lock_cycles;
-              set_ready p (A_lock_probe (l, !attempt, kont_of c));
-              A_yield)
-        end
-      done;
-      !parked
+      match lock_probe p l 0 with
+      | Won -> false
+      | stop ->
+          park p (fun c -> A_lock (l, stop, kont_of c));
+          true
 
-    (* Deterministic per-proc, per-attempt jitter on the retry delay breaks
-       the phase-locking that a fixed period can produce under the
-       deterministic min-clock scheduler (a spinning proc could otherwise
-       probe forever exactly inside other procs' hold windows).  The
-       multipliers and modulus are Sim_config knobs for backoff
-       experiments. *)
-    (* Reference spin loop: the always-suspend oracle, also used when the
-       horizon fast path is disabled. *)
+    (* Reference spin loop: the always-suspend oracle, used when the
+       run-ahead gate is disabled.  Up to two suspensions per spin. *)
     let lock_ref l =
       let attempt = ref 0 in
       while not (try_lock l) do
         incr attempt;
-        charge_busy
-          (config.spin_retry_cycles
-          + (((!current * config.spin_jitter_proc)
-             + (!attempt * config.spin_jitter_attempt))
-            mod config.spin_jitter_mod))
+        charge_busy (retry_delay !current !attempt)
       done;
       if !attempt > 0 && tracing () then
         let q = cur () in
-        trace_event
-          (Sim_trace.Lock_contended
+        emit
+          (Obs.Event.Lock_contended
              { proc = q.id; clock = q.clock; spins = !attempt })
 
     let lock l =
-      if run_ahead_enabled && config.horizon then
-        ignore (lock_fast l (fun c -> K_lock c))
+      if run_ahead_enabled then ignore (lock_fast l (fun c -> K_lock c))
       else lock_ref l
 
     let unlock l =
       let p = cur () in
-      if not (lock_rmw_inline p l ~cpu:config.unlock_cycles) then
-        Engine.suspend (fun c ->
-            lock_rmw_slow p l ~cpu:config.unlock_cycles;
-            yield_ready p c);
+      yield_unless
+        (rmw p l.line ~cpu:config.unlock_cycles ~bytes:config.lock_bus_bytes)
+        p;
       l.held <- false
 
     (* lock + charge-free critical section + unlock, fused into a single
        parked episode: under contention the whole sequence costs at most
        one suspension instead of one per probe, retry and unlock. *)
     let locked l f =
-      if run_ahead_enabled && config.horizon then begin
+      if run_ahead_enabled then begin
         let res = ref None in
         let run () = res := Some (try Ok (f ()) with e -> Error e) in
         let parked = lock_fast l (fun c -> K_locked (run, c)) in
@@ -1003,78 +692,49 @@ struct
       end
   end
 
-  (* Run a work program from the fiber: ops execute inline while the gates
-     allow; the first gate failure suspends once and hands the remainder to
-     the scheduler's work machine ([work_dispatch]), which services it at
-     the reference positions.  With the horizon disabled this is exactly
-     the reference per-op loop. *)
+  (* Run a work program from the fiber: ops execute inline while the gate
+     allows; the first op that stops suspends once and hands the remainder
+     to the scheduler, which services it at the reference positions.  With
+     the gate disabled this is the reference per-op loop. *)
   let run_ops ops =
-    if run_ahead_enabled && config.horizon then begin
-      let p = cur () in
-      let rec go = function
-        | [] -> ()
-        | op :: rest ->
-            if work_inline p op then go rest
-            else
-              (* returns once the machine has drained [rest] *)
-              Engine.suspend (fun c ->
-                  work_slow p op;
-                  set_ready p (A_work (rest, c));
-                  A_yield)
-      in
-      go ops
-    end
-    else
-      List.iter
-        (function W_charge n -> charge_busy n | W_alloc w -> alloc_one_slice w)
-        ops
+    let p = cur () in
+    if run_ahead_enabled then
+      match work_run p ops with
+      | None -> ()
+      | Some rest -> park p (fun c -> A_work (rest, c))
+    else List.iter (fun op -> yield_unless (work_step p op) p) ops
 
   module Work = struct
     let charge n = charge_busy n
-    let alloc ~words = run_ops (alloc_slices words)
+
+    let alloc ~words =
+      let ops = ref [] in
+      let remaining = ref words in
+      while !remaining > 0 do
+        let slice = min !remaining alloc_slice_words in
+        ops := W_alloc slice :: !ops;
+        remaining := !remaining - slice
+      done;
+      run_ops (List.rev !ops)
 
     let traffic ~bytes =
-      if bytes > 0 then begin
+      if bytes > 0 then
         let p = cur () in
-        if not (inline_charge p ~cpu:0 ~bytes ~idle:false) then
-          Engine.suspend (fun c ->
-              bus_transfer p bytes;
-              yield_ready p c)
-      end
+        yield_unless (apply ~admit:true p ~cpu:0 ~bytes ~route:0 ~idle:false) p
 
     (* Contended shared words outside the platform lock (the lock-algorithm
        family's cells, run-queue heads): same sharer-set model as
-       [sim_lock], driven by the client through {!read_line}/{!write_line}.
-       [read_line] is charge-free by contract — the read's cost was already
-       charged — so it only grows the sharer set; the RMW in [write_line]
-       routes by it exactly as [lock_rmw_inline] does. *)
-    type line = { mutable sharers : int }
+       [sim_lock].  [read_line] is charge-free by contract — the read's
+       cost was already charged — so it only grows the sharer set. *)
+    type line = Interconnect.line
 
-    let line () = { sharers = 0 }
-
-    let read_line ln =
-      ln.sharers <- ln.sharers lor (1 lsl node_of_proc !current)
+    let line = Interconnect.line
+    let read_line ln = Interconnect.share ic ln ~proc:!current
 
     let write_line ln ~bytes =
-      if bytes > 0 then begin
+      if bytes > 0 then
         let p = cur () in
-        let me = 1 lsl node_of_proc p.id in
-        let others = ln.sharers land lnot me in
-        ln.sharers <- me;
-        if others = 0 then begin
-          if not (inline_charge p ~cpu:0 ~bytes ~idle:false) then
-            Engine.suspend (fun c ->
-                bus_transfer p bytes;
-                yield_ready p c)
-        end
-        else begin
-          let invals = popcount others in
-          if not (inline_charge_remote p ~cpu:0 ~bytes ~invals) then
-            Engine.suspend (fun c ->
-                remote_transfer p bytes ~invals;
-                yield_ready p c)
-        end
-      end
+        yield_unless (rmw p ln ~cpu:0 ~bytes) p
 
     (* Interleave compute and allocation slices so the generated bus
        traffic is spread across the work, as real allocation is. *)
@@ -1103,17 +763,14 @@ struct
     (* Fast path: park once and let the scheduler service the per-quantum
        checks ([poll_dispatch]).  The park charges the first quantum, so
        the first check happens one quantum after the call — exactly where
-       the fallback (and the always-suspend twin) evaluates it. *)
+       the reference polling loop evaluates it. *)
     let idle_until ~ready =
-      if run_ahead_enabled && config.horizon then
-        Engine.suspend (fun c ->
-            let p = cur () in
-            p.clock <- p.clock + config.idle_quantum_cycles;
-            p.idle <- p.idle + config.idle_quantum_cycles;
-            observe_clock p.clock;
-            incr idle_parks_ct;
-            set_ready p (A_poll (ready, c));
-            A_yield)
+      if run_ahead_enabled then begin
+        let p = cur () in
+        advance p (p.clock + config.idle_quantum_cycles) ~idle:true;
+        incr idle_parks_ct;
+        park p (fun c -> A_poll (ready, c))
+      end
       else begin
         let rec go () =
           charge_idle config.idle_quantum_cycles;
@@ -1150,13 +807,7 @@ struct
       procs;
     Array.fill Work.queue_wait_secs 0 config.procs 0.;
     Ready_heap.clear ready;
-    Array.fill bus_free_at 0 n_nodes 0;
-    Array.fill bus_busy 0 n_nodes 0;
-    link_free_at := 0;
-    link_busy := 0;
-    bus_total_bytes := 0;
-    remote_bytes := 0;
-    invalidations := 0;
+    Interconnect.reset ic;
     GcM.reset ();
     max_clock := 0;
     sched_decisions_ct := 0;
@@ -1182,13 +833,13 @@ struct
     set "gc.minor_count" (GcM.minor_collections ());
     set "gc.major_count" (GcM.major_collections ());
     set "gc.pause_cycles" (gc_pause_cycles ());
-    set "gc.wait_cycles" (Array.fold_left (fun acc p -> acc + p.gc_wait) 0 procs);
-    set "bus.bytes" !bus_total_bytes;
-    set "bus.local_bytes" (!bus_total_bytes - !remote_bytes);
-    set "bus.remote_bytes" !remote_bytes;
-    set "bus.busy_cycles" (Array.fold_left ( + ) 0 bus_busy);
-    set "link.busy_cycles" !link_busy;
-    set "cache.invalidations" !invalidations;
+    set "gc.wait_cycles" (gc_wait_cycles ());
+    set "bus.bytes" (Interconnect.bytes ic);
+    set "bus.local_bytes" (Interconnect.bytes ic - Interconnect.remote_bytes ic);
+    set "bus.remote_bytes" (Interconnect.remote_bytes ic);
+    set "bus.busy_cycles" (Interconnect.bus_busy_cycles ic);
+    set "link.busy_cycles" (Interconnect.link_busy_cycles ic);
+    set "cache.invalidations" (Interconnect.invalidations ic);
     set "lock.acquires" !lock_acquires_ct;
     set "lock.spins" (Array.fold_left (fun acc p -> acc + p.spins) 0 procs)
 
@@ -1231,8 +882,8 @@ struct
       elapsed = secs !max_clock;
       gc_time = secs (gc_pause_cycles ());
       gc_count = gc_collections ();
-      bus_busy = secs (Array.fold_left ( + ) 0 bus_busy);
-      bus_bytes = !bus_total_bytes;
+      bus_busy = secs (Interconnect.bus_busy_cycles ic);
+      bus_bytes = Interconnect.bytes ic;
       sched_decisions = !sched_decisions_ct;
       suspensions = Engine.suspensions () - !susp_at_start;
       heap_ops = Ready_heap.ops ready;
@@ -1254,17 +905,14 @@ struct
     let gc_collections () = gc_collections ()
     let gc_minor_collections () = GcM.minor_collections ()
     let gc_major_collections () = GcM.major_collections ()
-
-    let gc_wait_cycles () =
-      Array.fold_left (fun acc p -> acc + p.gc_wait) 0 procs
-
-    let nodes () = n_nodes
-    let bus_bytes () = !bus_total_bytes
-    let local_bytes () = !bus_total_bytes - !remote_bytes
-    let remote_bytes () = !remote_bytes
-    let invalidations () = !invalidations
-    let bus_busy_cycles () = Array.fold_left ( + ) 0 bus_busy
-    let link_busy_cycles () = !link_busy
+    let gc_wait_cycles = gc_wait_cycles
+    let nodes () = Interconnect.nodes ic
+    let bus_bytes () = Interconnect.bytes ic
+    let local_bytes () = Interconnect.bytes ic - Interconnect.remote_bytes ic
+    let remote_bytes () = Interconnect.remote_bytes ic
+    let invalidations () = Interconnect.invalidations ic
+    let bus_busy_cycles () = Interconnect.bus_busy_cycles ic
+    let link_busy_cycles () = Interconnect.link_busy_cycles ic
     let elapsed_seconds () = Sim_config.cycles_to_seconds config !max_clock
 
     let gc_excluded_seconds () =
@@ -1273,13 +921,7 @@ struct
     let bus_mb_per_sec () =
       let secs = elapsed_seconds () in
       if secs <= 0. then 0.
-      else float_of_int !bus_total_bytes /. 1.0e6 /. secs
-
-    let enable_trace ?(capacity = 4096) () =
-      trace := Some (Sim_trace.create ~capacity)
-
-    let disable_trace () = trace := None
-    let trace () = !trace
+      else float_of_int (Interconnect.bytes ic) /. 1.0e6 /. secs
   end
 end
 

@@ -109,13 +109,6 @@ end)
 
     val bus_mb_per_sec : unit -> float
     (** Mean bus traffic of the last run in MB/s (E5). *)
-
-    val enable_trace : ?capacity:int -> unit -> unit
-    (** Record scheduling/GC/proc events into a bounded ring (survives
-        across [run]s until {!disable_trace}).  Deterministic. *)
-
-    val disable_trace : unit -> unit
-    val trace : unit -> Sim_trace.t option
   end
 end
 
@@ -150,8 +143,5 @@ end)
     val elapsed_seconds : unit -> float
     val gc_excluded_seconds : unit -> float
     val bus_mb_per_sec : unit -> float
-    val enable_trace : ?capacity:int -> unit -> unit
-    val disable_trace : unit -> unit
-    val trace : unit -> Sim_trace.t option
   end
 end

@@ -52,4 +52,4 @@ val clear : 'a t -> unit
 
 val valid : 'a t -> bool
 (** Heap order and index consistency hold; O(n).  For tests and the
-    [heap_debug] config knob. *)
+    [debug] config knob. *)

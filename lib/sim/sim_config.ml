@@ -32,7 +32,6 @@ type t = {
   gc_survival : float;
   gc_cycles_per_word : float;
   gc_fixed_cycles : int;
-  gc_parallelism : float;
   gc_minor_fixed_cycles : int;
   gc_barrier_cycles : int;
   gc : Gc_model.t;
@@ -41,11 +40,7 @@ type t = {
   spin_jitter_attempt : int;
   spin_jitter_mod : int;
   run_ahead : bool;
-  run_ahead_window : int;
-  horizon : bool;
-  horizon_window : int;
-  horizon_debug : bool;
-  heap_debug : bool;
+  debug : bool;
   sched : string;
 }
 
@@ -70,7 +65,6 @@ let sequent ?(procs = 16) ?(sched = "distributed") () =
     gc_survival = 0.03;
     gc_cycles_per_word = 30.;
     gc_fixed_cycles = 100_000;
-    gc_parallelism = 1.0;
     gc_minor_fixed_cycles = 5_000;
     gc_barrier_cycles = 10_000;
     gc = Gc_model.default;
@@ -79,11 +73,7 @@ let sequent ?(procs = 16) ?(sched = "distributed") () =
     spin_jitter_attempt = 13;
     spin_jitter_mod = 101;
     run_ahead = true;
-    run_ahead_window = max_int;
-    horizon = true;
-    horizon_window = max_int;
-    horizon_debug = false;
-    heap_debug = false;
+    debug = false;
     sched;
   }
 
@@ -108,7 +98,6 @@ let sgi ?(procs = 8) ?(sched = "distributed") () =
     gc_survival = 0.03;
     gc_cycles_per_word = 10.;
     gc_fixed_cycles = 60_000;
-    gc_parallelism = 1.0;
     gc_minor_fixed_cycles = 3_000;
     gc_barrier_cycles = 6_000;
     gc = Gc_model.default;
@@ -117,11 +106,7 @@ let sgi ?(procs = 8) ?(sched = "distributed") () =
     spin_jitter_attempt = 13;
     spin_jitter_mod = 101;
     run_ahead = true;
-    run_ahead_window = max_int;
-    horizon = true;
-    horizon_window = max_int;
-    horizon_debug = false;
-    heap_debug = false;
+    debug = false;
     sched;
   }
 
@@ -206,18 +191,6 @@ let node_of c id = if nodes c = 1 then 0 else id / procs_per_node c
    [c] itself, so default-model configs hit the same caches and goldens as
    before the selector existed. *)
 let with_gc c gc = { c with gc }
-
-let pgc_deprecation_warned = ref false
-
-let with_parallel_gc c factor =
-  if factor < 1.0 then invalid_arg "Sim_config.with_parallel_gc";
-  if not !pgc_deprecation_warned then begin
-    pgc_deprecation_warned := true;
-    prerr_endline
-      "Sim_config.with_parallel_gc is deprecated: use with_gc / --gc \
-       par_stw:<n> instead"
-  end;
-  with_gc c (Gc_model.Par_stw (max 1 (int_of_float factor)))
 
 let cycles_to_seconds c n = float_of_int n /. (c.mhz *. 1.0e6)
 let seconds_to_cycles c s = int_of_float (s *. c.mhz *. 1.0e6)

@@ -49,10 +49,6 @@ type t = {
   gc_survival : float;  (** fraction of the region live at collection *)
   gc_cycles_per_word : float;  (** copy cost per surviving word *)
   gc_fixed_cycles : int;  (** synchronization + redivision overhead *)
-  gc_parallelism : float;
-      (** effective speedup of the collection itself under the [stw]
-          model; 1.0 = the paper's sequential collector.  Legacy knob —
-          prefer selecting the [par_stw] model via [gc]. *)
   gc_minor_fixed_cycles : int;
       (** fixed cost of one proc-local minor collection ([minor_pp]) *)
   gc_barrier_cycles : int;
@@ -74,40 +70,21 @@ type t = {
           spin_jitter_mod], breaking the phase-locking a fixed retry period
           can produce under the deterministic min-clock scheduler. *)
   run_ahead : bool;
-      (** Enable the scheduler's run-ahead fast path: charging operations
-          accumulate cycles inline, without an effect-handler suspension,
-          for as long as the proc would be re-dispatched immediately anyway.
-          Virtual-time results are bit-identical either way; [false] forces
-          one suspension per charge (the pre-optimization behavior, useful
-          for debugging and as the determinism-equivalence oracle). *)
-  run_ahead_window : int;
-      (** Maximum cycles a proc may accumulate inline before a forced
-          suspension.  Any non-negative value preserves virtual time (a
-          forced suspension just bounces through the scheduler, which
-          re-picks the same proc); smaller windows give finer-grained traces
-          and watchdog coverage at more host cost.  [max_int] = unbounded. *)
-  horizon : bool;
-      (** Enable quiescence-epoch coalescing of idle polling
-          ([Work.idle_until]): an idle proc parks once and its per-quantum
-          charges and readiness checks are serviced by the scheduler at
-          exactly the positions the always-suspend machine would dispatch
-          it, with no effect-handler round-trips.  [false] falls back to
-          one suspension per idle quantum (the twin-machine oracle). *)
-  horizon_window : int;
-      (** Maximum idle cycles one scheduler dispatch may coalesce before
-          re-queueing the poller — the interaction-horizon bound, analogous
-          to [run_ahead_window].  Any positive value preserves virtual time
-          (a re-queue re-pops the same proc at the same key); [max_int] =
-          bounded only by other procs' heap keys. *)
-  horizon_debug : bool;
-      (** Cross-check the horizon fast path against always-suspend-twin
-          assumptions on every poll dispatch: the readiness predicate must
-          be pure (evaluated twice, equal results) and every coalesced
-          quantum's post-charge key must precede the ready-heap minimum.
-          Debug only — doubles predicate evaluations. *)
-  heap_debug : bool;
-      (** Check ready-heap invariants (heap order + index consistency)
-          after every scheduler operation; O(procs) per check, debug only. *)
+      (** Enable the run-ahead gate: a charge is applied inline, without
+          an effect-handler suspension, whenever the proc would be
+          re-dispatched immediately anyway; lock episodes, work programs
+          and idle polling park once and are serviced by the scheduler at
+          the reference positions.  Virtual-time results are bit-identical
+          either way; [false] forces one suspension per charge, per spin
+          probe and per idle quantum (the always-suspend reference machine,
+          the oracle of the twin tests). *)
+  debug : bool;
+      (** Check the run-ahead machinery's assumptions as it runs: the
+          ready-heap invariants (heap order + index consistency) after
+          every scheduler operation, and on every parked-poller dispatch a
+          second evaluation of the readiness predicate, which must agree.
+          O(procs) per check and doubled predicate evaluations; debug
+          only. *)
   sched : string;
       (** Thread-scheduler policy for pools run on this machine, in
           {!Mpthreads.Sched_policy.of_string} syntax
@@ -152,12 +129,6 @@ val with_gc : t -> Gc_model.t -> t
 (** Same machine under a different GC cost model.  The machine [name] is
     unchanged (same scheme as [sched]); [with_gc c Gc_model.default] is
     [c] itself, so goldens pinned under the default model are unaffected. *)
-
-val with_parallel_gc : t -> float -> t
-[@@ocaml.deprecated "use with_gc / --gc par_stw:<n> instead"]
-(** Deprecated alias for {!with_gc} with [Par_stw (int_of_float factor)]:
-    the §7 "concurrent garbage collection" extension, now a first-class
-    {!Gc_model.t}.  Warns on first use. *)
 
 val cycles_to_seconds : t -> int -> float
 val seconds_to_cycles : t -> float -> int

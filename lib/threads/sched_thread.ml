@@ -226,18 +226,9 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
     Kont_util.cont_of_thunk ~on_return:P.Proc.release_proc (fun () ->
         dispatch ())
 
-  let with_pool ?procs ?quantum:(q = 0.02) ?(run_queue = `Distributed) ?sched
+  let with_pool ?procs ?quantum:(q = 0.02) ?sched:(policy = Sched_policy.default)
       f =
     if !active then invalid_arg "Sched_thread.with_pool: not reentrant";
-    (* [?sched] wins; the legacy [?run_queue] keeps its historical
-       meanings ([`Central] was slot-0 push_front/pop_front, i.e. central
-       LIFO). *)
-    let policy =
-      match (sched, run_queue) with
-      | Some p, _ -> p
-      | None, `Central -> Sched_policy.Lifo
-      | None, `Distributed -> Sched_policy.default
-    in
     let max_procs = P.Proc.max_procs () in
     let want = match procs with None -> max_procs | Some p -> max 1 p in
     rq := make_rq policy ~procs:max_procs;

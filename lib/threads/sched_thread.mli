@@ -16,7 +16,6 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) : sig
   val with_pool :
     ?procs:int ->
     ?quantum:float ->
-    ?run_queue:[ `Distributed | `Central ] ->
     ?sched:Sched_policy.t ->
     (unit -> 'a) ->
     'a
@@ -28,11 +27,8 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) : sig
       [sched] selects the scheduling policy for this pool (see
       {!Sched_policy}); default [Distributed], the paper's distributed
       per-proc run queue, whose simulator behavior is bit-identical to the
-      pre-policy scheduler.  The legacy [run_queue] selector is kept for
-      the run-queue ablation bench: [`Central] is the Figure-3 single
-      central queue and maps to {!Sched_policy.Lifo} (its historical
-      discipline); an explicit [sched] overrides it.  If any thread
-      raised, the first such exception is re-raised here after the pool
+      pre-policy scheduler; the Figure-3 single central queue is
+      {!Sched_policy.Lifo}.  If any thread raised, the first such exception is re-raised here after the pool
       winds down.  Not reentrant. *)
 
   val block : ('a Mp.Engine.cont -> unit) -> 'a

@@ -8,9 +8,9 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
   (* Tight integer loop: low allocation ratio.                           *)
   (* ------------------------------------------------------------------ *)
 
-  let mm ~procs ?run_queue ?sched ?(n = 100) ?(seed = 42) () =
+  let mm ~procs ?sched ?(n = 100) ?(seed = 42) () =
     P.run (fun () ->
-        Sched.with_pool ~procs ?run_queue ?sched (fun () ->
+        Sched.with_pool ~procs ?sched (fun () ->
             let a = Matrix.random ~n ~seed in
             let b = Matrix.random ~n ~seed:(seed + 1) in
             step ~instrs:(2 * n * n) ~alloc_words:(2 * n * n) ();
@@ -25,9 +25,9 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
   (* allpairs: Floyd's algorithm, 75 nodes; one barrier per k-phase.     *)
   (* ------------------------------------------------------------------ *)
 
-  let allpairs ~procs ?run_queue ?sched ?(n = 75) ?(seed = 42) () =
+  let allpairs ~procs ?sched ?(n = 75) ?(seed = 42) () =
     P.run (fun () ->
-        Sched.with_pool ~procs ?run_queue ?sched (fun () ->
+        Sched.with_pool ~procs ?sched (fun () ->
             let g = Graph.random ~n ~seed () in
             step ~instrs:(n * n) ~alloc_words:(n * n) ();
             let d = Array.map Array.copy g.Graph.dist in
@@ -258,9 +258,9 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
   (* dominates and a central run queue serializes on its lock.         *)
   (* ------------------------------------------------------------------ *)
 
-  let fib ~procs ?run_queue ?sched ?(n = 24) ?(cutoff = 8) () =
+  let fib ~procs ?sched ?(n = 24) ?(cutoff = 8) () =
     P.run (fun () ->
-        Sched.with_pool ~procs ?run_queue ?sched (fun () ->
+        Sched.with_pool ~procs ?sched (fun () ->
             let rec seq_fib k =
               if k < 2 then k else seq_fib (k - 1) + seq_fib (k - 2)
             in

@@ -20,7 +20,6 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) : sig
 
   val mm :
     procs:int ->
-    ?run_queue:[ `Distributed | `Central ] ->
     ?sched:Mpthreads.Sched_policy.t ->
     ?n:int ->
     ?seed:int ->
@@ -31,7 +30,6 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) : sig
 
   val allpairs :
     procs:int ->
-    ?run_queue:[ `Distributed | `Central ] ->
     ?sched:Mpthreads.Sched_policy.t ->
     ?n:int ->
     ?seed:int ->
@@ -73,7 +71,6 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) : sig
 
   val fib :
     procs:int ->
-    ?run_queue:[ `Distributed | `Central ] ->
     ?sched:Mpthreads.Sched_policy.t ->
     ?n:int -> ?cutoff:int -> unit -> int
   (** Unbalanced divide-and-conquer [fib n] (default 24) with a sequential
