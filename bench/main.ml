@@ -1,6 +1,6 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (sections E1-E7, see DESIGN.md) and runs Bechamel
-   microbenchmarks of the thread/lock primitives (M1-M6).
+   evaluation (sections E1-E9, see DESIGN.md) plus the model cross-check,
+   ablation, lock-scaling, sensitivity and sim-core tables.
 
    Usage: dune exec bench/main.exe [-- --quick] [-- --json] [-- --sched P]
    --quick runs a reduced proc sweep (1,4,16) for faster iteration.
@@ -12,143 +12,7 @@
    --sched (or MP_REPRO_SCHED) selects the policy for the fig6/SGI
    sweeps and the lock-scaling grid (default distributed). *)
 
-open Bechamel
-open Toolkit
-
 let fmt = Format.std_formatter
-
-(* ------------------------------------------------------------------ *)
-(* M: microbenchmarks on the real (uniprocessor) backend.              *)
-(* ------------------------------------------------------------------ *)
-
-module U = Mp.Mp_uniproc.Int ()
-module UT = Mpthreads.Uni_thread.Make (Queues.Fifo_queue)
-module USel = Select.Make (U) (UT) (Queues.Fifo_queue)
-
-let inner = 256 (* ops per staged call; reported estimates are per op *)
-
-let bench_callcc () =
-  U.run (fun () ->
-      for _ = 1 to inner do
-        ignore (Mp.Engine.callcc (fun k -> Mp.Engine.throw k 1))
-      done)
-
-let bench_callcc_return () =
-  U.run (fun () ->
-      for _ = 1 to inner do
-        ignore (Mp.Engine.callcc (fun _ -> 1))
-      done)
-
-(* The efficient primitive underlying callcc (no body fiber): the ablation
-   for design decision 1 in DESIGN.md. *)
-let bench_suspend () =
-  U.run (fun () ->
-      for _ = 1 to inner do
-        Mp.Engine.suspend (fun c -> Mp.Engine.Resume (c, ()))
-      done)
-
-let bench_fork () =
-  UT.reset ();
-  U.run (fun () ->
-      for _ = 1 to inner do
-        UT.fork (fun () -> ())
-      done)
-
-let bench_yield () =
-  UT.reset ();
-  U.run (fun () ->
-      UT.fork (fun () ->
-          for _ = 1 to inner do
-            UT.yield ()
-          done);
-      for _ = 1 to inner do
-        UT.yield ()
-      done)
-
-let bench_channel () =
-  UT.reset ();
-  U.run (fun () ->
-      let c = USel.chan () in
-      UT.fork (fun () ->
-          for _ = 1 to inner do
-            USel.send (c, 1)
-          done);
-      let acc = ref 0 in
-      for _ = 1 to inner do
-        acc := !acc + USel.receive [ c ]
-      done;
-      !acc)
-
-module P = Locks.Lock_intf.Atomic_prims
-
-let lock_bench (module L : Locks.Lock_intf.LOCK_EXT) () =
-  let l = L.mutex_lock () in
-  for _ = 1 to inner do
-    L.lock l;
-    L.unlock l
-  done
-
-module Tas = Locks.Tas_lock.Make (P)
-module Ttas = Locks.Ttas_lock.Make (P)
-module Backoff = Locks.Backoff_lock.Make (P)
-module Ticket = Locks.Ticket_lock.Make (P)
-module Clh = Locks.Clh_lock.Make (P)
-module Anderson = Locks.Anderson_lock.Make (P)
-module Hwpool = Locks.Hwpool_lock.Make (P)
-
-let bench_queue () =
-  let q = Queues.Fifo_queue.create () in
-  for i = 1 to inner do
-    Queues.Fifo_queue.enq q i;
-    ignore (Queues.Fifo_queue.deq q)
-  done
-
-let micro_tests =
-  Test.make_grouped ~name:"micro"
-    [
-      Test.make ~name:"callcc+throw" (Staged.stage bench_callcc);
-      Test.make ~name:"callcc(return)" (Staged.stage bench_callcc_return);
-      Test.make ~name:"suspend(direct)" (Staged.stage bench_suspend);
-      Test.make ~name:"thread-fork" (Staged.stage bench_fork);
-      Test.make ~name:"thread-yield" (Staged.stage bench_yield);
-      Test.make ~name:"channel-send/recv" (Staged.stage bench_channel);
-      Test.make ~name:"lock-tas" (Staged.stage (lock_bench (module Tas)));
-      Test.make ~name:"lock-ttas" (Staged.stage (lock_bench (module Ttas)));
-      Test.make ~name:"lock-backoff" (Staged.stage (lock_bench (module Backoff)));
-      Test.make ~name:"lock-ticket" (Staged.stage (lock_bench (module Ticket)));
-      Test.make ~name:"lock-clh" (Staged.stage (lock_bench (module Clh)));
-      Test.make ~name:"lock-anderson"
-        (Staged.stage (lock_bench (module Anderson)));
-      Test.make ~name:"lock-hwpool" (Staged.stage (lock_bench (module Hwpool)));
-      Test.make ~name:"queue-enq/deq" (Staged.stage bench_queue);
-    ]
-
-let run_micro () =
-  Report.Render.section fmt
-    "M1-M6: microbenchmarks (real backend; Bechamel OLS, ns per operation)";
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:None () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] micro_tests in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let est =
-          match Analyze.OLS.estimates ols with
-          | Some (t :: _) -> t /. float_of_int inner
-          | _ -> nan
-        in
-        (name, est) :: acc)
-      results []
-    |> List.sort compare
-  in
-  Report.Render.table fmt ~header:[ "operation"; "ns/op" ]
-    ~rows:(List.map (fun (n, e) -> [ n; Printf.sprintf "%.0f" e ]) rows);
-  Format.fprintf fmt
-    "@.(callcc-based thread operations cost a few allocations -- the paper's \
-     'as fast as function invocation' claim, scaled to effect handlers)@."
 
 (* ------------------------------------------------------------------ *)
 (* Model cross-check: closed-form resource model vs full simulation.   *)
@@ -205,91 +69,45 @@ let print_model samples =
 (* Ablations: design decisions called out in DESIGN.md.                 *)
 (* ------------------------------------------------------------------ *)
 
-module Seq16 =
-  Sim.Mp_sim.Int (struct
-      let config = Sim.Sim_config.sequent ~procs:16 ()
-    end)
-    ()
-
-module BSeq = Workloads.Bench_suite.Make (Seq16)
-
-module Pgc16 =
-  Sim.Mp_sim.Int (struct
-      let config =
-        Sim.Sim_config.with_gc
-          (Sim.Sim_config.sequent ~procs:16 ())
-          (Sim.Gc_model.Par_stw 8)
-    end)
-    ()
-
-module BPgc = Workloads.Bench_suite.Make (Pgc16)
+let sequent16 = Sim.Sim_config.sequent ~procs:16 ()
 
 let print_ablations () =
   Report.Render.section fmt
     "Ablations: run-queue discipline and concurrent GC (paper §7 future work)";
-  (* central (Figure 3, a single LIFO queue) vs distributed (evaluation
-     package) run queue *)
-  let time_rq sched bench =
-    (match bench with
-    | `Mm -> ignore (BSeq.mm ~procs:16 ~sched ())
-    | `Allpairs -> ignore (BSeq.allpairs ~procs:16 ~sched ()));
-    (Seq16.stats ()).Mp.Stats.elapsed
-  in
-  let rq_rows =
-    List.map
-      (fun (name, bench) ->
-        let central = time_rq Mpthreads.Sched_policy.Lifo bench in
-        let distributed = time_rq Mpthreads.Sched_policy.Distributed bench in
-        [
-          name;
-          Printf.sprintf "%.3fs" central;
-          Printf.sprintf "%.3fs" distributed;
-          Printf.sprintf "%.2fx" (central /. distributed);
-        ])
-      [ ("mm", `Mm); ("allpairs", `Allpairs) ]
-  in
-  Format.fprintf fmt "run queue at 16 procs (central = Figure 3 baseline):@.";
-  Report.Render.table fmt
-    ~header:[ "bench"; "central"; "distributed"; "gain" ]
-    ~rows:rq_rows;
   (* sequential vs concurrent collection *)
-  let time_gc seqgc bench =
-    (match (seqgc, bench) with
-    | true, `Abisort -> ignore (BSeq.abisort ~procs:16 ())
-    | true, `Allpairs -> ignore (BSeq.allpairs ~procs:16 ())
-    | false, `Abisort -> ignore (BPgc.abisort ~procs:16 ())
-    | false, `Allpairs -> ignore (BPgc.allpairs ~procs:16 ()));
-    let st = if seqgc then Seq16.stats () else Pgc16.stats () in
-    (st.Mp.Stats.elapsed, st.Mp.Stats.gc_time)
-  in
+  let pgc16 = Sim.Sim_config.with_gc sequent16 (Sim.Gc_model.Par_stw 8) in
   let gc_rows =
     List.map
-      (fun (name, bench) ->
-        let t_seq, g_seq = time_gc true bench in
-        let t_par, g_par = time_gc false bench in
-        [
-          name;
-          Printf.sprintf "%.3fs (gc %.3fs)" t_seq g_seq;
-          Printf.sprintf "%.3fs (gc %.3fs)" t_par g_par;
-          Printf.sprintf "%.2fx" (t_seq /. t_par);
-        ])
-      [ ("abisort", `Abisort); ("allpairs", `Allpairs) ]
+      (fun bench ->
+        let s = Report.Experiments.run_cell sequent16 (bench, 16) in
+        let p = Report.Experiments.run_cell pgc16 (bench, 16) in
+        Report.Experiments.
+          [
+            bench;
+            Printf.sprintf "%.3fs (gc %.3fs)" s.elapsed s.gc;
+            Printf.sprintf "%.3fs (gc %.3fs)" p.elapsed p.gc;
+            Printf.sprintf "%.2fx" (s.elapsed /. p.elapsed);
+          ])
+      [ "abisort"; "allpairs" ]
   in
   Format.fprintf fmt
-    "@.collection: sequential (paper §5) vs concurrent, 8-way (§7 future \
+    "collection: sequential (paper §5) vs concurrent, 8-way (§7 future \
      work), 16 procs:@.";
   Report.Render.table fmt
     ~header:[ "bench"; "sequential GC"; "concurrent GC"; "gain" ]
     ~rows:gc_rows;
   (* the scheduler family at 16 procs: central FIFO is the baseline work
-     stealing must beat on the irregular workloads *)
+     stealing must beat on the irregular workloads; central LIFO is the
+     Figure 3 run queue, distributed the evaluation package's *)
   let family =
     Mpthreads.Sched_policy.
       [ Fifo; Lifo; Distributed; Ws; Micropools 4 ]
   in
   let time_sched sched bench =
-    ignore (BSeq.run_named ~sched bench ~procs:16);
-    (Seq16.stats ()).Mp.Stats.elapsed
+    let config =
+      { sequent16 with sched = Mpthreads.Sched_policy.to_string sched }
+    in
+    Report.Experiments.((run_cell config (bench, 16)).elapsed)
   in
   let sched_rows =
     List.map
@@ -392,71 +210,45 @@ let print_lock_scaling ~jobs ~sched () =
    discusses: the allocation-region size (GC frequency, §5/§7) and the
    preemption quantum (§3.4). *)
 
-module Small_region =
-  Sim.Mp_sim.Int (struct
-      let config =
-        { (Sim.Sim_config.sequent ~procs:16 ()) with gc_region_words = 128 * 1024 }
-    end)
-    ()
-
-module Large_region =
-  Sim.Mp_sim.Int (struct
-      let config =
-        {
-          (Sim.Sim_config.sequent ~procs:16 ()) with
-          gc_region_words = 2 * 1024 * 1024;
-        }
-    end)
-    ()
-
-module BSmall = Workloads.Bench_suite.Make (Small_region)
-module BLarge = Workloads.Bench_suite.Make (Large_region)
-
 let print_sensitivity () =
   Report.Render.section fmt
     "Sensitivity: allocation-region size and preemption quantum";
-  let speedup16 run stats_of =
-    let t1 =
-      run 1;
-      stats_of ()
-    in
-    let t16 =
-      run 16;
-      stats_of ()
-    in
-    t1 /. t16
-  in
-  let region_row label run stats_of =
-    let s = speedup16 run (fun () -> (stats_of ()).Mp.Stats.elapsed) in
-    (label, s, (stats_of ()).Mp.Stats.gc_count)
-  in
-  let region_rows =
-    [
-      region_row "128K words"
-        (fun p -> ignore (BSmall.abisort ~procs:p ()))
-        Small_region.stats;
-      region_row "512K words (paper cfg)"
-        (fun p -> ignore (BSeq.abisort ~procs:p ()))
-        Seq16.stats;
-      region_row "2M words"
-        (fun p -> ignore (BLarge.abisort ~procs:p ()))
-        Large_region.stats;
-    ]
+  let region_row (label, words) =
+    let config = { sequent16 with Sim.Sim_config.gc_region_words = words } in
+    let s1 = Report.Experiments.run_cell config ("abisort", 1) in
+    let s16 = Report.Experiments.run_cell config ("abisort", 16) in
+    Report.Experiments.
+      [
+        label;
+        Printf.sprintf "%.2f" (s1.elapsed /. s16.elapsed);
+        string_of_int s16.gc_count;
+      ]
   in
   Format.fprintf fmt "abisort speedup at 16 procs vs allocation region:@.";
   Report.Render.table fmt
     ~header:[ "region"; "speedup@16"; "collections@16" ]
     ~rows:
-      (List.map
-         (fun (r, s, g) -> [ r; Printf.sprintf "%.2f" s; string_of_int g ])
-         region_rows);
+      (List.map region_row
+         [
+           ("128K words", 128 * 1024);
+           ("512K words (paper cfg)", 512 * 1024);
+           ("2M words", 2 * 1024 * 1024);
+         ]);
   let quantum_time q =
+    let module S =
+      Sim.Mp_sim.Int
+        (struct
+          let config = sequent16
+        end)
+        ()
+    in
+    let module T = Mpthreads.Sched_thread.Make (S) in
     ignore
-      (Seq16.run (fun () ->
-           BSeq.Sched.with_pool ~procs:16 ~quantum:q (fun () ->
-               BSeq.Sched.par_iter ~chunks:64 256 (fun _ ->
-                   Seq16.Work.step ~instrs:20_000 ()))));
-    (Seq16.stats ()).Mp.Stats.elapsed
+      (S.run (fun () ->
+           T.with_pool ~procs:16 ~quantum:q (fun () ->
+               T.par_iter ~chunks:64 256 (fun _ ->
+                   S.Work.step ~instrs:20_000 ()))));
+    (S.stats ()).Mp.Stats.elapsed
   in
   Format.fprintf fmt "@.mixed workload time at 16 procs vs preemption quantum:@.";
   Report.Render.table fmt ~header:[ "quantum"; "elapsed" ]
@@ -593,7 +385,7 @@ let sim_core_rows ~jobs ~quick () =
             List.map
               (fun procs -> ("sequent", sched, "stw", bench, procs))
               [ 1; 4; 16 ])
-          BSeq.names)
+          Workloads.Bench_suite.names)
       sim_core_scheds
     @ sim_numa_cells ~quick @ sim_gc_cells ~quick
   in
@@ -637,7 +429,7 @@ let print_sim_core rows =
 let write_sim_json rows counters path =
   let oc = open_out path in
   Printf.fprintf oc "{\n  \"benchmark\": \"sim-core\",\n  \"machine\": %S,\n"
-    Seq16.Machine.config.Sim.Sim_config.name;
+    sequent16.Sim.Sim_config.name;
   Printf.fprintf oc "  \"workloads\": [\n";
   let n = List.length rows in
   (* Speedup of each cell vs the same (machine, scheduler, gc model,
@@ -699,19 +491,6 @@ let write_sim_json rows counters path =
   close_out oc;
   Format.fprintf fmt "@.wrote %s@." path
 
-(* [--jobs N] (or MP_REPRO_JOBS) fans the independent sweep cells —
-   sim-core rows, fig6/SGI grid cells, the lock-algorithm comparison —
-   across N host domains; all printed/written results are identical for
-   every N. *)
-let parse_jobs argv =
-  let explicit = ref None in
-  Array.iteri
-    (fun i a ->
-      if a = "--jobs" && i + 1 < Array.length argv then
-        explicit := int_of_string_opt argv.(i + 1))
-    argv;
-  Exec.Job_pool.resolve_jobs !explicit
-
 (* [--sched P] (or MP_REPRO_SCHED) selects the scheduling policy for the
    fig6/SGI sweeps and the lock-scaling grid; the sim-core grid always
    sweeps its own explicit scheduler axis. *)
@@ -727,7 +506,11 @@ let parse_sched argv =
 let () =
   let quick = Array.exists (fun a -> a = "--quick") Sys.argv in
   let json = Array.exists (fun a -> a = "--json") Sys.argv in
-  let jobs = parse_jobs Sys.argv in
+  (* [--jobs N] (or MP_REPRO_JOBS) fans the independent sweep cells —
+     sim-core rows, fig6/SGI grid cells, the lock-algorithm comparison —
+     across N host domains; all printed/written results are identical for
+     every N. *)
+  let jobs = Exec.Job_pool.parse_jobs Sys.argv in
   let sched = parse_sched Sys.argv in
   let sched_str = Mpthreads.Sched_policy.to_string sched in
   let plist = if quick then Some [ 1; 4; 16 ] else None in
@@ -756,11 +539,11 @@ let () =
     close_out oc;
     Format.fprintf fmt "@.wrote BENCH_server.json@."
   end;
-  run_micro ();
   Report.Experiments.print_lock_latency fmt;
   Report.Experiments.print_portability fmt;
   let samples =
-    Report.Experiments.sequent_sweep ?plist ~jobs ~sched:sched_str ()
+    Report.Experiments.sweep ?plist ~jobs ~sched:sched_str ~machine:"sequent"
+      ()
   in
   Report.Experiments.print_fig6 fmt samples;
   Report.Experiments.print_idle fmt samples;
@@ -771,13 +554,13 @@ let () =
   print_lock_scaling ~jobs ~sched ();
   print_sensitivity ();
   let sgi =
-    Report.Experiments.sgi_sweep
+    Report.Experiments.sweep
       ?plist:(if quick then Some [ 1; 4; 8 ] else None)
-      ~jobs ~sched:sched_str ()
+      ~jobs ~sched:sched_str ~machine:"sgi" ()
   in
   Report.Experiments.print_sgi fmt sgi;
   (* Host-side parallel-driver telemetry (to stderr: the values — batch
-     and steal counts — legitimately vary with [jobs], so they stay out
+     and domain counts — legitimately vary with [jobs], so they stay out
      of the deterministic report stream). *)
   List.iter
     (fun (name, v) -> Printf.eprintf "%s=%d\n" name v)

@@ -32,17 +32,8 @@ let digest (sched, procs) =
     r.Workloads.Server.p999 r.Workloads.Server.elapsed
     r.Workloads.Server.throughput r.Workloads.Server.queue_wait
 
-let parse_jobs argv =
-  let explicit = ref None in
-  Array.iteri
-    (fun i a ->
-      if a = "--jobs" && i + 1 < Array.length argv then
-        explicit := int_of_string_opt argv.(i + 1))
-    argv;
-  Exec.Job_pool.resolve_jobs !explicit
-
 let () =
-  let jobs = parse_jobs Sys.argv in
+  let jobs = Exec.Job_pool.parse_jobs Sys.argv in
   let cells =
     List.concat_map
       (fun sched ->

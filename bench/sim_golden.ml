@@ -96,32 +96,12 @@ let golden_cell = function
   | `Flat cell -> flat_cell cell
   | `Numa name -> numa_cell name
 
-let parse_jobs argv =
-  let explicit = ref None in
-  Array.iteri
-    (fun i a ->
-      if a = "--jobs" && i + 1 < Array.length argv then
-        explicit := int_of_string_opt argv.(i + 1))
-    argv;
-  Exec.Job_pool.resolve_jobs !explicit
-
 let () =
-  let jobs = parse_jobs Sys.argv in
-  let names =
-    let module B0 =
-      Workloads.Bench_suite.Make
-        (Sim.Mp_sim.Int
-           (struct
-             let config = Sim.Sim_config.sequent ~procs:1 ()
-           end)
-           ())
-    in
-    B0.names
-  in
+  let jobs = Exec.Job_pool.parse_jobs Sys.argv in
   let cells =
     List.concat_map
       (fun name -> List.map (fun procs -> `Flat (name, procs)) [ 1; 4; 16 ])
-      names
+      Workloads.Bench_suite.names
     @ List.map (fun name -> `Numa name) [ "mm"; "mst"; "seq" ]
   in
   List.iter print_endline (Exec.Job_pool.map ~jobs golden_cell cells)

@@ -82,31 +82,24 @@ let trace_arg =
 let maybe_trace trace go =
   match trace with
   | None -> go ()
-  | Some path -> Report.Experiments.trace_sequent path go
+  | Some path -> Report.Experiments.trace path go
 
 let plist_of quick procs =
   match procs with
   | Some l -> Some l
   | None -> if quick then Some [ 1; 4; 16 ] else None
 
-(* A sweep routed by machine: the flat Sequent keeps its dedicated (cached,
-   traceable) driver; any other machine goes through the parameterized
-   machine sweep.  --quick on a >16-proc machine trims the tail of the
-   powers-of-four list rather than using the flat 1,4,16 grid. *)
-let sweep ?machine quick procs jobs sched gc =
-  let sched = resolve_sched sched in
-  let gc = resolve_gc gc in
-  match machine with
-  | None | Some "sequent" ->
-      Report.Experiments.sequent_sweep ?plist:(plist_of quick procs) ?jobs
-        ~sched ~gc ()
-  | Some machine ->
-      let plist =
-        match procs with
-        | Some l -> Some l
-        | None -> if quick then Some [ 1; 4; 16; 64 ] else None
-      in
-      Report.Experiments.machine_sweep ?plist ?jobs ~sched ~gc ~machine ()
+(* --quick on any machine but the Sequent trims the powers-of-four list
+   rather than using the flat 1,4,16 grid (the sweep clamps it to the
+   machine size). *)
+let sweep ?(machine = "sequent") quick procs jobs sched gc =
+  let plist =
+    if machine = "sequent" || procs <> None then plist_of quick procs
+    else if quick then Some [ 1; 4; 16; 64 ]
+    else None
+  in
+  Report.Experiments.sweep ?plist ?jobs ~sched:(resolve_sched sched)
+    ~gc:(resolve_gc gc) ~machine ()
 
 let fig6_cmd =
   let run quick procs jobs sched gc machine trace =
@@ -149,14 +142,9 @@ let gc_cmd =
 
 let gc_sweep_cmd =
   let run quick procs jobs sched machine =
-    let plist =
-      match procs with
-      | Some l -> Some l
-      | None -> if quick then Some [ 1; 4; 16 ] else None
-    in
     Report.Experiments.print_gc_models fmt
-      (Report.Experiments.gc_sweep ?plist ?jobs ~sched:(resolve_sched sched)
-         ?machine ())
+      (Report.Experiments.gc_sweep ?plist:(plist_of quick procs) ?jobs
+         ~sched:(resolve_sched sched) ?machine ())
   in
   Cmd.v
     (Cmd.info "gc_sweep"
@@ -169,10 +157,8 @@ let gc_sweep_cmd =
 
 let sgi_cmd =
   let run quick procs jobs sched gc =
-    let plist = plist_of quick procs in
     Report.Experiments.print_sgi fmt
-      (Report.Experiments.sgi_sweep ?plist ?jobs ~sched:(resolve_sched sched)
-         ~gc:(resolve_gc gc) ())
+      (sweep ~machine:"sgi" quick procs jobs sched gc)
   in
   Cmd.v (Cmd.info "sgi" ~doc:"The SGI machine model sweep (E7)")
     Term.(const run $ quick_arg $ procs_arg $ jobs_arg $ sched_arg $ gc_arg)
@@ -227,9 +213,9 @@ let all_cmd =
         Report.Experiments.print_bus fmt s;
         Report.Experiments.print_gc_ablation fmt s);
     Report.Experiments.print_sgi fmt
-      (Report.Experiments.sgi_sweep
-         ?plist:(if quick then Some [ 1; 4; 8 ] else None)
-         ?jobs ~sched:(resolve_sched sched) ~gc:(resolve_gc gc) ())
+      (sweep ~machine:"sgi" false
+         (if quick then Some [ 1; 4; 8 ] else None)
+         jobs sched gc)
   in
   Cmd.v (Cmd.info "all" ~doc:"Every evaluation section")
     Term.(

@@ -61,7 +61,7 @@ module type S = sig
 
   module Catomic : Queues.Queue_intf.ATOMIC
   (** The same instrumented cells under the queue family's [ATOMIC]
-      signature, for [Ws_deque.Make]. *)
+      signature, for [Spmc_queue.Make]. *)
 
   val spawn : (unit -> unit) -> unit
   (** Acquire a free proc and run the thunk on it, releasing the proc when

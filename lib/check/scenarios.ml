@@ -137,38 +137,6 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
 
   (* ---- queue family --------------------------------------------------- *)
 
-  let ws_deque_scenario () =
-    C.run (fun () ->
-        let module WS = Queues.Ws_deque.Make (C.Catomic) in
-        let d = WS.create () in
-        let stolen = ref [] in
-        let popped = ref [] in
-        C.spawn (fun () ->
-            for _ = 1 to 3 do
-              match WS.steal d with
-              | Some v -> stolen := v :: !stolen
-              | None -> ()
-            done);
-        WS.push d 1;
-        WS.push d 2;
-        WS.push d 3;
-        (match WS.pop d with Some v -> popped := v :: !popped | None -> ());
-        (match WS.pop d with Some v -> popped := v :: !popped | None -> ());
-        join ();
-        let rec drain () =
-          match WS.pop d with
-          | Some v ->
-              popped := v :: !popped;
-              drain ()
-          | None -> ()
-        in
-        drain ();
-        let got = List.sort compare (!stolen @ !popped) in
-        check
-          (List.length got = List.length (List.sort_uniq compare got))
-          "ws_deque: element returned twice";
-        check (got = [ 1; 2; 3 ]) "ws_deque: lost or invented an element")
-
   (* The work-stealing policy's ready queue: a thief's steal-half batch
      racing the owner's pop at every instrumented cell access.  Every
      element must come out exactly once, whichever side wins the CAS. *)
@@ -753,11 +721,14 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
              C.Work.poll ();
              (* the admission stays valid across the visible point: only
                 the lock holder may touch the model *)
-             M.commit_fast ~proc ~words;
+             let pause, got = M.alloc ~proc ~words in
+             check
+               (pause = 0 && got = 0 && not !M.pending)
+               "gc: admitted slice collected (pause %d, scanned %d)" pause got;
              used.(proc) <- used.(proc) + words
            end
            else begin
-             let pause, got = M.alloc_slow ~proc ~words in
+             let pause, got = M.alloc ~proc ~words in
              used.(proc) <- used.(proc) + words;
              if used.(proc) >= minor_region then begin
                check (got = used.(proc))
@@ -840,8 +811,7 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
         let majors = ref 0 in
         let alloc proc words =
           C.Lock.lock l;
-          (if M.admit ~proc ~words then M.commit_fast ~proc ~words
-           else ignore (M.alloc_slow ~proc ~words));
+          ignore (M.alloc ~proc ~words);
           C.Lock.unlock l;
           (* unlocked observation of the trigger ... *)
           if !M.pending then begin
@@ -909,7 +879,6 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
       ("lock_tas_disjoint", disjoint_scenario (module T_tas));
       ("lock_ticket_disjoint", disjoint_scenario (module T_ticket));
       ("lock_mcs_disjoint", disjoint_scenario (module T_mcs));
-      ("queue_ws_deque", ws_deque_scenario);
       ("queue_spmc", spmc_queue_scenario);
       ("sched_micropool_affinity", micropool_affinity_scenario);
       ("sched_ws_steal_half", ws_steal_half_scenario);

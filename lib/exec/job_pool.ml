@@ -2,7 +2,6 @@ let registry = Obs.Counters.create ()
 let c_jobs = Obs.Counters.counter registry "exec.jobs_run"
 let c_batches = Obs.Counters.counter registry "exec.parallel_batches"
 let c_domains = Obs.Counters.counter registry "exec.domains_spawned"
-let c_steals = Obs.Counters.counter registry "exec.steals"
 
 let default_jobs () =
   match Sys.getenv_opt "MP_REPRO_JOBS" with
@@ -30,57 +29,43 @@ let map ~jobs f xs =
       xs
   else begin
     Obs.Counters.incr c_batches;
+    let inputs = Array.of_list xs in
     let results = Array.make n Empty in
-    (* The deque owner is the calling domain: it pushes every indexed job
-       up front, then drains from the LIFO end while spawned workers
-       steal from the FIFO end.  Either side winning a race is fine —
-       each job runs exactly once and lands in its own slot. *)
-    let deque : (int * 'a) Queues.Ws_deque.t = Queues.Ws_deque.create () in
-    List.iteri (fun i x -> Queues.Ws_deque.push deque (i, x)) xs;
-    let worker () =
-      let continue_ = ref true in
-      while !continue_ do
-        match Queues.Ws_deque.steal deque with
-        | Some (i, x) ->
-            Obs.Counters.incr c_jobs;
-            Obs.Counters.incr c_steals;
-            results.(i) <- run_job f x
-        | None ->
-            (* Chase–Lev steal also returns None on a lost race while work
-               remains, so consult the (racy) size before giving up.  A
-               stale read only makes a worker exit early, which is safe:
-               the owner pushed every job before spawning and keeps
-               popping until its end is truly empty, so unclaimed jobs
-               are always drained by someone. *)
-            if Queues.Ws_deque.size deque > 0 then Domain.cpu_relax ()
-            else continue_ := false
-      done
+    (* The caller and the spawned workers claim jobs from one shared
+       next-index; each index is claimed exactly once and lands in its own
+       slot. *)
+    let next = Atomic.make 0 in
+    let rec worker () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        Obs.Counters.incr c_jobs;
+        results.(i) <- run_job f inputs.(i);
+        worker ()
+      end
     in
-    let spawned = min (jobs - 1) (n - 1) in
-    let domains = Array.init spawned (fun _ ->
-        Obs.Counters.incr c_domains;
-        Domain.spawn worker)
+    let domains =
+      Array.init (min (jobs - 1) (n - 1)) (fun _ ->
+          Obs.Counters.incr c_domains;
+          Domain.spawn worker)
     in
-    let continue_ = ref true in
-    while !continue_ do
-      match Queues.Ws_deque.pop deque with
-      | Some (i, x) ->
-          Obs.Counters.incr c_jobs;
-          results.(i) <- run_job f x
-      | None -> continue_ := false
-    done;
+    worker ();
     Array.iter Domain.join domains;
-    let out =
-      Array.to_list
-        (Array.map
-           (function
-             | Ok_ v -> v
-             | Exn e -> raise e
-             | Empty -> assert false)
-           results)
-    in
-    out
+    Array.to_list
+      (Array.map
+         (function Ok_ v -> v | Exn e -> raise e | Empty -> assert false)
+         results)
   end
+
+(* [--jobs N] anywhere in [argv]; shared by the bench executables, which
+   scan their arguments by hand. *)
+let parse_jobs argv =
+  let explicit = ref None in
+  Array.iteri
+    (fun i a ->
+      if a = "--jobs" && i + 1 < Array.length argv then
+        explicit := int_of_string_opt argv.(i + 1))
+    argv;
+  resolve_jobs !explicit
 
 let counters () =
   List.filter

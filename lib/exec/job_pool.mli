@@ -4,8 +4,8 @@
     lock-comparison sweeps) are embarrassingly parallel: every cell
     instantiates its own generative [Mp_sim] machine, so cells share no
     simulator state.  This pool fans such cells across OCaml 5 host
-    domains, distributing work through the repo's own lock-free
-    {!Queues.Ws_deque} (the platform dogfooding itself).
+    domains: the caller and the spawned workers claim jobs from one
+    shared atomic next-index.
 
     Determinism: jobs carry their list index and results are merged back
     by index, so [map ~jobs:n f xs] returns exactly [List.map f xs] for
@@ -22,6 +22,11 @@ val resolve_jobs : int option -> int
 (** [resolve_jobs explicit] is [explicit] when given (clamped to >= 1),
     else {!default_jobs}. *)
 
+val parse_jobs : string array -> int
+(** [parse_jobs argv] resolves the value following [--jobs] in [argv] (the
+    last one wins) via {!resolve_jobs}; for executables that scan their
+    arguments by hand. *)
+
 val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] = [List.map f xs], evaluating up to [jobs] elements
     concurrently on separate domains.  Exceptions propagate: the raise
@@ -35,5 +40,4 @@ val counters : unit -> (string * int) list
 (** Cumulative [exec.*] telemetry for this process, sorted by name:
     [exec.jobs_run] (jobs executed through the pool, inline or parallel),
     [exec.parallel_batches] (calls to [map] with [jobs > 1] and >= 2
-    jobs), [exec.domains_spawned], and [exec.steals] (jobs a worker took
-    from the shared deque rather than the submitting domain). *)
+    jobs) and [exec.domains_spawned]. *)

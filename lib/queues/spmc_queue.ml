@@ -3,14 +3,14 @@
    [tail] is the owner's end (written only by the single producer); [head]
    is the consumption end, advanced by CAS from both the owner's [pop] and
    thieves' [steal_half].  Indices are monotone ints over a circular
-   [Obj.t] buffer (ws_deque's representation), so there is no ABA: a CAS
+   [Obj.t] buffer, so there is no ABA: a CAS
    on [head] succeeds iff no other consumer claimed any part of the
    window since it was read, and success grants exclusive ownership of
    the claimed [head, head') range.
 
    Steal-half is the point of the structure: one successful CAS transfers
    ceil(n/2) elements, so a thief pays one bus transaction per batch
-   instead of one per element (ws_deque's steal-one), amortizing victim
+   instead of one per element (a Chase-Lev steal-one), amortizing victim
    traffic under heavy stealing.
 
    Buffer growth is owner-only grow-by-copy.  The copy never mutates the
@@ -18,10 +18,10 @@
    old buffer either CASes successfully (its claimed slots were copied,
    not overwritten — the owner writes fresh elements only into the new
    buffer) or fails and discards what it read.  Racy reads of claimed-in-
-   flight slots may observe stale values, exactly as in ws_deque; they are
-   discarded on CAS failure.
+   flight slots may observe stale values; they are discarded on CAS
+   failure.
 
-   Like ws_deque, the algorithm is a functor over [Queue_intf.ATOMIC]:
+   The algorithm is a functor over [Queue_intf.ATOMIC]:
    the default instance below races on [Stdlib.Atomic]; the scheduler
    instantiates it over charged cells so the simulator prices pops and
    steals on the bus; mp_check instantiates it over instrumented cells

@@ -5,7 +5,7 @@
     [pop] or by a thief's [steal_half] — with a CAS on the head index.
     [steal_half] transfers the oldest ceil(n/2) elements with a {e single}
     CAS, so a thief pays one bus transaction per batch instead of one per
-    element ({!Ws_deque}'s steal-one), amortizing the traffic inflicted on
+    element (a Chase-Lev steal-one), amortizing the traffic inflicted on
     the victim under heavy stealing.
 
     Monotone integer indices over a growable circular buffer rule out ABA;

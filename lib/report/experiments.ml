@@ -5,6 +5,7 @@ type sample = {
   bench : string;
   procs : int;
   elapsed : float;
+  seq_base : float;
   gc : float;
   gc_count : int;
   gc_minor : int;
@@ -44,30 +45,51 @@ let expected_checksum bench =
       Workloads.Hydro.checksum t
   | _ -> 0 (* seq: verified by copies count below *)
 
-module Sweep (M : sig
-  val config : Sim.Sim_config.t
-end) () =
-struct
-  module P = Sim.Mp_sim.Int (M) ()
-  module B = Workloads.Bench_suite.Make (P)
+(* The JSONL sink of the enclosing [trace], if any. *)
+let trace_sink : Obs.Sink.t option ref = ref None
 
-  (* The machine config carries the scheduling policy as a string (so grid
-     cells stay serializable); parse it once per sweep instance. *)
-  let sched_name = M.config.Sim.Sim_config.sched
-  let policy = Mpthreads.Sched_policy.of_string_exn sched_name
+let trace path f =
+  let oc = open_out path in
+  trace_sink := Some (Obs.Sink.jsonl oc);
+  Fun.protect
+    ~finally:(fun () ->
+      trace_sink := None;
+      close_out oc)
+    f
 
-  let sample_of_run bench procs checksum =
+(* One (bench, procs) grid cell on a private, generative [Mp_sim] machine
+   (and its whole client stack), so cells share no simulator state and can
+   run on separate host domains.  Cells hold no shared RNG (workload seeds
+   are fixed per cell) and each cell's telemetry lands in its own
+   machine's registry. *)
+let run_cell (config : Sim.Sim_config.t) (bench, procs) =
+  let module P =
+    Sim.Mp_sim.Int
+      (struct
+        let config = config
+      end)
+      ()
+  in
+  let module B = Workloads.Bench_suite.Make (P) in
+  Option.iter P.Telemetry.attach_sink !trace_sink;
+  (* The config carries the scheduling policy as a string, so grid cells
+     stay serializable. *)
+  let sched =
+    Mpthreads.Sched_policy.of_string_exn config.Sim.Sim_config.sched
+  in
+  let sample_of_run ?seq_base procs checksum =
     let st = P.stats () in
     let expected =
       if bench = "seq" then checksum else expected_checksum bench
     in
     {
-      machine = M.config.Sim.Sim_config.name;
-      sched = sched_name;
-      gc_model = Sim.Gc_model.to_string M.config.Sim.Sim_config.gc;
+      machine = config.Sim.Sim_config.name;
+      sched = config.Sim.Sim_config.sched;
+      gc_model = Sim.Gc_model.to_string config.Sim.Sim_config.gc;
       bench;
       procs;
       elapsed = st.Mp.Stats.elapsed;
+      seq_base = Option.value seq_base ~default:st.Mp.Stats.elapsed;
       gc = st.Mp.Stats.gc_time;
       gc_count = st.Mp.Stats.gc_count;
       gc_minor = P.Machine.gc_minor_collections ();
@@ -80,171 +102,47 @@ struct
       checksum;
       verified = checksum = expected;
     }
-
-  (* One (bench, procs) grid cell; every cell is independent of every
-     other, which is what lets the parallel driver below fan cells across
-     host domains. *)
-  let cell bench procs =
-    if bench = "seq" then begin
-      (* self-relative baseline: the same p copies on one proc *)
-      let copies = procs in
-      let _ = B.seq ~procs:1 ~copies ~sched:policy () in
-      let base = sample_of_run "seq" 1 copies in
-      let c = B.seq ~procs ~copies ~sched:policy () in
-      let s = sample_of_run "seq" procs c in
-      (* fold the p-copies baseline into the sample list as the
-         elapsed of a pseudo 1-proc run scaled per-proc *)
-      if procs = 1 then base else s
-    end
+  in
+  if bench = "seq" then begin
+    (* self-relative baseline: the same p copies on one proc *)
+    let copies = procs in
+    let _ = B.seq ~procs:1 ~copies ~sched () in
+    let base = sample_of_run 1 copies in
+    if procs = 1 then base
     else
-      let c = B.run_named ~sched:policy bench ~procs in
-      sample_of_run bench procs c
+      let c = B.seq ~procs ~copies ~sched () in
+      sample_of_run ~seq_base:base.elapsed procs c
+  end
+  else sample_of_run procs (B.run_named ~sched bench ~procs)
 
-  let run ?(plist = default_procs) () =
-    let plist = List.filter (fun p -> p <= M.config.Sim.Sim_config.procs) plist in
-    List.concat_map
-      (fun bench -> List.map (fun procs -> cell bench procs) plist)
-      benches
-
-  (* seq's baseline is special (p copies on 1 proc per point), so compute
-     its per-point baselines separately. *)
-  let seq_baseline ~copies =
-    let _ = B.seq ~procs:1 ~copies ~sched:policy () in
-    (P.stats ()).Mp.Stats.elapsed
-end
-
-let sequent_config = Sim.Sim_config.sequent ~procs:16 ()
-let sgi_config = Sim.Sim_config.sgi ~procs:8 ()
-
-module Sequent = Sweep (struct
-  let config = sequent_config
-end) ()
-
-module Sgi = Sweep (struct
-  let config = sgi_config
-end) ()
-
-(* ------------------------------------------------------------------ *)
-(* Parallel sweep driver.                                              *)
-(*                                                                     *)
-(* Every grid cell instantiates a private, generative [Mp_sim] machine *)
-(* (and its whole client stack), so cells share no simulator state and *)
-(* can run on separate host domains.  [Exec.Job_pool.map] merges the   *)
-(* results back by cell index, so the sample list — and everything     *)
-(* rendered from it — is identical for every [jobs] value; cells hold  *)
-(* no shared RNG (workload seeds are fixed per cell) and each cell's   *)
-(* telemetry lands in its own machine's registry.                      *)
-(* ------------------------------------------------------------------ *)
-
-let run_cell (config : Sim.Sim_config.t) (bench, procs) =
-  let module C =
-    Sweep (struct
-        let config = config
-      end)
-      ()
-  in
-  C.cell bench procs
-
-let grid (config : Sim.Sim_config.t) plist =
-  let plist = List.filter (fun p -> p <= config.Sim.Sim_config.procs) plist in
-  List.concat_map (fun b -> List.map (fun p -> (b, p)) plist) benches
-
-let parallel_sweep config ~jobs plist =
-  Exec.Job_pool.map ~jobs (run_cell config) (grid config plist)
-
-(* Full-sweep caches, keyed by (scheduling policy, gc model) so default and
-   non-default sweeps coexist within one process (the bench driver sweeps
-   several). *)
-let sequent_cache : (string * string, sample list) Hashtbl.t = Hashtbl.create 4
-let sgi_cache : (string * string, sample list) Hashtbl.t = Hashtbl.create 4
-let seq_base_cache : (string * string * string * int, float) Hashtbl.t =
-  Hashtbl.create 16
-
-(* Run [f] with the Sequent platform's telemetry streaming to [path] as
-   JSONL, one event per line; flushes and detaches on the way out.  The
-   trace spans every category the platform emits (scheduler, proc, lock,
-   GC, and any client-layer sync events). *)
-let trace_sequent path f =
-  let oc = open_out path in
-  Sequent.P.Telemetry.attach_sink (Obs.Sink.jsonl oc);
-  Fun.protect
-    ~finally:(fun () ->
-      Sequent.P.Telemetry.disable ();
-      close_out oc)
-    f
-
-let sequent_sweep ?plist ?jobs ?(sched = "distributed") ?(gc = "stw") () =
-  let jobs = Exec.Job_pool.resolve_jobs jobs in
-  if Sequent.P.Telemetry.enabled () then
-    (* A trace sink is attached to the shared Sequent machine: run the
-       cells on it, sequentially, so their events stream to the sink.
-       The shared machine is the default-policy, default-collector one, so
-       traced sweeps always run under distributed scheduling and stw GC. *)
-    Sequent.run ?plist ()
-  else
-    let config =
-      Sim.Sim_config.with_gc
-        { sequent_config with Sim.Sim_config.sched }
-        (Sim.Gc_model.of_string_exn gc)
-    in
-    match (Hashtbl.find_opt sequent_cache (sched, gc), plist) with
-    | Some s, None -> s
-    | _ ->
-        let s =
-          parallel_sweep config ~jobs
-            (Option.value plist ~default:default_procs)
-        in
-        if plist = None then Hashtbl.replace sequent_cache (sched, gc) s;
-        s
-
-let sgi_sweep ?plist ?jobs ?(sched = "distributed") ?(gc = "stw") () =
-  let jobs = Exec.Job_pool.resolve_jobs jobs in
-  let config =
-    Sim.Sim_config.with_gc
-      { sgi_config with Sim.Sim_config.sched }
-      (Sim.Gc_model.of_string_exn gc)
-  in
-  match (Hashtbl.find_opt sgi_cache (sched, gc), plist) with
-  | Some s, None -> s
-  | _ ->
-      let s =
-        parallel_sweep config ~jobs
-          (Option.value plist ~default:default_procs)
-      in
-      if plist = None then Hashtbl.replace sgi_cache (sched, gc) s;
-      s
-
-(* Machine-parameterized sweep over any [Sim_config.of_machine_string]
-   selector ("sequent", "sgi", "numa:<N>x<M>", "numa1024").  The default
-   proc list grows with the machine: a 64-node NUMA box is swept at the
-   powers of four up to its size rather than the flat 1..16 grid. *)
+(* The default proc list grows with the machine: a 64-node NUMA box is
+   swept at the powers of four up to its size rather than the flat 1..16
+   grid. *)
 let machine_procs (config : Sim.Sim_config.t) =
   if config.Sim.Sim_config.procs <= 16 then default_procs
   else
     [ 1; 4; 16; 64; 256; 1024 ]
     |> List.filter (fun p -> p <= config.Sim.Sim_config.procs)
 
-let machine_cache : (string * string * string, sample list) Hashtbl.t =
-  Hashtbl.create 4
-
-let machine_sweep ?plist ?jobs ?(sched = "distributed") ?(gc = "stw") ~machine
-    () =
-  let jobs = Exec.Job_pool.resolve_jobs jobs in
+(* [Exec.Job_pool.map] merges the cells back by index, so the sample list
+   — and everything rendered from it — is identical for every [jobs]. *)
+let sweep ?plist ?jobs ?(sched = "distributed") ?(gc = "stw") ~machine () =
   let config =
     Sim.Sim_config.of_machine_string_exn ~sched
       ~gc:(Sim.Gc_model.of_string_exn gc)
       machine
   in
-  match (Hashtbl.find_opt machine_cache (machine, sched, gc), plist) with
-  | Some s, None -> s
-  | _ ->
-      let s =
-        parallel_sweep config ~jobs
-          (Option.value plist ~default:(machine_procs config))
-      in
-      if plist = None then
-        Hashtbl.replace machine_cache (machine, sched, gc) s;
-      s
+  let plist =
+    Option.value plist ~default:(machine_procs config)
+    |> List.filter (fun p -> p <= config.Sim.Sim_config.procs)
+  in
+  (* a traced sweep runs its cells in order so their events stream to the
+     sink one cell at a time *)
+  let jobs =
+    if Option.is_some !trace_sink then 1 else Exec.Job_pool.resolve_jobs jobs
+  in
+  Exec.Job_pool.map ~jobs (run_cell config)
+    (List.concat_map (fun b -> List.map (fun p -> (b, p)) plist) benches)
 
 (* The §6 headroom replay (E8): the same machine and schedule swept once per
    GC cost model, so the fig6 curves can be laid side by side.  [stw] is the
@@ -255,49 +153,15 @@ let gc_models = [ "stw"; "par_stw"; "minor_pp" ]
 
 let gc_sweep ?plist ?jobs ?(sched = "distributed") ?(machine = "sequent") () =
   List.map
-    (fun gc -> (gc, machine_sweep ?plist ?jobs ~sched ~gc ~machine ()))
+    (fun gc -> (gc, sweep ?plist ?jobs ~sched ~gc ~machine ()))
     gc_models
 
 let find samples ~bench ~procs =
   List.find (fun s -> s.bench = bench && s.procs = procs) samples
 
-let seq_baseline machine ~sched ~gc ~copies =
-  let key = (machine, sched, gc, copies) in
-  match Hashtbl.find_opt seq_base_cache key with
-  | Some t -> t
-  | None ->
-      let t =
-        if sched = "distributed" && gc = "stw" && machine = "sgi" then
-          Sgi.seq_baseline ~copies
-        else if sched = "distributed" && gc = "stw" && machine = "sequent" then
-          Sequent.seq_baseline ~copies
-        else begin
-          (* non-default policy, collector, or machine: a private instance *)
-          let config =
-            match Sim.Sim_config.of_machine_string ~sched machine with
-            | Ok c -> c
-            | Error _ -> { sequent_config with Sim.Sim_config.sched }
-          in
-          let config =
-            Sim.Sim_config.with_gc config (Sim.Gc_model.of_string_exn gc)
-          in
-          let module C =
-            Sweep (struct
-                let config = config
-              end)
-              ()
-          in
-          C.seq_baseline ~copies
-        end
-      in
-      Hashtbl.add seq_base_cache key t;
-      t
-
 let speedup samples ~bench ~procs =
   let s = find samples ~bench ~procs in
-  if bench = "seq" then
-    seq_baseline s.machine ~sched:s.sched ~gc:s.gc_model ~copies:procs
-    /. s.elapsed
+  if bench = "seq" then s.seq_base /. s.elapsed
   else
     let base = find samples ~bench ~procs:1 in
     base.elapsed /. s.elapsed

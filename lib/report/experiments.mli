@@ -14,6 +14,9 @@ type sample = {
   bench : string;
   procs : int;
   elapsed : float;  (** virtual seconds *)
+  seq_base : float;
+      (** [seq] only: elapsed of the same [procs] copies on one proc, the
+          self-relative baseline; [elapsed] for the other benches *)
   gc : float;
   gc_count : int;  (** minor + major collections *)
   gc_minor : int;  (** proc-local minor collections (0 under stw/par_stw) *)
@@ -30,41 +33,13 @@ type sample = {
 val default_procs : int list
 (** 1, 2, 4, 6, 8, 10, 12, 14, 16 — Figure 6's x axis. *)
 
-val sequent_sweep :
-  ?plist:int list ->
-  ?jobs:int ->
-  ?sched:string ->
-  ?gc:string ->
-  unit ->
-  sample list
-(** Full sweep on the 16-processor Sequent model (cached per
-    (policy, collector) after first call).
+val run_cell : Sim.Sim_config.t -> string * int -> sample
+(** [run_cell config (bench, procs)] runs one grid cell on a private
+    machine built from [config], under the scheduling policy
+    [config.sched], and verifies its result.  Inside {!trace} the cell's
+    telemetry streams to the trace file. *)
 
-    [sched] is the scheduling policy for every pool in the sweep, in
-    {!Mpthreads.Sched_policy.of_string} syntax; default ["distributed"].
-    [gc] is the GC cost model in {!Sim.Gc_model.of_string} syntax; default
-    ["stw"].  Traced sweeps (a sink attached via {!trace_sequent}) always
-    run on the shared default-policy, default-collector machine.
-
-    [jobs] fans the grid's (bench, procs) cells across that many host
-    domains via {!Exec.Job_pool} — every cell runs on a private machine
-    instance and results are merged back in grid order, so the returned
-    samples (and all output rendered from them) are identical for every
-    [jobs] value.  Defaults to [MP_REPRO_JOBS] or 1.  When a trace sink is
-    attached (see {!trace_sequent}) the sweep runs sequentially on the
-    shared traced machine regardless of [jobs]. *)
-
-val sgi_sweep :
-  ?plist:int list ->
-  ?jobs:int ->
-  ?sched:string ->
-  ?gc:string ->
-  unit ->
-  sample list
-(** Sweep on the 8-processor SGI model (cached); [jobs], [sched] and [gc]
-    as in {!sequent_sweep}. *)
-
-val machine_sweep :
+val sweep :
   ?plist:int list ->
   ?jobs:int ->
   ?sched:string ->
@@ -72,11 +47,23 @@ val machine_sweep :
   machine:string ->
   unit ->
   sample list
-(** Sweep on any {!Sim.Sim_config.of_machine_string} selector (["sequent"],
-    ["sgi"], ["numa:<nodes>x<procs>"], ["numa1024"]); cached per
-    (machine, sched, gc).  Machines larger than 16 procs default to the
-    powers-of-four proc list [1; 4; 16; 64; 256; 1024] clamped to the
-    machine size; [jobs], [sched] and [gc] as in {!sequent_sweep}. *)
+(** The six-benchmark grid over [plist] on any
+    {!Sim.Sim_config.of_machine_string} selector (["sequent"], ["sgi"],
+    ["numa:<nodes>x<procs>"], ["numa1024"]), one {!run_cell} per cell.
+    [plist] is clamped to the machine size; machines larger than 16 procs
+    default to the powers-of-four list [1; 4; 16; 64; 256; 1024], smaller
+    ones to {!default_procs}.
+
+    [sched] is the scheduling policy for every pool in the sweep, in
+    {!Mpthreads.Sched_policy.of_string} syntax; default ["distributed"].
+    [gc] is the GC cost model in {!Sim.Gc_model.of_string} syntax; default
+    ["stw"].
+
+    [jobs] fans the cells across that many host domains via
+    {!Exec.Job_pool}; results are merged back in grid order, so the
+    returned samples (and all output rendered from them) are identical for
+    every [jobs] value.  Defaults to [MP_REPRO_JOBS] or 1; inside {!trace}
+    the cells run one at a time. *)
 
 val gc_models : string list
 (** The three collectors of the E8 headroom replay:
@@ -89,14 +76,15 @@ val gc_sweep :
   ?machine:string ->
   unit ->
   (string * sample list) list
-(** One {!machine_sweep} per collector in {!gc_models} on the same machine
+(** One {!sweep} per collector in {!gc_models} on the same machine
     (default ["sequent"]) and schedule, for the paper-§6.2 "how much does
     the sequential stop-the-world collector cost us" replay (E8). *)
 
-val trace_sequent : string -> (unit -> 'a) -> 'a
-(** [trace_sequent path f] runs [f] with the Sequent platform's telemetry
-    streaming to [path] as JSONL, one event per line; flushes and detaches
-    the sink on the way out (even on exceptions). *)
+val trace : string -> (unit -> 'a) -> 'a
+(** [trace path f] runs [f] with every cell's telemetry (scheduler, proc,
+    lock, GC and client-layer events) streaming to [path] as JSONL, one
+    event per line; closes the file on the way out (even on
+    exceptions). *)
 
 val speedup : sample list -> bench:string -> procs:int -> float
 (** Self-relative speedup vs the 1-proc sample of the same benchmark. *)

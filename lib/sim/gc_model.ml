@@ -12,12 +12,11 @@
    - [admit] gates the run-ahead fast path (may this slice be charged
      inline, without a suspension?).  For the global-region models this is
      the old [region_used + words < gc_region_words] test.
-   - [commit_fast] applies an admitted slice's words (no trigger possible:
-     admission is strict).
-   - [alloc_slow] applies a slice on the suspend path, where triggering is
-     allowed.  It returns any pause the allocating proc pays {e alone} —
-     zero for the stop-the-world models, a minor-collection pause under
-     [minor_pp] — so independent minor collections never stop other procs.
+   - [alloc] applies every slice's words and may trigger (never for an
+     admitted slice: admission is strict).  It returns any pause the
+     allocating proc pays {e alone} — zero for the stop-the-world models,
+     a minor-collection pause under [minor_pp] — so independent minor
+     collections never stop other procs.
    - [pending] is the stop-the-world trigger flag; the scheduler parks
      every proc at its next clean point while it is set, then asks
      [episode] for the collection's kind/duration and releases the barrier
@@ -107,11 +106,8 @@ module type MODEL = sig
   (** May [proc] allocate [words] inline?  Strict: admission guarantees
       the slice cannot trigger a collection. *)
 
-  val commit_fast : proc:int -> words:int -> unit
-  (** Account an admitted slice (fast path). *)
-
-  val alloc_slow : proc:int -> words:int -> int * int
-  (** Account a slice on the suspend path; may trigger.  Returns
+  val alloc : proc:int -> words:int -> int * int
+  (** Account a slice; may trigger unless it was admitted.  Returns
       [(pause, collected)]: cycles the allocating proc pays alone for an
       independent minor collection, and the words that collection scanned
       ([0, 0] when none ran). *)
@@ -145,9 +141,8 @@ let stw_instance sel (p : params) : (module MODEL) =
     let pauses = ref 0
     let region_used () = !region
     let admit ~proc:_ ~words = !region + words < p.region_words
-    let commit_fast ~proc:_ ~words = region := !region + words
 
-    let alloc_slow ~proc:_ ~words =
+    let alloc ~proc:_ ~words =
       region := !region + words;
       if !region >= p.region_words then pending := true;
       (0, 0)
@@ -208,10 +203,7 @@ let minor_pp_instance (p : params) : (module MODEL) =
     let region_used () = !promoted
     let admit ~proc ~words = minor_used.(proc) + words < minor_region
 
-    let commit_fast ~proc ~words =
-      minor_used.(proc) <- minor_used.(proc) + words
-
-    let alloc_slow ~proc ~words =
+    let alloc ~proc ~words =
       minor_used.(proc) <- minor_used.(proc) + words;
       if minor_used.(proc) >= minor_region then begin
         let used = minor_used.(proc) in

@@ -72,13 +72,11 @@ module type MODEL = sig
   (** May [proc] allocate [words] inline?  Strict: an admitted slice
       cannot trigger a collection. *)
 
-  val commit_fast : proc:int -> words:int -> unit
-  (** Account an admitted slice (run-ahead fast path). *)
-
-  val alloc_slow : proc:int -> words:int -> int * int
-  (** Account a slice on the suspend path; may trigger.  Returns
-      [(pause, collected)]: cycles the allocating proc pays alone for an
-      independent minor collection and the words it scanned, or [(0, 0)]. *)
+  val alloc : proc:int -> words:int -> int * int
+  (** Account a slice; may trigger, though never for an admitted one (so
+      an admitted slice returns [(0, 0)]).  Returns [(pause, collected)]:
+      cycles the allocating proc pays alone for an independent minor
+      collection and the words it scanned, or [(0, 0)]. *)
 
   val episode : waiters:int -> episode
   (** Price the pending collection given the procs parked at the

@@ -246,7 +246,7 @@ struct
 
   (* One allocation slice, routed through the GC model.  It may run inline
      only if the model admits it (it cannot fill the allocation region: a
-     GC trigger must park the proc).  Otherwise [alloc_slow] may set
+     GC trigger must park the proc).  Otherwise [alloc] may set
      [gc_pending] and, when the model ran an independent minor collection
      ([minor_pp]), its pause is charged to this proc alone — the other
      procs keep running, which is the whole point of per-proc minor
@@ -260,25 +260,22 @@ struct
         ~bytes:(words * config.word_bytes) ~route:0 ~idle:false
     in
     p.alloc_words <- p.alloc_words + words;
-    if inline then GcM.commit_fast ~proc:p.id ~words
-    else begin
-      let pause, collected = GcM.alloc_slow ~proc:p.id ~words in
-      if pause > 0 then begin
-        if tracing () then
-          emit
-            (Obs.Event.Gc_start
-               {
-                 clock = p.clock;
-                 region_words = collected;
-                 kind = Minor;
-                 waiters = 0;
-               });
-        p.clock <- p.clock + pause;
-        p.gc_wait <- p.gc_wait + pause;
-        observe_clock p.clock;
-        if tracing () then
-          emit (Obs.Event.Gc_end { clock = p.clock; duration = pause })
-      end
+    let pause, collected = GcM.alloc ~proc:p.id ~words in
+    if pause > 0 then begin
+      if tracing () then
+        emit
+          (Obs.Event.Gc_start
+             {
+               clock = p.clock;
+               region_words = collected;
+               kind = Minor;
+               waiters = 0;
+             });
+      p.clock <- p.clock + pause;
+      p.gc_wait <- p.gc_wait + pause;
+      observe_clock p.clock;
+      if tracing () then
+        emit (Obs.Event.Gc_end { clock = p.clock; duration = pause })
     end;
     inline
 

@@ -1,3 +1,5 @@
+let names = [ "allpairs"; "mst"; "abisort"; "simple"; "mm"; "seq"; "fib" ]
+
 module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
   module Sched = Mpthreads.Sched_thread.Make (P)
 
@@ -282,8 +284,6 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
               end
             in
             node n))
-
-  let names = [ "allpairs"; "mst"; "abisort"; "simple"; "mm"; "seq"; "fib" ]
 
   let run_named ?sched name ~procs =
     match name with

@@ -15,6 +15,11 @@
     1992 SML compilation of each kernel would (boxed floats in [simple],
     list/tree cells in [abisort], tight integer loops in [mm]). *)
 
+val names : string list
+(** ["allpairs"; "mst"; "abisort"; "simple"; "mm"; "seq"; "fib"] — Figure 6's
+    legend order, plus the scheduler-stress [fib]; {!Make.run_named} accepts
+    each. *)
+
 module Make (P : Mp.Mp_intf.PLATFORM_INT) : sig
   module Sched : module type of Mpthreads.Sched_thread.Make (P)
 
@@ -78,10 +83,6 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) : sig
       sizes differ exponentially and tasks are fine-grained, so scheduler
       dispatch throughput dominates.  Not part of the paper's Figure 6
       suite; added for the scheduler-policy axis.  Returns [fib n]. *)
-
-  val names : string list
-  (** ["allpairs"; "mst"; "abisort"; "simple"; "mm"; "seq"; "fib"] — Figure
-      6's legend order, plus the scheduler-stress [fib]. *)
 
   val run_named : ?sched:Mpthreads.Sched_policy.t -> string -> procs:int -> int
   (** Run a benchmark by name with the paper's default parameters, under

@@ -221,87 +221,6 @@ let test_multi_push_global_distributes () =
         checkb "proc has work" true (MQ.take_local t ~proc:p <> None)
       done)
 
-(* ---------------- Chase-Lev work-stealing deque ---------------- *)
-
-let test_ws_lifo_pop () =
-  let d = Ws_deque.create () in
-  List.iter (Ws_deque.push d) [ 1; 2; 3 ];
-  Alcotest.(check (option int)) "newest" (Some 3) (Ws_deque.pop d);
-  Alcotest.(check (option int)) "next" (Some 2) (Ws_deque.pop d);
-  Alcotest.(check (option int)) "oldest" (Some 1) (Ws_deque.pop d);
-  Alcotest.(check (option int)) "empty" None (Ws_deque.pop d)
-
-let test_ws_steal_fifo () =
-  let d = Ws_deque.create () in
-  List.iter (Ws_deque.push d) [ 1; 2; 3 ];
-  Alcotest.(check (option int)) "steals oldest" (Some 1) (Ws_deque.steal d);
-  Alcotest.(check (option int)) "then next" (Some 2) (Ws_deque.steal d);
-  Alcotest.(check (option int)) "owner gets the rest" (Some 3) (Ws_deque.pop d);
-  Alcotest.(check (option int)) "empty steal" None (Ws_deque.steal d)
-
-let test_ws_growth () =
-  let d = Ws_deque.create () in
-  for i = 1 to 1000 do
-    Ws_deque.push d i
-  done;
-  check "size" 1000 (Ws_deque.size d);
-  (* interleave pops and steals; all values must come out exactly once *)
-  let seen = Array.make 1001 false in
-  let rec drain () =
-    match if Ws_deque.size d mod 2 = 0 then Ws_deque.pop d else Ws_deque.steal d with
-    | Some v ->
-        checkb "no duplicates" false seen.(v);
-        seen.(v) <- true;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  check "all drained" 1000
-    (Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 seen)
-
-let test_ws_conservation_under_stealing () =
-  (* one owner pushes/pops, two thieves steal: every pushed value is
-     consumed exactly once *)
-  let d = Ws_deque.create () in
-  let n = 20_000 in
-  let consumed = Atomic.make 0 in
-  let sum = Atomic.make 0 in
-  let stop = Atomic.make false in
-  let thief () =
-    while not (Atomic.get stop) do
-      match Ws_deque.steal d with
-      | Some v ->
-          ignore (Atomic.fetch_and_add sum v);
-          Atomic.incr consumed
-      | None -> Domain.cpu_relax ()
-    done
-  in
-  let thieves = List.init 2 (fun _ -> Domain.spawn thief) in
-  (* owner: push everything, popping now and then *)
-  for i = 1 to n do
-    Ws_deque.push d i;
-    if i mod 3 = 0 then
-      match Ws_deque.pop d with
-      | Some v ->
-          ignore (Atomic.fetch_and_add sum v);
-          Atomic.incr consumed
-      | None -> ()
-  done;
-  (* owner drains what the thieves have not taken *)
-  let rec drain () =
-    match Ws_deque.pop d with
-    | Some v ->
-        ignore (Atomic.fetch_and_add sum v);
-        Atomic.incr consumed;
-        drain ()
-    | None -> if Atomic.get consumed < n then drain ()
-  in
-  drain ();
-  Atomic.set stop true;
-  List.iter Domain.join thieves;
-  check "every value consumed exactly once" (n * (n + 1) / 2) (Atomic.get sum);
-  check "count" n (Atomic.get consumed)
-
 (* ---------------- qcheck properties ---------------- *)
 
 let prop_fifo_preserves_order =
@@ -462,8 +381,8 @@ let test_spmc_interleaved_push () =
      in
      desc !out)
 
-(* Mirror of [prop_ws_four_domain_race] for the steal-half queue: 1 owner
-   pushing/popping + 3 thief domains consuming whole steal-half batches.
+(* The steal-half queue under 4 host domains: 1 owner pushing/popping + 3
+   thief domains consuming whole steal-half batches.
    Conservation across CAS races and owner-side buffer growth: every
    pushed value consumed exactly once. *)
 let prop_spmc_four_domain_race =
@@ -500,53 +419,6 @@ let prop_spmc_four_domain_race =
       done;
       let rec drain () =
         match Spmc_queue.pop q with
-        | Some v ->
-            ignore (Atomic.fetch_and_add sum v);
-            Atomic.incr consumed;
-            drain ()
-        | None -> if Atomic.get consumed < n then drain ()
-      in
-      drain ();
-      Atomic.set stop true;
-      List.iter Domain.join thieves;
-      Atomic.get sum = n * (n + 1) / 2 && Atomic.get consumed = n)
-
-(* The parallel sweep driver distributes jobs through this deque with one
-   owner and N-1 stealing domains; exercise exactly that shape (4 host
-   domains, randomized push/pop interleaving) and require conservation:
-   every pushed value consumed exactly once, across push/pop/steal races
-   and buffer growth. *)
-let prop_ws_four_domain_race =
-  QCheck.Test.make
-    ~name:"ws_deque: 1 owner + 3 thieves (4 domains) conserve every item"
-    ~count:10
-    QCheck.(pair (int_range 500 5_000) (int_range 2 7))
-    (fun (n, pop_every) ->
-      let d = Ws_deque.create () in
-      let consumed = Atomic.make 0 in
-      let sum = Atomic.make 0 in
-      let stop = Atomic.make false in
-      let thief () =
-        while not (Atomic.get stop) do
-          match Ws_deque.steal d with
-          | Some v ->
-              ignore (Atomic.fetch_and_add sum v);
-              Atomic.incr consumed
-          | None -> Domain.cpu_relax ()
-        done
-      in
-      let thieves = List.init 3 (fun _ -> Domain.spawn thief) in
-      for i = 1 to n do
-        Ws_deque.push d i;
-        if i mod pop_every = 0 then
-          match Ws_deque.pop d with
-          | Some v ->
-              ignore (Atomic.fetch_and_add sum v);
-              Atomic.incr consumed
-          | None -> ()
-      done;
-      let rec drain () =
-        match Ws_deque.pop d with
         | Some v ->
             ignore (Atomic.fetch_and_add sum v);
             Atomic.incr consumed;
@@ -616,14 +488,6 @@ let () =
           Alcotest.test_case "push_global distributes" `Quick
             test_multi_push_global_distributes;
         ] );
-      ( "ws_deque",
-        [
-          Alcotest.test_case "lifo pop" `Quick test_ws_lifo_pop;
-          Alcotest.test_case "steal fifo" `Quick test_ws_steal_fifo;
-          Alcotest.test_case "growth + drain" `Quick test_ws_growth;
-          Alcotest.test_case "conservation under stealing" `Slow
-            test_ws_conservation_under_stealing;
-        ] );
       ( "spmc",
         [
           Alcotest.test_case "fifo pop" `Quick test_spmc_fifo_pop;
@@ -641,6 +505,5 @@ let () =
           prop_deque_double_ended;
           prop_bounded_never_exceeds;
           prop_spmc_four_domain_race;
-          prop_ws_four_domain_race;
         ];
     ]

@@ -1,5 +1,6 @@
 (* Reporting/harness pieces: renderers, the LoC inventory, the analytic
-   model, and a reduced experiment sweep with verified results. *)
+   model, a reduced experiment sweep with verified results, tracing, and
+   the host job pool. *)
 
 let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -207,7 +208,8 @@ let test_model_fit () =
 
 (* ---------------- experiments (reduced sweep) ---------------- *)
 
-let samples = lazy (Report.Experiments.sequent_sweep ~plist:[ 1; 4 ] ())
+let samples =
+  lazy (Report.Experiments.sweep ~plist:[ 1; 4 ] ~machine:"sequent" ())
 
 let test_sweep_all_verified () =
   let s = Lazy.force samples in
@@ -251,7 +253,9 @@ let test_sweep_speedup_monotone () =
    sequential driver produces. *)
 let test_sweep_jobs_deterministic () =
   let s1 = Lazy.force samples in
-  let s2 = Report.Experiments.sequent_sweep ~plist:[ 1; 4 ] ~jobs:2 () in
+  let s2 =
+    Report.Experiments.sweep ~plist:[ 1; 4 ] ~jobs:2 ~machine:"sequent" ()
+  in
   checkb "jobs=2 sample list identical to jobs=1" true (s1 = s2)
 
 let test_print_sections_smoke () =
@@ -266,6 +270,77 @@ let test_print_sections_smoke () =
   checkb "fig6 section" true (contains out "Figure 6");
   checkb "verification line" true (contains out "all verified");
   checkb "gc table" true (contains out "speedup w/o GC")
+
+(* Tracing must be invisible in the results and must reach every machine:
+   a traced work-stealing sweep returns exactly the untraced samples, and
+   a traced NUMA sweep streams events to its file. *)
+let traced path f =
+  let v = Report.Experiments.trace path f in
+  let ic = open_in path in
+  let bytes = in_channel_length ic in
+  close_in ic;
+  Sys.remove path;
+  (v, bytes)
+
+let test_trace_keeps_samples () =
+  let ws () =
+    Report.Experiments.sweep ~plist:[ 1; 4 ] ~sched:"ws" ~machine:"sequent" ()
+  in
+  let t, bytes = traced "trace_ws.jsonl" ws in
+  checkb "ws trace non-empty" true (bytes > 0);
+  checkb "traced ws samples = untraced" true (t = ws ())
+
+let test_trace_numa () =
+  let _, bytes =
+    traced "trace_numa.jsonl" (fun () ->
+        Report.Experiments.sweep ~plist:[ 1; 4 ] ~machine:"numa:2x8" ())
+  in
+  checkb "numa:2x8 trace non-empty" true (bytes > 0)
+
+(* ---------------- job pool ---------------- *)
+
+let test_job_pool_map () =
+  List.iter
+    (fun jobs ->
+      List.iter
+        (fun n ->
+          let xs = List.init n (fun i -> i) in
+          let f x = (x * x) + jobs in
+          Alcotest.(check (list int))
+            (Printf.sprintf "jobs=%d n=%d" jobs n)
+            (List.map f xs)
+            (Exec.Job_pool.map ~jobs f xs))
+        [ 0; 1; 3; 100 ])
+    [ 1; 2; 4 ]
+
+exception Job_failed of int
+
+(* Two failing jobs: the lower index wins even when it fails last, and
+   with domains the raise comes only after every other job has run. *)
+let test_job_pool_lowest_exception () =
+  List.iter
+    (fun jobs ->
+      let ran = Atomic.make 0 in
+      let f i =
+        if i = 3 then begin
+          (* fail later than job 7 does *)
+          for k = 1 to 1_000_000 do
+            ignore (Sys.opaque_identity k)
+          done;
+          raise (Job_failed i)
+        end;
+        if i = 7 then raise (Job_failed i);
+        Atomic.incr ran
+      in
+      match Exec.Job_pool.map ~jobs f (List.init 10 Fun.id) with
+      | _ -> Alcotest.fail "no exception raised"
+      | exception Job_failed i ->
+          check (Printf.sprintf "jobs=%d: lowest failing index" jobs) 3 i;
+          if jobs > 1 then
+            check
+              (Printf.sprintf "jobs=%d: all other jobs ran first" jobs)
+              8 (Atomic.get ran))
+    [ 1; 2; 4 ]
 
 let () =
   Alcotest.run "report"
@@ -310,5 +385,14 @@ let () =
             test_sweep_jobs_deterministic;
           Alcotest.test_case "gc exclusion" `Slow test_sweep_no_gc_at_least_as_fast;
           Alcotest.test_case "print sections" `Slow test_print_sections_smoke;
+          Alcotest.test_case "trace keeps ws samples" `Slow
+            test_trace_keeps_samples;
+          Alcotest.test_case "trace reaches numa cells" `Slow test_trace_numa;
+        ] );
+      ( "job_pool",
+        [
+          Alcotest.test_case "map = List.map" `Quick test_job_pool_map;
+          Alcotest.test_case "lowest-index exception" `Quick
+            test_job_pool_lowest_exception;
         ] );
     ]

@@ -712,9 +712,9 @@ let test_gc_minor_pp_headroom () =
     (MinorPp.Machine.gc_minor_collections () > 0)
 
 (* Drive a fresh per-proc minor-heap model instance the way the simulator
-   does (fast path when admitted, slow path otherwise; a stop-the-world
-   major whenever one is pending) and cross-check every step against an
-   independent mirror of its accounting rules. *)
+   does (an admission check, then [alloc] for every slice; a
+   stop-the-world major whenever one is pending) and cross-check every
+   step against an independent mirror of its accounting rules. *)
 let prop_minor_pp_invariants =
   QCheck.Test.make ~name:"minor_pp: conservation, bounds, major trigger"
     ~count:100
@@ -752,31 +752,25 @@ let prop_minor_pp_invariants =
         (fun (r, words) ->
           let proc = r mod procs in
           allocated := !allocated + words;
-          (* r >= 32 forces the suspend path even for an admissible slice,
-             like a failed inline bus charge does in the simulator *)
-          if M.admit ~proc ~words && r < 32 then begin
-            M.commit_fast ~proc ~words;
-            used.(proc) <- used.(proc) + words
+          let admitted = M.admit ~proc ~words in
+          let pause, got = M.alloc ~proc ~words in
+          used.(proc) <- used.(proc) + words;
+          if used.(proc) >= minor_region then begin
+            (* the slice filled the proc's minor region: admission must
+               have refused it, and an independent minor must have
+               collected exactly that region *)
+            expect (not admitted);
+            expect (got = used.(proc));
+            expect (pause > 0);
+            incr minors;
+            collected := !collected + got;
+            promoted :=
+              !promoted + int_of_float (survival *. float_of_int used.(proc));
+            used.(proc) <- 0
           end
           else begin
-            let pause, got = M.alloc_slow ~proc ~words in
-            used.(proc) <- used.(proc) + words;
-            if used.(proc) >= minor_region then begin
-              (* the slice filled the proc's minor region: an independent
-                 minor must have collected exactly that region *)
-              expect (got = used.(proc));
-              expect (pause > 0);
-              incr minors;
-              collected := !collected + got;
-              promoted :=
-                !promoted
-                + int_of_float (survival *. float_of_int used.(proc));
-              used.(proc) <- 0
-            end
-            else begin
-              expect (pause = 0);
-              expect (got = 0)
-            end
+            expect (pause = 0);
+            expect (got = 0)
           end;
           (* model/mirror agreement after every op *)
           expect (M.minor_collections () = !minors);
