@@ -248,6 +248,29 @@ let test_dpor_equivalence () =
       checkb (name ^ ": DPOR not capped") false b.Mpcheck.Mp_check.capped)
     (S.all @ S.broken)
 
+(* Exact DPOR schedule counts at bound 3 for the scenarios that drive the
+   blocking constructs (the same figures [check_smoke --bound 3] prints).
+   Any change to the sequence of platform operations a park or wake
+   performs moves one of these numbers. *)
+let test_dpor_schedule_pins () =
+  List.iter
+    (fun (name, want) ->
+      let r =
+        P.Explore.dfs ~bound:3 ~max_schedules:20_000 ~max_steps:20_000
+          ~dpor:true (List.assoc name S.all)
+      in
+      checkb (name ^ ": no failure") true (r.Mpcheck.Mp_check.failure = None);
+      checki (name ^ ": schedules at bound 3") want r.Mpcheck.Mp_check.schedules)
+    [
+      ("server_pipeline", 185);
+      ("sync_ivar", 4);
+      ("sync_mvar", 24);
+      ("sync_semaphore", 26);
+      ("select_rendezvous", 13);
+      ("cml_rendezvous", 11);
+      ("cml_choose", 11);
+    ]
+
 (* Both explorers shrink the broken TAS to the SAME canonical
    counterexample: the minimal forced schedule is a property of the bug,
    not of the order the space was walked. *)
@@ -431,6 +454,8 @@ let () =
         [
           Alcotest.test_case "corpus equivalence with plain DFS at bound 2"
             `Slow test_dpor_equivalence;
+          Alcotest.test_case "blocking-construct schedule counts at bound 3"
+            `Quick test_dpor_schedule_pins;
           Alcotest.test_case "broken TAS shrinks to the same counterexample"
             `Quick test_dpor_broken_counterexample;
           Alcotest.test_case "frontier exploration deterministic across jobs"
