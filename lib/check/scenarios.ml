@@ -618,6 +618,39 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
         check (not !overlap) "semaphore: exclusion violated";
         check (Sy.Semaphore.value sem = 1) "semaphore: final value <> 1")
 
+  (* ---- thread packages ------------------------------------------------ *)
+
+  (* M3's mutex and condition (the ones Ml_threads shares) as a two-item
+     producer/consumer: the consumer re-checks its predicate in a Mesa wait
+     loop, so both lost wakeups and a missed hand-off show up as a
+     deadlock, and a broken mutex as a lost or reordered item. *)
+  let threads_mutex_condition_scenario () =
+    C.run (fun () ->
+        let module TS = Tiny () in
+        let module M3 = Mpthreads.M3_thread.Make (C) (TS) in
+        let m = M3.Mutex.create () in
+        let c = M3.Condition.create () in
+        let items = Queue.create () in
+        let got = ref [] in
+        TS.fork (fun () ->
+            List.iter
+              (fun v ->
+                M3.Mutex.with_lock m (fun () ->
+                    Queue.push v items;
+                    M3.Condition.signal c))
+              [ 1; 2 ]);
+        for _ = 1 to 2 do
+          M3.Mutex.with_lock m (fun () ->
+              while Queue.is_empty items do
+                M3.Condition.wait m c
+              done;
+              got := Queue.pop items :: !got)
+        done;
+        join ();
+        let got = List.rev !got in
+        check (got = [ 1; 2 ]) "threads: consumer got %d items, expected [1; 2]"
+          (List.length got))
+
   (* ---- selective communication and CML -------------------------------- *)
 
   let select_scenario () =
@@ -888,6 +921,7 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
       ("sync_ivar", sync_ivar_scenario);
       ("sync_mvar", sync_mvar_scenario);
       ("sync_semaphore", sync_semaphore_scenario);
+      ("threads_mutex_condition", threads_mutex_condition_scenario);
       ("select_rendezvous", select_scenario);
       ("cml_rendezvous", cml_rendezvous_scenario);
       ("cml_choose", cml_choose_scenario);

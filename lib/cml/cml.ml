@@ -46,36 +46,13 @@ struct
   (* The single global runtime lock of the paper's CML prototype. *)
   let global_lock = P.Lock.mutex_lock ()
 
-  (* Telemetry: a Blocked event when a sync parks its continuation, a
-     Wakeup when a partner (or timeout) commits it.  Host-side only, so
-     virtual-time results are unchanged; emitted outside the global lock
+  (* Parks and wakes report through the shared park module under [cml.*]:
+     a Blocked event when a sync parks its continuation, a Wakeup when a
+     partner (or timeout) commits it.  Emitted outside the global lock
      where possible, and never from inside a suspend body. *)
-  let c_blocks = P.Telemetry.counter "cml.blocks"
-  let c_wakeups = P.Telemetry.counter "cml.wakeups"
+  module K = Mpthreads.Park.Make (P) (S)
 
-  let note_block on tid =
-    Obs.Counters.incr c_blocks;
-    if P.Telemetry.enabled () then
-      P.Telemetry.emit
-        (Obs.Event.Blocked
-           {
-             proc = max 0 (P.Proc.self ());
-             clock = P.Telemetry.now_ts ();
-             thread = tid;
-             on;
-           })
-
-  let note_wakeup on tid =
-    Obs.Counters.incr c_wakeups;
-    if P.Telemetry.enabled () then
-      P.Telemetry.emit
-        (Obs.Event.Wakeup
-           {
-             proc = max 0 (P.Proc.self ());
-             clock = P.Telemetry.now_ts ();
-             thread = tid;
-             on;
-           })
+  let cml = K.layer "cml"
   let rng = ref (Random.State.make [| 0xc31 |])
   let set_seed seed = rng := Random.State.make [| seed |]
 
@@ -185,28 +162,21 @@ struct
     | BAlways _ -> assert false (* always-available: poll would have taken it *)
     | BTimeout (d, wrapped) ->
         S.at (S.now () +. d) (fun () ->
-            if P.Lock.try_lock commit then begin
-              note_wakeup "cml.timeout" tid;
-              S.reschedule_thread (k, wrapped, tid)
-            end)
+            if P.Lock.try_lock commit then
+              K.wake_with cml "cml.timeout" (k, wrapped, tid))
     | BSend (ch, v, wrapped) ->
         Fifo.enq ch.sndrs
           {
             s_commit = commit;
             s_value = v;
-            s_resume =
-              (fun () ->
-                note_wakeup "cml.sync" tid;
-                S.reschedule_thread (k, wrapped, tid));
+            s_resume = (fun () -> K.wake_with cml "cml.sync" (k, wrapped, tid));
           }
     | BRecv (ch, wrapf) ->
         Fifo.enq ch.rcvrs
           {
             r_commit = commit;
             r_deliver =
-              (fun v ->
-                note_wakeup "cml.sync" tid;
-                S.reschedule_thread (k, (fun () -> wrapf v), tid));
+              (fun v -> K.wake_with cml "cml.sync" (k, (fun () -> wrapf v), tid));
           }
 
   let sync ev =
@@ -214,9 +184,7 @@ struct
     match flatten ev Fun.id [] all_aborts with
     | [] when !all_aborts = [] ->
         (* never: block this thread forever *)
-        Engine.callcc (fun _ ->
-            note_block "cml.never" (S.id ());
-            S.dispatch ())
+        Engine.callcc (fun _ -> K.block cml "cml.never" (S.id ()))
     | tagged ->
         let chosen = ref (-1) in
         let tagged = shuffle tagged in
@@ -236,8 +204,7 @@ struct
                   let commit = P.Lock.mutex_lock () in
                   List.iter (fun b -> register_base b commit k tid) bases;
                   P.Lock.unlock global_lock;
-                  note_block "cml.sync" tid;
-                  S.dispatch ())
+                  K.block cml "cml.sync" tid)
         in
         let v = thunk () in
         (* mark the winner's enclosing wrap_aborts, then run the rest (in
@@ -264,14 +231,7 @@ struct
 
   let recv_poll ch =
     P.Lock.lock global_lock;
-    let hit =
-      claim_from ch.sndrs ~try_claim:(fun s ->
-          if P.Lock.try_lock s.s_commit then begin
-            s.s_resume ();
-            Some s.s_value
-          end
-          else None)
-    in
+    let hit = poll_base (BRecv (ch, Fun.id)) in
     P.Lock.unlock global_lock;
-    hit
+    Option.map (fun deliver -> deliver ()) hit
 end

@@ -19,35 +19,12 @@ struct
     rcvrs : 'a rcvr Q.queue;
   }
 
-  (* Telemetry: Blocked when a sender/receiver parks on empty channels,
-     Wakeup for the peer resumed by a completed rendezvous.  Host-side
-     only — never charges virtual time. *)
-  let c_blocks = P.Telemetry.counter "select.blocks"
-  let c_wakeups = P.Telemetry.counter "select.wakeups"
+  (* Parks and wakes report through the shared park module under
+     [select.*]: Blocked when a sender/receiver parks on empty channels,
+     Wakeup for the peer resumed by a completed rendezvous. *)
+  module K = Mpthreads.Park.Make (P) (S)
 
-  let note_block on tid =
-    Obs.Counters.incr c_blocks;
-    if P.Telemetry.enabled () then
-      P.Telemetry.emit
-        (Obs.Event.Blocked
-           {
-             proc = max 0 (P.Proc.self ());
-             clock = P.Telemetry.now_ts ();
-             thread = tid;
-             on;
-           })
-
-  let note_wakeup on tid =
-    Obs.Counters.incr c_wakeups;
-    if P.Telemetry.enabled () then
-      P.Telemetry.emit
-        (Obs.Event.Wakeup
-           {
-             proc = max 0 (P.Proc.self ());
-             clock = P.Telemetry.now_ts ();
-             thread = tid;
-             on;
-           })
+  let select = K.layer "select"
 
   let rng = ref (Random.State.make [| 0x5e1ec7 |])
   let set_seed seed = rng := Random.State.make [| seed |]
@@ -72,8 +49,7 @@ struct
       | { rkont; rid; committed } ->
           if P.Lock.try_lock committed then begin
             P.Lock.unlock ch_lock;
-            note_wakeup "select.send" rid;
-            S.reschedule_thread (rkont, v, rid)
+            K.wake_with select "select.send" (rkont, v, rid)
           end
           else loop () (* stale receiver, already served: drop and retry *)
       | exception Q.Empty ->
@@ -81,8 +57,7 @@ struct
               let sid = S.id () in
               Q.enq sndrs { skont = c; sid; value = v };
               P.Lock.unlock ch_lock;
-              note_block "select.send" sid;
-              S.dispatch ())
+              K.block select "select.send" sid)
     in
     loop ()
 
@@ -91,17 +66,14 @@ struct
         let committed = P.Lock.mutex_lock () in
         let r = { rkont = c; rid = S.id (); committed } in
         let rec loop = function
-          | [] ->
-              note_block "select.receive" r.rid;
-              S.dispatch ()
+          | [] -> K.block select "select.receive" r.rid
           | { ch_lock; sndrs; rcvrs } :: rest -> (
               P.Lock.lock ch_lock;
               match Q.deq sndrs with
               | { skont; sid; value } ->
                   if P.Lock.try_lock committed then begin
                     P.Lock.unlock ch_lock;
-                    note_wakeup "select.receive" sid;
-                    S.reschedule (skont, sid);
+                    K.wake select "select.receive" (skont, sid);
                     value
                   end
                   else begin

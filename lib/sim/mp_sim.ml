@@ -289,12 +289,17 @@ struct
     | [] -> None
     | op :: rest -> if work_step p op then work_run p rest else Some rest
 
-  (* The delay before probe [attempt], with the deterministic jitter of
-     [Sim_config.spin_jitter_mod]. *)
+  (* The delay before probe [attempt]: the retry period plus a fixed
+     deterministic jitter of under [jitter_mod] cycles, breaking the
+     phase-locking a fixed period can produce under the min-clock
+     scheduler. *)
+  let jitter_proc = 37
+  let jitter_attempt = 13
+  let jitter_mod = 101
+
   let retry_delay proc attempt =
     config.spin_retry_cycles
-    + (((proc * config.spin_jitter_proc) + (attempt * config.spin_jitter_attempt))
-      mod config.spin_jitter_mod)
+    + (((proc * jitter_proc) + (attempt * jitter_attempt)) mod jitter_mod)
 
   let note_acquired p attempt =
     incr lock_acquires_ct;
@@ -895,21 +900,15 @@ struct
     let suspensions () = Engine.suspensions () - !susp_at_start
     let heap_ops () = Ready_heap.ops ready
     let coalesced_charges () = !coalesced_ct
-    let idle_parks () = !idle_parks_ct
-    let idle_polls () = !idle_polls_ct
     let gc_model () = Gc_model.to_string config.gc
     let gc_cycles () = gc_pause_cycles ()
     let gc_collections () = gc_collections ()
     let gc_minor_collections () = GcM.minor_collections ()
     let gc_major_collections () = GcM.major_collections ()
-    let gc_wait_cycles = gc_wait_cycles
-    let nodes () = Interconnect.nodes ic
     let bus_bytes () = Interconnect.bytes ic
-    let local_bytes () = Interconnect.bytes ic - Interconnect.remote_bytes ic
     let remote_bytes () = Interconnect.remote_bytes ic
     let invalidations () = Interconnect.invalidations ic
     let bus_busy_cycles () = Interconnect.bus_busy_cycles ic
-    let link_busy_cycles () = Interconnect.link_busy_cycles ic
     let elapsed_seconds () = Sim_config.cycles_to_seconds config !max_clock
 
     let gc_excluded_seconds () =

@@ -49,16 +49,6 @@ end)
     (** Host-side: charging operations absorbed inline by the run-ahead
         fast path (each would have been one suspension + one dispatch). *)
 
-    val idle_parks : unit -> int
-    (** Host-side: [Work.idle_until] calls that parked a poller — each is
-        the {e single} suspension taken for a whole idle episode under
-        quiescence-epoch coalescing. *)
-
-    val idle_polls : unit -> int
-    (** Host-side: per-quantum readiness checks serviced by the scheduler
-        for parked pollers; under the always-suspend twin each would have
-        been one suspension + one fiber round-trip. *)
-
     val gc_model : unit -> string
     (** Name of the configured GC cost model ({!Sim.Gc_model.to_string}). *)
 
@@ -75,19 +65,8 @@ end)
     val gc_major_collections : unit -> int
     (** Stop-the-world collections. *)
 
-    val gc_wait_cycles : unit -> int
-    (** Cycles procs spent stalled for GC, summed over procs: barrier
-        waits plus their own minor pauses. *)
-
-    val nodes : unit -> int
-    (** Interconnect nodes of the configured machine (1 under
-        [Flat_bus]). *)
-
     val bus_bytes : unit -> int
     (** All bus traffic, node-local and remote. *)
-
-    val local_bytes : unit -> int
-    (** Traffic that stayed on a node-local bus. *)
 
     val remote_bytes : unit -> int
     (** Traffic that crossed the inter-node link (0 under [Flat_bus]). *)
@@ -97,9 +76,6 @@ end)
 
     val bus_busy_cycles : unit -> int
     (** Busy cycles summed over the node buses. *)
-
-    val link_busy_cycles : unit -> int
-    (** Busy cycles of the shared inter-node link. *)
 
     val elapsed_seconds : unit -> float
 
@@ -115,33 +91,4 @@ end
 module Int (C : sig
   val config : Sim_config.t
 end)
-() : sig
-  include Mp.Mp_intf.PLATFORM_INT
-
-  module Machine : sig
-    val config : Sim_config.t
-    val makespan_cycles : unit -> int
-    val sched_decisions : unit -> int
-    val suspensions : unit -> int
-    val heap_ops : unit -> int
-    val coalesced_charges : unit -> int
-    val idle_parks : unit -> int
-    val idle_polls : unit -> int
-    val gc_model : unit -> string
-    val gc_cycles : unit -> int
-    val gc_collections : unit -> int
-    val gc_minor_collections : unit -> int
-    val gc_major_collections : unit -> int
-    val gc_wait_cycles : unit -> int
-    val nodes : unit -> int
-    val bus_bytes : unit -> int
-    val local_bytes : unit -> int
-    val remote_bytes : unit -> int
-    val invalidations : unit -> int
-    val bus_busy_cycles : unit -> int
-    val link_busy_cycles : unit -> int
-    val elapsed_seconds : unit -> float
-    val gc_excluded_seconds : unit -> float
-    val bus_mb_per_sec : unit -> float
-  end
-end
+() : module type of Make (C) (Mp.Mp_intf.Int_datum)

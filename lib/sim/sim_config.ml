@@ -36,9 +36,6 @@ type t = {
   gc_barrier_cycles : int;
   gc : Gc_model.t;
   acquire_proc_cycles : int;
-  spin_jitter_proc : int;
-  spin_jitter_attempt : int;
-  spin_jitter_mod : int;
   run_ahead : bool;
   debug : bool;
   sched : string;
@@ -69,9 +66,6 @@ let sequent ?(procs = 16) ?(sched = "distributed") () =
     gc_barrier_cycles = 10_000;
     gc = Gc_model.default;
     acquire_proc_cycles = 10_000;
-    spin_jitter_proc = 37;
-    spin_jitter_attempt = 13;
-    spin_jitter_mod = 101;
     run_ahead = true;
     debug = false;
     sched;
@@ -102,9 +96,6 @@ let sgi ?(procs = 8) ?(sched = "distributed") () =
     gc_barrier_cycles = 6_000;
     gc = Gc_model.default;
     acquire_proc_cycles = 6_000;
-    spin_jitter_proc = 37;
-    spin_jitter_attempt = 13;
-    spin_jitter_mod = 101;
     run_ahead = true;
     debug = false;
     sched;

@@ -43,7 +43,9 @@ type t = {
   try_lock_cycles : int;  (** one test-and-set attempt *)
   unlock_cycles : int;
   lock_bus_bytes : int;  (** bus traffic of one lock RMW *)
-  spin_retry_cycles : int;  (** delay between spin probes *)
+  spin_retry_cycles : int;
+      (** delay between spin probes, before the simulator's fixed
+          deterministic jitter ({!Mp_sim}'s [retry_delay]) *)
   idle_quantum_cycles : int;  (** granularity of idle polling *)
   gc_region_words : int;  (** shared allocation region before a GC *)
   gc_survival : float;  (** fraction of the region live at collection *)
@@ -60,15 +62,6 @@ type t = {
           not change the machine [name]; sweeps label samples with the
           model separately. *)
   acquire_proc_cycles : int;  (** OS cost of acquiring a proc (§3.1) *)
-  spin_jitter_proc : int;
-      (** per-proc multiplier of the deterministic spin-retry jitter *)
-  spin_jitter_attempt : int;  (** per-attempt multiplier of the jitter *)
-  spin_jitter_mod : int;
-      (** modulus bounding the jitter, in cycles; must be >= 1.  The jitter
-          added to [spin_retry_cycles] on the [n]th failed probe by proc [p]
-          is [(p * spin_jitter_proc + n * spin_jitter_attempt) mod
-          spin_jitter_mod], breaking the phase-locking a fixed retry period
-          can produce under the deterministic min-clock scheduler. *)
   run_ahead : bool;
       (** Enable the run-ahead gate: a charge is applied inline, without
           an effect-handler suspension, whenever the proc would be

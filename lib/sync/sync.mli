@@ -5,7 +5,8 @@
     first-class continuations".
 
     All constructs block by parking the calling thread's continuation and
-    dispatching another thread; none of them spins. *)
+    dispatching another thread, through {!Mpthreads.Park}; none of them
+    spins. *)
 
 module Make (P : Mp.Mp_intf.PLATFORM_INT) (S : Mpthreads.Thread_intf.SCHED) : sig
   (** Write-once cell (future). *)

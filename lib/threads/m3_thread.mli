@@ -5,7 +5,8 @@
     Provides forked threads with typed join, blocking (non-spinning) mutexes
     with direct ownership handoff, and Mesa-semantics condition variables,
     all synthesized from the MP [Lock], refs and first-class continuations,
-    over any [SCHED] thread package. *)
+    over any [SCHED] thread package.  The mutex and condition are
+    {!Park}'s, shared with {!Ml_threads}. *)
 
 module Make (P : Mp.Mp_intf.PLATFORM_INT) (S : Thread_intf.SCHED) : sig
   type 'a t

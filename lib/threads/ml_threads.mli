@@ -6,7 +6,8 @@
     by returning or calling [exit]; mutexes with [acquire]/[try_acquire]/
     [release]; condition variables with [wait]/[signal]/[broadcast].
     There is no join — rendezvous is built from mutexes and conditions (or
-    see {!Mpsync.Sync}). *)
+    see {!Mpsync.Sync}).  The mutex and condition are {!Park}'s, shared
+    with {!M3_thread}. *)
 
 module Make (P : Mp.Mp_intf.PLATFORM_INT) (S : Thread_intf.SCHED) : sig
   type thread

@@ -203,11 +203,6 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
         enqueue (Cont (cont, (), id ()));
         dispatch ())
 
-  let block register =
-    Engine.callcc (fun k ->
-        register k;
-        dispatch ())
-
   let reschedule (cont, tid) = enqueue (Cont (cont, (), tid))
   let reschedule_thread (k, v, tid) = enqueue (Cont (k, v, tid))
 

@@ -31,12 +31,6 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) : sig
       {!Sched_policy.Lifo}.  If any thread raised, the first such exception is re-raised here after the pool
       winds down.  Not reentrant. *)
 
-  val block : ('a Mp.Engine.cont -> unit) -> 'a
-  (** [block register] captures the current thread as a continuation, hands
-      it to [register] (which must arrange for it to be resumed exactly once,
-      e.g. by parking it in a condition queue), and dispatches another
-      thread.  Returns the value the resumer delivers. *)
-
   val fork_join : (unit -> unit) list -> unit
   (** Fork every function as a thread and block until all have finished. *)
 

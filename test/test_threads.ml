@@ -219,22 +219,28 @@ let test_sched_thread_error_propagates () =
              S.with_pool (fun () ->
                  S.fork_join [ (fun () -> failwith "child") ]))))
 
+module SK = Mpthreads.Park.Make (D) (S)
+
 let test_sched_block_and_resume () =
+  let layer = SK.layer "test" in
   let v =
     D.run (fun () ->
         S.with_pool (fun () ->
+            let spin = D.Lock.mutex_lock () in
             let cell = Atomic.make None in
             S.fork (fun () ->
                 (* resume whoever parked in the cell, with value 5 *)
                 let rec loop () =
                   match Atomic.get cell with
-                  | Some (k, tid) -> S.reschedule_thread (k, 5, tid)
+                  | Some (k, tid) -> SK.wake_with layer "test.cell" (k, 5, tid)
                   | None ->
                       S.yield ();
                       loop ()
                 in
                 loop ());
-            S.block (fun k -> Atomic.set cell (Some (k, S.id ())))))
+            SK.park layer "test.cell" spin (fun w ->
+                Atomic.set cell (Some w);
+                SK.Wait)))
   in
   check "blocked thread resumed with value" 5 v
 
@@ -511,6 +517,32 @@ let test_m3_mutex () =
   in
   check "mutex protects counter" 4_000 v
 
+(* M3's parks report through the shared park telemetry under [sync.*]:
+   the root holds the mutex until it waits, so its first condition wait
+   must park, and every park of a finished run has been woken. *)
+let test_m3_parks_counted () =
+  let blocks = D.Telemetry.counter "sync.blocks" in
+  let wakeups = D.Telemetry.counter "sync.wakeups" in
+  let b0 = Obs.Counters.get blocks and w0 = Obs.Counters.get wakeups in
+  in_pool (fun () ->
+      let m = M3.Mutex.create () and c = M3.Condition.create () in
+      let ready = ref false in
+      M3.Mutex.lock m;
+      let t =
+        M3.fork (fun () ->
+            M3.Mutex.with_lock m (fun () ->
+                ready := true;
+                M3.Condition.signal c))
+      in
+      while not !ready do
+        M3.Condition.wait m c
+      done;
+      M3.Mutex.unlock m;
+      M3.join t);
+  let b = Obs.Counters.get blocks - b0 in
+  checkb "condition wait parked" true (b >= 1);
+  check "every park woken" b (Obs.Counters.get wakeups - w0)
+
 let test_m3_condition_producer_consumer () =
   let v =
     in_pool (fun () ->
@@ -696,6 +728,8 @@ let () =
           Alcotest.test_case "producer/consumer" `Quick
             test_m3_condition_producer_consumer;
           Alcotest.test_case "broadcast" `Quick test_m3_broadcast;
+          Alcotest.test_case "parks counted under sync" `Quick
+            test_m3_parks_counted;
           Alcotest.test_case "alert polled" `Quick test_m3_alert_polled;
           Alcotest.test_case "alert_wait wakes" `Quick test_m3_alert_wait_wakes;
           Alcotest.test_case "alert flag cleared" `Quick
