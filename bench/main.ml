@@ -151,8 +151,7 @@ let lock_scaling_cell sched name =
       end)
       ()
   in
-  let module CP = Locks.Charged_prims.Make (S) (Locks.Charged_prims.Default_costs)
-  in
+  let module CP = Locks.Charged_prims.Make (S) in
   let module SS = Mpthreads.Sched_thread.Make (S) in
   let (module L : Locks.Lock_intf.LOCK_EXT) =
     match name with

@@ -41,8 +41,7 @@ let pp_failure fmt f =
 module type S = sig
   include Mp.Mp_intf.PLATFORM
 
-  module Prims : Locks.Lock_intf.PRIMS
-  module Catomic : Queues.Queue_intf.ATOMIC
+  module Prims : Mp.Mp_intf.PRIMS
 
   val spawn : (unit -> unit) -> unit
 
@@ -137,15 +136,22 @@ struct
   let cur = ref 0
   let nsteps = ref 0
 
-  (* Interconnect topology reported by [Proc.nodes]/[Proc.node_of]:
-     scenarios set it (outside [run]) to explore node-aware scheduler
-     behavior; it is read-only during exploration, so replay stays
-     deterministic. *)
-  let topo_nodes = ref 1
+  (* The simulator's interconnect, for its topology ([Proc.nodes],
+     [Proc.node_of]) and its sharer-set code ([Work] lines), so scenarios
+     explore the code the simulator runs.  Scenarios set the node count
+     (outside [run]) to explore node-aware scheduler behavior; it is
+     read-only during exploration, so replay stays deterministic.  Nothing
+     here is priced. *)
+  let topology n =
+    Sim.Interconnect.create
+      { (Sim.Sim_config.numa ~nodes:n ()) with procs = n_procs }
+
+  let ic = ref (topology 1)
 
   let set_nodes n =
     if !running then invalid_arg "Mp_check.set_nodes: run in progress";
-    topo_nodes := max 1 (min n n_procs)
+    ic := topology (max 1 (min n n_procs))
+
   let failed : exn option ref = ref None
   let last_chosen = ref (-1)
   let preempts = ref 0
@@ -264,13 +270,7 @@ struct
 
   (* ---- platform modules --------------------------------------------- *)
 
-  module Kont = struct
-    type 'a cont = 'a Engine.cont
-
-    let callcc = Engine.callcc
-    let throw = Engine.throw
-    let throw_exn = Engine.throw_exn
-  end
+  module Kont = Engine
 
   module Telemetry = Mp.Mp_intf.Telemetry_of (struct
     let handle =
@@ -334,20 +334,12 @@ struct
         l.held <- false
       end
 
-    let locked l f =
-      lock l;
-      match f () with
-      | v ->
-          unlock l;
-          v
-      | exception e ->
-          unlock l;
-          raise e
+    let locked l f = Mp.Mp_intf.locked ~lock ~unlock l f
   end
 
-  (* Instrumented atomic cells, shared by [Prims] and [Catomic]. *)
-  module Cell = struct
-    type 'a t = { cid : int; mutable v : 'a }
+  (* Instrumented atomic cells. *)
+  module Prims = struct
+    type 'a cell = { cid : int; mutable v : 'a }
 
     let lbl what acc c =
       Check_intf.desc (Printf.sprintf "cell.%s c%d" what c.cid) c.cid acc
@@ -384,17 +376,13 @@ struct
       let old = c.v in
       c.v <- old + n;
       old
-  end
 
-  module Prims = struct
-    type 'a cell = 'a Cell.t
+    (* Deliberately NOT a serialization point: [unsafe_peek] backs
+       observation-only idle predicates, so exploring schedules around it
+       would only blow up the state space without adding interleavings a
+       real algorithm step could distinguish. *)
+    let unsafe_peek c = c.v
 
-    let make = Cell.make
-    let get = Cell.get
-    let set = Cell.set
-    let exchange = Cell.exchange
-    let compare_and_set = Cell.compare_and_set
-    let fetch_and_add = Cell.fetch_and_add
     let yield_op label =
       Check_intf.desc label Check_intf.obj_local Check_intf.Yield
 
@@ -409,23 +397,6 @@ struct
     let on_spin () = incr spins
   end
 
-  module Catomic = struct
-    type 'a t = 'a Cell.t
-
-    let make = Cell.make
-    let get = Cell.get
-    let set = Cell.set
-    let exchange = Cell.exchange
-    let compare_and_set = Cell.compare_and_set
-    let fetch_and_add = Cell.fetch_and_add
-
-    (* Deliberately NOT a serialization point: [unsafe_peek] backs
-       observation-only idle predicates, so exploring schedules around it
-       would only blow up the state space without adding interleavings a
-       real algorithm step could distinguish. *)
-    let unsafe_peek (c : 'a Cell.t) = c.Cell.v
-  end
-
   module Proc = struct
     type proc_datum = D.t
     type proc_state = PS of unit Engine.cont * proc_datum
@@ -438,14 +409,8 @@ struct
     let live_procs () =
       Array.fold_left (fun n p -> if p.state = Free then n else n + 1) 0 procs
 
-    (* Topology under exploration: [set_nodes] (below, module level) groups
-       the procs into contiguous nodes so node-aware scheduler paths can be
-       model-checked; 1 (the default) is the flat machine. *)
-    let nodes () = !topo_nodes
-
-    let node_of p =
-      let n = !topo_nodes in
-      if n <= 1 then 0 else p / ((n_procs + n - 1) / n)
+    let nodes () = Sim.Interconnect.nodes !ic
+    let node_of p = Sim.Interconnect.node_of !ic p
 
     let acquire_proc (PS (k, d)) =
       sched_point
@@ -494,15 +459,14 @@ struct
     let traffic ~bytes:_ = ()
 
     (* Lines carry no cost here, but the sharing protocol is still worth
-       exploring: scenarios can read the tracked sharer set back through
-       the cell layer to check the claim/invalidate discipline. *)
-    type line = { mutable sharers : int }
+       exploring: scenarios read the sharer set back ([line_sharers]) to
+       check the claim/invalidate discipline. *)
+    type line = Sim.Interconnect.line
 
-    let line () = { sharers = 0 }
-    let read_line ln = ln.sharers <- ln.sharers lor (1 lsl Proc.node_of !cur)
-
+    let line = Sim.Interconnect.line
+    let read_line ln = Sim.Interconnect.share !ic ln ~proc:!cur
     let write_line ln ~bytes:_ =
-      ln.sharers <- 1 lsl Proc.node_of !cur
+      ignore (Sim.Interconnect.claim !ic ln ~proc:!cur)
 
     let poll () =
       sched_point
@@ -535,9 +499,8 @@ struct
       queue_wait.(!cur) <- queue_wait.(!cur) +. seconds
   end
 
-  (* Scenario-side accessor for the tracked sharer set (Work.line is
-     abstract through PLATFORM): bit n set = node n holds the line. *)
-  let line_sharers (ln : Work.line) = ln.Work.sharers
+  (* Scenario-side accessor (Work.line is abstract through PLATFORM). *)
+  let line_sharers = Sim.Interconnect.sharers
 
   let spawn f =
     Proc.acquire_proc
@@ -549,20 +512,13 @@ struct
 
   (* ---- the exploration loop ----------------------------------------- *)
 
-  (* Run a proc's pending action to its next serialization point.  [Start]
-     (fresh fibers, including callcc bodies), [Resume] and [Raise] (throw)
-     are control transfers WITHIN the slice — they are how the engine's
-     trampoline works — so they are interpreted inline, not as decisions. *)
-  let rec interp ~on_exn action =
-    match action with
-    | Engine.Start f -> interp ~on_exn (Engine.run_fiber ~on_exn f)
-    | Engine.Resume (c, v) -> interp ~on_exn (Engine.resume c v)
-    | Engine.Raise (c, e) -> interp ~on_exn (Engine.resume_exn c e)
-    | Engine.Stop -> `Stop
-    | A_point (op, kind, k) -> `Point (op, kind, k)
-    | A_block (op, w, k) -> `Block (op, w, k)
-    | _ -> raise Engine.Unhandled_action
+  let on_exn e =
+    if !failed = None then failed := Some e;
+    Engine.Stop
 
+  (* Run a proc's pending action to its next serialization point.  The
+     control transfers of the engine's trampoline ([Start], [Resume],
+     [Raise]) happen WITHIN the slice, not as decisions. *)
   let exec_slice p =
     cur := p.id;
     p.yielded <- false;
@@ -576,22 +532,19 @@ struct
       p.state <- Ready;
       p.wait <- None
     end;
-    let on_exn e =
-      if !failed = None then failed := Some e;
-      Engine.Stop
-    in
-    match interp ~on_exn action with
-    | `Stop -> p.state <- Free
-    | `Point (op, kind, k) ->
+    match Engine.trampoline ~on_exn action with
+    | Engine.Stop -> p.state <- Free
+    | A_point (op, kind, k) ->
         p.pending <- Some (Engine.Resume (k, ()));
         p.op <- op;
         p.state <- Ready;
         p.yielded <- kind = K_yield
-    | `Block (op, w, k) ->
+    | A_block (op, w, k) ->
         p.pending <- Some (Engine.Resume (k, ()));
         p.op <- op;
         p.state <- Blocked;
         p.wait <- Some w
+    | _ -> raise Engine.Unhandled_action
 
   let is_enabled p =
     match p.state with
@@ -782,13 +735,7 @@ struct
           end
         in
         loop ();
-        match (!failed, !result) with
-        | Some e, _ -> raise e
-        | None, Some v -> v
-        | None, None ->
-            raise
-              (Mp.Mp_intf.Deadlock
-                 "mp_check: all procs released without producing a result"))
+        Mp.Mp_intf.outcome ~platform:name ~escaped:!failed !result)
 
   let stats () =
     let t = Mp.Stats.zero ~platform:name ~procs:n_procs in

@@ -5,8 +5,8 @@
     access in the queue family, proc acquire/release, [Work] safe points —
     suspends the running fiber at a {e serialization point}, and a
     single-threaded exploration loop decides which proc performs its pending
-    operation next.  Client code (locks over [Prims], queues over [Catomic],
-    and the thread/sync/select/CML packages over the [PLATFORM] itself) runs
+    operation next.  Client code (locks and the lock-free queue over
+    [Prims], the thread/sync/select/CML packages over the [PLATFORM]) runs
     unmodified; between two serialization points a proc executes atomically,
     so the set of explored interleavings is exactly the set of orderings of
     visible operations.
@@ -53,15 +53,12 @@ val pp_failure : Format.formatter -> failure -> unit
 module type S = sig
   include Mp.Mp_intf.PLATFORM
 
-  module Prims : Locks.Lock_intf.PRIMS
-  (** Instrumented atomic cells for the lock-algorithm functors: every
-      [get]/[set]/[exchange]/[compare_and_set]/[fetch_and_add] is a
-      serialization point; [pause]/[pause_n] are yield points, which is how
-      spin loops stay fair (and finite) under exploration. *)
-
-  module Catomic : Queues.Queue_intf.ATOMIC
-  (** The same instrumented cells under the queue family's [ATOMIC]
-      signature, for [Spmc_queue.Make]. *)
+  module Prims : Mp.Mp_intf.PRIMS
+  (** Instrumented atomic cells for the lock-algorithm functors and
+      [Spmc_queue.Make]: every [get]/[set]/[exchange]/[compare_and_set]/
+      [fetch_and_add] is a serialization point, [unsafe_peek] is not, and
+      [pause]/[pause_n] are yield points, which is how spin loops stay
+      fair (and finite) under exploration. *)
 
   val spawn : (unit -> unit) -> unit
   (** Acquire a free proc and run the thunk on it, releasing the proc when
@@ -75,9 +72,9 @@ module type S = sig
       during a run — call it outside [run], typically at scenario start. *)
 
   val line_sharers : Work.line -> int
-  (** The tracked sharer set of a cache line (bit [n] set = node [n]
-      holds the line), for scenarios checking the claim/invalidate
-      discipline. *)
+  (** The sharer set of a cache line (bit [n] set = node [n] holds the
+      line), as the simulator's [Interconnect] tracks it, for scenarios
+      checking the claim/invalidate discipline. *)
 
   module Explore : sig
     val dfs :

@@ -58,7 +58,7 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
 
     let unlock l = C.Prims.set l false
 
-    let locked l f = Locks.Lock_intf.locked_default ~lock ~unlock l f
+    let locked l f = Mp.Mp_intf.locked ~lock ~unlock l f
   end
 
   let mutex_scenario (module L : Mp.Mp_intf.LOCK) () =
@@ -142,7 +142,7 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
      element must come out exactly once, whichever side wins the CAS. *)
   let spmc_queue_scenario () =
     C.run (fun () ->
-        let module SQ = Queues.Spmc_queue.Make (C.Catomic) in
+        let module SQ = Queues.Spmc_queue.Make (C.Prims) in
         let q = SQ.create () in
         let stolen = ref [] in
         let popped = ref [] in

@@ -2,8 +2,8 @@
 
     Each scenario is a self-contained body for {!Mp_check.S.Explore}: it
     calls the platform's [run] exactly once, drives two (or more) procs
-    through one of the platform's client surfaces — a lock algorithm over
-    [Prims], a queue over [Catomic] or a platform lock, the sync/select/CML
+    through one of the platform's client surfaces — a lock algorithm or
+    the lock-free queue over [Prims], a platform lock, the sync/select/CML
     packages over a minimal proc-per-thread scheduler — and raises if an
     invariant that must hold on {e every} schedule is violated.  Shared by
     [test/test_check.ml] (exhaustive DFS per scenario) and

@@ -1,4 +1,4 @@
-module Make (P : Lock_intf.PRIMS) = struct
+module Make (P : Mp.Mp_intf.PRIMS) = struct
   type mutex_lock = {
     flags : bool P.cell array; (* exactly one true flag: the grant token *)
     tail : int P.cell;
@@ -38,6 +38,6 @@ module Make (P : Lock_intf.PRIMS) = struct
     let my = P.get l.holder_slot in
     P.set l.flags.(my) false;
     P.set l.flags.((my + 1) mod Array.length l.flags) true
-  let locked l f = Lock_intf.locked_default ~lock ~unlock l f
+  let locked l f = Mp.Mp_intf.locked ~lock ~unlock l f
 
 end

@@ -3,7 +3,7 @@
     location.  Capacity-bounded: at most [slots] procs may contend at once.
     Queue-style: the releasing proc is expected to be the holder. *)
 
-module Make (P : Lock_intf.PRIMS) : sig
+module Make (P : Mp.Mp_intf.PRIMS) : sig
   include Lock_intf.LOCK_EXT
 
   val mutex_lock_sized : slots:int -> mutex_lock

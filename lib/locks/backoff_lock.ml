@@ -1,7 +1,7 @@
 let min_backoff = 1
 let max_backoff = 1024
 
-module Make (P : Lock_intf.PRIMS) = struct
+module Make (P : Mp.Mp_intf.PRIMS) = struct
   type mutex_lock = bool P.cell
 
   let holder_must_unlock = false
@@ -17,6 +17,6 @@ module Make (P : Lock_intf.PRIMS) = struct
     done
 
   let unlock l = P.set l false
-  let locked l f = Lock_intf.locked_default ~lock ~unlock l f
+  let locked l f = Mp.Mp_intf.locked ~lock ~unlock l f
 
 end

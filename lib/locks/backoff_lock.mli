@@ -2,4 +2,4 @@
     smarter spin the paper's §3.3 says justifies putting [lock] in the
     interface rather than leaving clients to spin on [try_lock]. *)
 
-module Make (P : Lock_intf.PRIMS) : Lock_intf.LOCK_EXT
+module Make (P : Mp.Mp_intf.PRIMS) : Lock_intf.LOCK_EXT

@@ -1,20 +1,11 @@
-module type COSTS = sig
-  val rmw_cycles : int
-  val read_cycles : int
-  val write_cycles : int
-  val pause_cycles : int
-end
-
-(* 1993-bus flavored defaults: an RMW is a full bus transaction, a spin read
+(* 1993-bus flavored costs: an RMW is a full bus transaction, a spin read
    is a cache hit, a remote write invalidates. *)
-module Default_costs : COSTS = struct
-  let rmw_cycles = 60
-  let read_cycles = 2
-  let write_cycles = 20
-  let pause_cycles = 10
-end
+let rmw_cycles = 60
+let read_cycles = 2
+let write_cycles = 20
+let pause_cycles = 10
 
-module Make (P : Mp.Mp_intf.PLATFORM) (C : COSTS) = struct
+module Make (P : Mp.Mp_intf.PLATFORM) = struct
   (* Each cell carries a platform cache line so the simulator can track
      which nodes have it cached: reads add the reader's node to the sharer
      set, RMWs claim it exclusive and pay for cross-node transfers and
@@ -31,7 +22,7 @@ module Make (P : Mp.Mp_intf.PLATFORM) (C : COSTS) = struct
   let make v = { v = Atomic.make v; ln = P.Work.line () }
 
   let get c =
-    P.Work.charge C.read_cycles;
+    P.Work.charge read_cycles;
     let r = Atomic.get c.v in
     P.Work.read_line c.ln;
     r
@@ -43,7 +34,7 @@ module Make (P : Mp.Mp_intf.PLATFORM) (C : COSTS) = struct
   let unsafe_peek c = Atomic.get c.v
 
   let set c v =
-    P.Work.charge C.write_cycles;
+    P.Work.charge write_cycles;
     Atomic.set c.v v
 
   (* An RMW is a bus transaction: it charges the probing proc AND occupies
@@ -55,24 +46,24 @@ module Make (P : Mp.Mp_intf.PLATFORM) (C : COSTS) = struct
   let rmw_bus_bytes = 8
 
   let exchange c v =
-    P.Work.charge C.rmw_cycles;
+    P.Work.charge rmw_cycles;
     P.Work.write_line c.ln ~bytes:rmw_bus_bytes;
     Atomic.exchange c.v v
 
   let compare_and_set c old v =
-    P.Work.charge C.rmw_cycles;
+    P.Work.charge rmw_cycles;
     P.Work.write_line c.ln ~bytes:rmw_bus_bytes;
     Atomic.compare_and_set c.v old v
 
   let fetch_and_add c n =
-    P.Work.charge C.rmw_cycles;
+    P.Work.charge rmw_cycles;
     P.Work.write_line c.ln ~bytes:rmw_bus_bytes;
     Atomic.fetch_and_add c.v n
 
-  let pause () = P.Work.charge C.pause_cycles
+  let pause () = P.Work.charge pause_cycles
 
   let pause_n n =
-    if n > 0 then P.Work.charge (n * C.pause_cycles)
+    if n > 0 then P.Work.charge (n * pause_cycles)
 
   (* [on_spin] is the hottest operation in a contended section — every
      failed probe of every spinning proc lands here — and the simulator

@@ -10,27 +10,12 @@
     suspension point and the operation itself then executes without
     interleaving, so it is atomic in virtual time. *)
 
-module type COSTS = sig
-  val rmw_cycles : int
-  (** exchange / compare_and_set / fetch_and_add *)
-
-  val read_cycles : int
-  val write_cycles : int
-  val pause_cycles : int
-end
-
-(** RMW = full bus transaction, spin read = cache hit. *)
-module Default_costs : COSTS
-
-module Make (P : Mp.Mp_intf.PLATFORM) (_ : COSTS) : sig
-  include Lock_intf.PRIMS
-
-  val unsafe_peek : 'a cell -> 'a
-  (** Uncharged, observation-only read.  For scheduler idle predicates
-      ([Work.idle_until ~ready] requires a charge-free predicate); algorithm
-      code must keep using {!get}.  Together with the [PRIMS] operations this
-      lets a cell-compatible {!Queues.Queue_intf.ATOMIC} instance be built
-      over charged cells. *)
+module Make (P : Mp.Mp_intf.PLATFORM) : sig
+  include Mp.Mp_intf.PRIMS
+  (** A read costs 2 cycles, a write 20, an RMW (exchange,
+      compare_and_set, fetch_and_add) 60 plus a bus transaction on the
+      cell's line, and a pause unit 10.  [unsafe_peek] is free and leaves
+      the line alone, as scheduler idle predicates require. *)
 
   val spin_count : unit -> int
   val reset_spin_count : unit -> unit

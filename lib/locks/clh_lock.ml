@@ -1,4 +1,4 @@
-module Make (P : Lock_intf.PRIMS) = struct
+module Make (P : Mp.Mp_intf.PRIMS) = struct
   type node = { busy : bool P.cell }
 
   type mutex_lock = {
@@ -38,6 +38,6 @@ module Make (P : Lock_intf.PRIMS) = struct
     end
 
   let unlock l = P.set (P.get l.holder).busy false
-  let locked l f = Lock_intf.locked_default ~lock ~unlock l f
+  let locked l f = Mp.Mp_intf.locked ~lock ~unlock l f
 
 end

@@ -2,4 +2,4 @@
     its predecessor's node, giving purely local spinning and FIFO order.
     Queue-style: the releasing proc is expected to be the holder. *)
 
-module Make (P : Lock_intf.PRIMS) : Lock_intf.LOCK_EXT
+module Make (P : Mp.Mp_intf.PRIMS) : Lock_intf.LOCK_EXT

@@ -1,6 +1,6 @@
 let pool_size = 64
 
-module Make (P : Lock_intf.PRIMS) = struct
+module Make (P : Mp.Mp_intf.PRIMS) = struct
   module Hw = Tas_lock.Make (P)
 
   type mutex_lock = { id : int; mutable held : bool }
@@ -39,6 +39,6 @@ module Make (P : Lock_intf.PRIMS) = struct
     done
 
   let unlock l = with_hw l (fun () -> l.held <- false)
-  let locked l f = Lock_intf.locked_default ~lock ~unlock l f
+  let locked l f = Mp.Mp_intf.locked ~lock ~unlock l f
 
 end

@@ -8,7 +8,7 @@
     unbounded population of one-bit software locks, each hashed onto a pool
     entry. *)
 
-module Make (P : Lock_intf.PRIMS) : sig
+module Make (P : Mp.Mp_intf.PRIMS) : sig
   include Lock_intf.LOCK_EXT
 
   val pool_size : int

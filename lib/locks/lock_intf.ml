@@ -1,45 +1,13 @@
 (** Interfaces for the lock-algorithm collection.
 
-    Every algorithm is a functor over [PRIMS], the handful of atomic memory
-    operations the paper's §5 identifies as the machine-dependent core of
-    [Lock] (atomic exchange on the 88100/Sequent, hardware lock registers on
-    the SGI).  Instantiating with {!Atomic_prims} gives real locks over
-    [Stdlib.Atomic]; the simulator instantiates the same algorithm text with
-    charged, virtual-time primitives, so contention behaviour can be studied
-    deterministically. *)
-
-module type PRIMS = sig
-  type 'a cell
-
-  val make : 'a -> 'a cell
-  val get : 'a cell -> 'a
-  val set : 'a cell -> 'a -> unit
-  val exchange : 'a cell -> 'a -> 'a
-  val compare_and_set : 'a cell -> 'a -> 'a -> bool
-  val fetch_and_add : int cell -> int -> int
-
-  val pause : unit -> unit
-  (** One spin-wait iteration. *)
-
-  val pause_n : int -> unit
-  (** Backoff pause of [n] units. *)
-
-  val on_spin : unit -> unit
-  (** Account one failed acquisition attempt (contention statistics). *)
-end
-
-(** Default [LOCK.locked]: plain acquire/section/release.  The algorithms
-    in this collection have no cheaper fused episode (unlike the simulator's
-    platform lock), so they all delegate here. *)
-let locked_default ~lock ~unlock l f =
-  lock l;
-  match f () with
-  | v ->
-      unlock l;
-      v
-  | exception e ->
-      unlock l;
-      raise e
+    Every algorithm is a functor over {!Mp.Mp_intf.PRIMS}, the handful of
+    atomic memory operations the paper's §5 identifies as the
+    machine-dependent core of [Lock] (atomic exchange on the
+    88100/Sequent, hardware lock registers on the SGI).  Instantiating
+    with {!Mp.Mp_intf.Atomic_prims} gives real locks over [Stdlib.Atomic];
+    the simulator instantiates the same algorithm text with charged,
+    virtual-time primitives ({!Charged_prims}), so contention behaviour
+    can be studied deterministically. *)
 
 (** The paper's [LOCK] plus introspection used by tests and benches. *)
 module type LOCK_EXT = sig
@@ -49,70 +17,4 @@ module type LOCK_EXT = sig
   (** [false] for the paper-conformant locks (any proc may [unlock]); [true]
       for the queue locks (ticket/Anderson/CLH), which hand the lock to the
       next waiter and therefore assume the releasing proc is the holder. *)
-end
-
-(** Atomic primitives over [Stdlib.Atomic] with a global spin counter. *)
-module Atomic_prims : sig
-  include PRIMS
-
-  val spin_count : unit -> int
-  val reset_spin_count : unit -> unit
-end = struct
-  type 'a cell = 'a Atomic.t
-
-  let make = Atomic.make
-  let get = Atomic.get
-  let set = Atomic.set
-  let exchange = Atomic.exchange
-  let compare_and_set = Atomic.compare_and_set
-  let fetch_and_add = Atomic.fetch_and_add
-  let pause () = Domain.cpu_relax ()
-
-  let pause_n n =
-    for _ = 1 to n do
-      Domain.cpu_relax ()
-    done
-
-  let spins = Atomic.make 0
-  let on_spin () = Atomic.incr spins
-  let spin_count () = Atomic.get spins
-  let reset_spin_count () = Atomic.set spins 0
-end
-
-(** Atomic primitives for a real backend whose contention statistics flow
-    into the platform's telemetry registry (under ["lock.prims_spins"],
-    like the charged simulator primitives), so spin counts from the
-    lock-algorithm collection surface uniformly across backends.  The
-    operations themselves are plain [Stdlib.Atomic] — no virtual-time
-    charging. *)
-module Platform_prims (P : Mp.Mp_intf.PLATFORM) : sig
-  include PRIMS
-
-  val spin_count : unit -> int
-  val reset_spin_count : unit -> unit
-end = struct
-  type 'a cell = 'a Atomic.t
-
-  let make = Atomic.make
-  let get = Atomic.get
-  let set = Atomic.set
-  let exchange = Atomic.exchange
-  let compare_and_set = Atomic.compare_and_set
-  let fetch_and_add = Atomic.fetch_and_add
-  let pause () = Domain.cpu_relax ()
-
-  let pause_n n =
-    for _ = 1 to n do
-      Domain.cpu_relax ()
-    done
-
-  let spins = Atomic.make 0
-  let c_spins = P.Telemetry.counter "lock.prims_spins"
-
-  let on_spin () =
-    Atomic.incr spins;
-    Obs.Counters.incr c_spins
-
-  let spin_count () = Atomic.get spins
-  let reset_spin_count () = Atomic.set spins 0
 end

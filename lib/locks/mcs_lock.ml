@@ -1,4 +1,4 @@
-module Make (P : Lock_intf.PRIMS) = struct
+module Make (P : Mp.Mp_intf.PRIMS) = struct
   type node = { locked : bool P.cell; next : node option P.cell }
 
   (* [holder] remembers both the holder's node and the {e physical}
@@ -57,6 +57,6 @@ module Make (P : Lock_intf.PRIMS) = struct
           in
           wait_link ()
         end
-  let locked l f = Lock_intf.locked_default ~lock ~unlock l f
+  let locked l f = Mp.Mp_intf.locked ~lock ~unlock l f
 
 end

@@ -5,4 +5,4 @@
     caches.  Queue-style: the releasing proc is expected to be the
     holder. *)
 
-module Make (P : Lock_intf.PRIMS) : Lock_intf.LOCK_EXT
+module Make (P : Mp.Mp_intf.PRIMS) : Lock_intf.LOCK_EXT

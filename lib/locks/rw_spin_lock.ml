@@ -1,4 +1,4 @@
-module Make (P : Lock_intf.PRIMS) = struct
+module Make (P : Mp.Mp_intf.PRIMS) = struct
   type t = { state : int P.cell }
 
   let create () = { state = P.make 0 }

@@ -7,7 +7,7 @@
     n>0 = n active readers.  Writers spin for exclusivity; readers spin
     while a writer holds the lock. *)
 
-module Make (P : Lock_intf.PRIMS) : sig
+module Make (P : Mp.Mp_intf.PRIMS) : sig
   type t
 
   val create : unit -> t

@@ -1,4 +1,4 @@
-module Make (P : Lock_intf.PRIMS) = struct
+module Make (P : Mp.Mp_intf.PRIMS) = struct
   type mutex_lock = bool P.cell
 
   let holder_must_unlock = false
@@ -12,6 +12,6 @@ module Make (P : Lock_intf.PRIMS) = struct
     done
 
   let unlock l = P.set l false
-  let locked l f = Lock_intf.locked_default ~lock ~unlock l f
+  let locked l f = Mp.Mp_intf.locked ~lock ~unlock l f
 
 end

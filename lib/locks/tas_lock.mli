@@ -3,4 +3,4 @@
     with [lock] exactly the naive spin
     [while not (try_lock l) do () done]. *)
 
-module Make (P : Lock_intf.PRIMS) : Lock_intf.LOCK_EXT
+module Make (P : Mp.Mp_intf.PRIMS) : Lock_intf.LOCK_EXT

@@ -1,4 +1,4 @@
-module Make (P : Lock_intf.PRIMS) = struct
+module Make (P : Mp.Mp_intf.PRIMS) = struct
   type mutex_lock = { next : int P.cell; serving : int P.cell }
 
   let holder_must_unlock = true
@@ -16,6 +16,6 @@ module Make (P : Lock_intf.PRIMS) = struct
     done
 
   let unlock l = P.set l.serving (P.get l.serving + 1)
-  let locked l f = Lock_intf.locked_default ~lock ~unlock l f
+  let locked l f = Mp.Mp_intf.locked ~lock ~unlock l f
 
 end

@@ -3,4 +3,4 @@
     traffic that the naive TAS spin generates (Anderson 1990, the paper's
     reference for "a more efficient spin"). *)
 
-module Make (P : Lock_intf.PRIMS) : Lock_intf.LOCK_EXT
+module Make (P : Mp.Mp_intf.PRIMS) : Lock_intf.LOCK_EXT

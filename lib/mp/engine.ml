@@ -73,3 +73,15 @@ let resume c v =
 let resume_exn c e =
   claim c;
   Effect.Deep.discontinue c.k e
+
+(* An exception out of a step did not escape a fiber (the fiber's handler
+   routes those to [on_exn] already): it was raised while resuming, i.e. a
+   second resumption's [Already_resumed], or by a suspend body.  It takes
+   the same path, so no exception leaves the trampoline and kills the proc
+   running it. *)
+let rec trampoline ~on_exn action =
+  match action with
+  | Resume (c, v) -> trampoline ~on_exn (try resume c v with e -> on_exn e)
+  | Raise (c, e) -> trampoline ~on_exn (try resume_exn c e with e -> on_exn e)
+  | Start f -> trampoline ~on_exn (try run_fiber ~on_exn f with e -> on_exn e)
+  | a -> a

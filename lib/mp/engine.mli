@@ -2,9 +2,10 @@
 
     This is the OCaml analog of SML/NJ's [callcc]/[throw], restricted to the
     one-shot discipline that thread schedulers obey: every captured
-    continuation is resumed at most once.  The engine is shared by every MP
-    backend; backends differ only in the trampoline that interprets
-    {!type:action} values. *)
+    continuation is resumed at most once.  The engine, including the
+    {!trampoline} that interprets control transfers, is shared by every MP
+    backend; backends differ only in the directives they add to
+    {!type:action} and in what they do with them. *)
 
 type action = ..
 (** What a proc should do next.  Extensible so that backends (notably the
@@ -25,7 +26,7 @@ exception Already_resumed
     client protocol violation (e.g. a thread rescheduled twice). *)
 
 exception Unhandled_action
-(** Raised by a backend trampoline on an action it does not interpret. *)
+(** Raised by a backend on a directive it does not interpret. *)
 
 val suspensions : unit -> int
 (** Number of {!suspend}s performed process-wide since the last
@@ -58,15 +59,15 @@ val throw_exn : 'a cont -> exn -> 'b
 (** [throw_exn c e] abandons the current computation and resumes [c] by
     raising [e] at its suspension point.  Never returns. *)
 
-val run_fiber : on_exn:(exn -> action) -> (unit -> unit) -> action
-(** [run_fiber ~on_exn f] runs [f ()] as a fresh fiber until it suspends,
-    finishes ([Stop]) or raises ([on_exn e] decides the next action).
-    Returns the action produced at the first suspension point. *)
-
 val resume : 'a cont -> 'a -> action
 (** Resume a suspended fiber with a value; returns the action produced at
     its next suspension point.  Enforces one-shotness. *)
 
-val resume_exn : 'a cont -> exn -> action
-(** Resume a suspended fiber by raising an exception at its suspension
-    point. *)
+val trampoline : on_exn:(exn -> action) -> action -> action
+(** [trampoline ~on_exn a] interprets [Resume], [Raise] and [Start] until
+    some other action comes back — [Stop] or a backend directive — and
+    returns it.  Each [Start] runs a fresh fiber: its normal return is
+    [Stop].  [on_exn e] decides the next action for every exception: one
+    that escaped a fiber, and one raised while resuming, which is a
+    one-shot violation ({!Already_resumed}) or a suspend body's.  No
+    exception escapes the trampoline itself. *)

@@ -1,13 +1,18 @@
+(* The thunk runs at the base of its own fiber: its return reaches
+   [on_return] and an exception it raises reaches the trampoline's
+   [on_exn], as any fiber's does. *)
 let cont_of_thunk ~on_return f =
-  Engine.callcc (fun ret ->
-      (* Capture a resume point and hand it back to the caller; the code
-         after the inner callcc runs only when that point is resumed. *)
-      Engine.callcc (fun c -> Engine.throw ret c);
-      f ();
-      on_return ();
-      (* [on_return] is expected to transfer control away (release_proc or
-         dispatch); reaching here is a client protocol error. *)
-      failwith "Kont_util.cont_of_thunk: on_return returned")
+  Engine.suspend (fun ret ->
+      Engine.Start
+        (fun () ->
+          (* Hand a resume point back to the caller; the code after it
+             runs only when that point is resumed. *)
+          Engine.suspend (fun c -> Engine.Resume (ret, c));
+          f ();
+          on_return ();
+          (* [on_return] is expected to transfer control away (release_proc
+             or dispatch); reaching here is a client protocol error. *)
+          failwith "Kont_util.cont_of_thunk: on_return returned"))
 
 let unit_cont_of k v =
   cont_of_thunk ~on_return:(fun () -> ()) (fun () -> Engine.throw k v)

@@ -6,13 +6,7 @@ module Make
   let name = "domains"
   let max_procs = max 1 C.max_procs
 
-  module Kont = struct
-    type 'a cont = 'a Engine.cont
-
-    let callcc = Engine.callcc
-    let throw = Engine.throw
-    let throw_exn = Engine.throw_exn
-  end
+  module Kont = Engine
 
   type slot_state = Free | Busy
 
@@ -29,9 +23,7 @@ module Make
   let cond = Condition.create ()
   let quit = ref false
   let running = ref false
-  let result_ready = ref false (* root result or escaped exception available *)
-  let escaped : exn option ref = ref None
-  let current_on_exn : (exn -> Engine.action) ref = ref (fun e -> raise e)
+  let escaped : exn option Atomic.t = Atomic.make None
 
   let slots =
     Array.init max_procs (fun id ->
@@ -61,13 +53,9 @@ module Make
     if id < 0 then invalid_arg "Mp_domains: not running on an MP proc";
     slots.(id)
 
-  let rec exec action =
-    match action with
-    | Engine.Resume (c, v) -> exec (Engine.resume c v)
-    | Engine.Raise (c, e) -> exec (Engine.resume_exn c e)
-    | Engine.Start f -> exec (Engine.run_fiber ~on_exn:!current_on_exn f)
-    | Engine.Stop -> ()
-    | _ -> raise Engine.Unhandled_action
+  let on_exn e =
+    ignore (Atomic.compare_and_set escaped None (Some e));
+    Engine.Stop
 
   (* Run one delivery: execute [action] until this proc stops, then mark the
      slot free.  Busy time and minor-heap allocation (a per-domain counter
@@ -79,7 +67,9 @@ module Make
     if Telemetry.enabled () then
       Telemetry.emit
         (Obs.Event.Dispatch { proc = slot.id; clock = Telemetry.now_ts () });
-    exec action;
+    (match Engine.trampoline ~on_exn action with
+    | Engine.Stop -> ()
+    | _ -> raise Engine.Unhandled_action);
     slot.stats.busy <- slot.stats.busy +. (Unix.gettimeofday () -. t0);
     slot.stats.alloc_words <-
       slot.stats.alloc_words + int_of_float (Gc.minor_words () -. w0);
@@ -193,40 +183,18 @@ module Make
              })
 
     let unlock l = Atomic.set l false
-
-    let locked l f =
-      lock l;
-      match f () with
-      | v ->
-          unlock l;
-          v
-      | exception e ->
-          unlock l;
-          raise e
+    let locked l f = Mp_intf.locked ~lock ~unlock l f
   end
 
   module Work = struct
-    let hook = ref (fun () -> ())
-    let step ?alloc_words:_ ~instrs:_ () = !hook ()
-    let charge _ = ()
-    let alloc ~words:_ = ()
-    let traffic ~bytes:_ = ()
+    include Mp_intf.Free_work ()
 
-    type line = unit
-
-    let line () = ()
-    let read_line _ = ()
-    let write_line _ ~bytes:_ = ()
-    let poll () = !hook ()
-    let set_poll_hook f = hook := f
     let idle () = Domain.cpu_relax ()
 
     let idle_until ~ready =
       while not (ready ()) do
         Domain.cpu_relax ()
       done
-
-    let now () = Unix.gettimeofday ()
 
     (* The wait happened on the calling domain, so the slot lookup
        attributes it to the right proc — this is what lets server-tail
@@ -239,19 +207,12 @@ module Make
   let last_elapsed = ref 0.
   let last_gc_count = ref 0
 
-  (* Host collections (minor + major) since program start; [Gc.quick_stat]
-     on OCaml 5 reports process-wide totals, so a run delta covers every
-     domain the run used. *)
-  let host_collections () =
-    let g = Gc.quick_stat () in
-    g.Gc.minor_collections + g.Gc.major_collections
-
   let all_free_no_inbox () =
     Array.for_all (fun s -> s.state = Free && s.inbox = None) slots
 
   (* Serve actions delivered to the root slot (slot 0 may be re-acquired
-     after the root proc releases itself), and return once the computation
-     is finished or provably deadlocked. *)
+     after the root proc releases itself), and return once every proc has
+     been released. *)
   let root_service_loop () =
     let rec loop () =
       Mutex.lock m;
@@ -262,15 +223,7 @@ module Make
           serve slots.(0) action;
           loop ()
       | None ->
-          if all_free_no_inbox () then begin
-            let finished = !result_ready in
-            Mutex.unlock m;
-            if not finished then
-              raise
-                (Mp_intf.Deadlock
-                   "all procs released but the root computation produced no \
-                    result")
-          end
+          if all_free_no_inbox () then Mutex.unlock m
           else begin
             Condition.wait cond m;
             Mutex.unlock m;
@@ -297,8 +250,7 @@ module Make
   let run f =
     if !running then invalid_arg "Mp_domains.run: already running";
     running := true;
-    result_ready := false;
-    escaped := None;
+    Atomic.set escaped None;
     Array.iter
       (fun s ->
         s.state <- Free;
@@ -306,39 +258,22 @@ module Make
         s.datum <- D.initial)
       slots;
     Domain.DLS.set proc_key 0;
+    (* Written on whichever proc finishes the root fiber, read here once
+       that proc's slot has been freed under [m]. *)
     let result = ref None in
-    (current_on_exn :=
-       fun e ->
-         Mutex.lock m;
-         if !escaped = None then escaped := Some e;
-         result_ready := true;
-         Condition.broadcast cond;
-         Mutex.unlock m;
-         Engine.Stop);
-    let root_thunk () =
-      let v = f () in
-      Mutex.lock m;
-      result := Some v;
-      result_ready := true;
-      Condition.broadcast cond;
-      Mutex.unlock m
-    in
+    let root_thunk () = result := Some (f ()) in
     slots.(0).state <- Busy;
     let t0 = Unix.gettimeofday () in
-    let g0 = host_collections () in
+    let g0 = Stats.host_collections () in
     Fun.protect
       ~finally:(fun () ->
         running := false;
         last_elapsed := Unix.gettimeofday () -. t0;
-        last_gc_count := host_collections () - g0)
+        last_gc_count := Stats.host_collections () - g0)
       (fun () ->
         serve slots.(0) (Engine.Start root_thunk);
         Fun.protect ~finally:teardown root_service_loop;
-        match (!result, !escaped) with
-        | Some v, _ -> v
-        | None, Some e -> raise e
-        | None, None ->
-            raise (Mp_intf.Deadlock "root computation vanished without result"))
+        Mp_intf.outcome ~platform:name ~escaped:(Atomic.get escaped) !result)
 
   let stats () =
     let t = Stats.zero ~platform:name ~procs:max_procs in

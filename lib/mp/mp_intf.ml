@@ -5,7 +5,9 @@
     simulated multiprocessor — [WORK] (virtual-cost charging and safe
     points) and [TELEMETRY] (structured trace events and counters).
     Client packages (thread systems, channels, CML) are functors over
-    [PLATFORM]. *)
+    [PLATFORM].  What every backend shares is defined here once: the
+    [run] {!outcome}, the default {!locked}, the atomic-cell signature
+    {!PRIMS} and the real backends' charge-free {!Free_work}. *)
 
 exception No_More_Procs
 (** Raised by [acquire_proc] when every proc is in use.  Shared across all
@@ -109,6 +111,81 @@ module type LOCK = sig
       pointer-swinging sections the run-queue and thread packages use. *)
 end
 
+(** The default {!LOCK.locked}: plain acquire, section, release, also when
+    the section raises.  Every lock but the simulator's fused episode uses
+    it. *)
+let locked ~lock ~unlock l f =
+  lock l;
+  match f () with
+  | v ->
+      unlock l;
+      v
+  | exception e ->
+      unlock l;
+      raise e
+
+(** Atomic cells: the machine-dependent core of [Lock] (paper §5: atomic
+    exchange on the 88100 and the Sequent, hardware lock registers on the
+    SGI).  The lock algorithms and the lock-free queue are functors over
+    it: {!Atomic_prims} runs them on [Stdlib.Atomic], [Locks.Charged_prims]
+    charges each access through a platform's [Work], and mp_check's
+    [Prims] makes each access a serialization point. *)
+module type PRIMS = sig
+  type 'a cell
+
+  val make : 'a -> 'a cell
+  val get : 'a cell -> 'a
+  val set : 'a cell -> 'a -> unit
+  val exchange : 'a cell -> 'a -> 'a
+  val compare_and_set : 'a cell -> 'a -> 'a -> bool
+  val fetch_and_add : int cell -> int -> int
+
+  val unsafe_peek : 'a cell -> 'a
+  (** A racy, observation-only read: never a serialization point under
+      mp_check and never charged.  Scheduler idle predicates
+      ([Work.idle_until ~ready]) must be side-effect- and charge-free, so
+      they may only look at cells through [unsafe_peek].  Algorithm code
+      must keep using [get]. *)
+
+  val pause : unit -> unit
+  (** One spin-wait iteration. *)
+
+  val pause_n : int -> unit
+  (** Backoff pause of [n] units. *)
+
+  val on_spin : unit -> unit
+  (** Account one failed acquisition attempt (contention statistics). *)
+end
+
+(** {!PRIMS} over [Stdlib.Atomic], with a global spin counter. *)
+module Atomic_prims : sig
+  include PRIMS
+
+  val spin_count : unit -> int
+  val reset_spin_count : unit -> unit
+end = struct
+  type 'a cell = 'a Atomic.t
+
+  let make = Atomic.make
+  let get = Atomic.get
+  let set = Atomic.set
+  let exchange = Atomic.exchange
+  let compare_and_set = Atomic.compare_and_set
+  let fetch_and_add = Atomic.fetch_and_add
+  let unsafe_peek = Atomic.get
+  let pause () = Domain.cpu_relax ()
+
+  let pause_n n =
+    for _ = 1 to n do
+      Domain.cpu_relax ()
+    done
+
+  let spins = Atomic.make 0
+  let on_spin () = Atomic.incr spins
+  let spin_count () = Atomic.get spins
+  let reset_spin_count () = Atomic.set spins 0
+end
+
 (** Virtual-cost charging and safe points.
 
     On real backends all charging operations are no-ops and [now] reads the
@@ -188,6 +265,28 @@ module type WORK = sig
       wait's cycles are already charged (as idle/spin time) by the blocking
       path itself; without this note they are indistinguishable from
       out-of-work idling in the per-proc totals. *)
+end
+
+(** The charge-free half of {!WORK} on the real backends, where the
+    hardware does what the simulator charges for: charges are no-ops,
+    lines carry no state, [step] and [poll] are safe points that run the
+    poll hook, and [now] is the wall clock.  Generative: each platform
+    instance owns its hook. *)
+module Free_work () = struct
+  let hook = ref (fun () -> ())
+  let step ?alloc_words:_ ~instrs:_ () = !hook ()
+  let charge _ = ()
+  let alloc ~words:_ = ()
+  let traffic ~bytes:_ = ()
+
+  type line = unit
+
+  let line () = ()
+  let read_line _ = ()
+  let write_line _ ~bytes:_ = ()
+  let poll () = !hook ()
+  let set_poll_hook f = hook := f
+  let now () = Unix.gettimeofday ()
 end
 
 (** Structured telemetry: typed trace events and named counters, emitted by
@@ -275,12 +374,26 @@ module type PLATFORM = sig
 
   val run : (unit -> 'a) -> 'a
   (** Execute a computation as the root fiber of the root proc; returns when
-      the result is available and all other procs have been released.
+      the result is available and all other procs have been released.  The
+      result is {!outcome}'s, on every backend: an exception that escaped
+      any proc's fiber is raised in place of the root's value.
       @raise Deadlock if all procs stop without producing a result. *)
 
   val stats : unit -> Stats.t
   val reset_stats : unit -> unit
 end
+
+(** Every backend's [run] result once its procs have stopped: the first
+    exception that escaped any proc's fiber wins over the root's value;
+    otherwise the value; otherwise the root never finished, which raises
+    [Deadlock] naming [platform]. *)
+let outcome ~platform ~escaped result =
+  match (escaped, result) with
+  | Some e, _ -> raise e
+  | None, Some v -> v
+  | None, None ->
+      raise
+        (Deadlock (platform ^ ": all procs released without producing a result"))
 
 (** A platform whose per-proc datum is an [int] (thread-id convention used
     by the paper's thread packages, Figures 1 and 3). *)

@@ -2,13 +2,7 @@ module Make (D : Mp_intf.DATUM) : Mp_intf.PLATFORM with type Proc.proc_datum = D
 struct
   let name = "uniproc"
 
-  module Kont = struct
-    type 'a cont = 'a Engine.cont
-
-    let callcc = Engine.callcc
-    let throw = Engine.throw
-    let throw_exn = Engine.throw_exn
-  end
+  module Kont = Engine
 
   module Proc = struct
     type proc_datum = D.t
@@ -61,32 +55,12 @@ struct
         failwith "Mp_uniproc.Lock.lock: deadlock (lock already held on a uniprocessor)"
 
     let unlock l = l.held <- false
-
-    let locked l f =
-      lock l;
-      match f () with
-      | v ->
-          unlock l;
-          v
-      | exception e ->
-          unlock l;
-          raise e
+    let locked l f = Mp_intf.locked ~lock ~unlock l f
   end
 
   module Work = struct
-    let hook = ref (fun () -> ())
-    let step ?alloc_words:_ ~instrs:_ () = !hook ()
-    let charge _ = ()
-    let alloc ~words:_ = ()
-    let traffic ~bytes:_ = ()
+    include Mp_intf.Free_work ()
 
-    type line = unit
-
-    let line () = ()
-    let read_line _ = ()
-    let write_line _ ~bytes:_ = ()
-    let poll () = !hook ()
-    let set_poll_hook f = hook := f
     let idle () = ()
 
     (* Single proc: if nothing is ready, nothing ever will be — but that is
@@ -97,7 +71,6 @@ struct
         idle ()
       done
 
-    let now () = Unix.gettimeofday ()
     let queue_wait = ref 0.
     let note_queue_wait ~seconds = queue_wait := !queue_wait +. seconds
   end
@@ -106,19 +79,6 @@ struct
   let last_alloc_words = ref 0
   let last_gc_count = ref 0
   let running = ref false
-
-  (* Host collections (minor + major) since program start, for run deltas. *)
-  let host_collections () =
-    let g = Gc.quick_stat () in
-    g.Gc.minor_collections + g.Gc.major_collections
-
-  let rec exec ~on_exn action =
-    match action with
-    | Engine.Resume (c, v) -> exec ~on_exn (Engine.resume c v)
-    | Engine.Raise (c, e) -> exec ~on_exn (Engine.resume_exn c e)
-    | Engine.Start f -> exec ~on_exn (Engine.run_fiber ~on_exn f)
-    | Engine.Stop -> ()
-    | _ -> raise Engine.Unhandled_action
 
   let run f =
     if !running then invalid_arg "Mp_uniproc.run: already running";
@@ -131,7 +91,7 @@ struct
     in
     let t0 = Unix.gettimeofday () in
     let w0 = Gc.minor_words () in
-    let g0 = host_collections () in
+    let g0 = Stats.host_collections () in
     if Telemetry.enabled () then
       Telemetry.emit (Obs.Event.Dispatch { proc = 0; clock = Telemetry.now_ts () });
     Fun.protect
@@ -139,19 +99,16 @@ struct
         running := false;
         last_elapsed := Unix.gettimeofday () -. t0;
         last_alloc_words := int_of_float (Gc.minor_words () -. w0);
-        last_gc_count := host_collections () - g0;
+        last_gc_count := Stats.host_collections () - g0;
         if Telemetry.enabled () then
           Telemetry.emit
             (Obs.Event.Freed { proc = 0; clock = Telemetry.now_ts () }))
       (fun () ->
-        exec ~on_exn (Engine.Start (fun () -> result := Some (f ())));
-        match (!result, !escaped) with
-        | Some v, _ -> v
-        | None, Some e -> raise e
-        | None, None ->
-            raise
-              (Mp_intf.Deadlock
-                 "uniproc root proc released without producing a result"))
+        let root () = result := Some (f ()) in
+        (match Engine.trampoline ~on_exn (Engine.Start root) with
+        | Engine.Stop -> ()
+        | _ -> raise Engine.Unhandled_action);
+        Mp_intf.outcome ~platform:name ~escaped:!escaped !result)
 
   let stats () =
     let t = Stats.zero ~platform:name ~procs:1 in

@@ -31,6 +31,10 @@ let make_proc_stats () =
     alloc_words = 0;
   }
 
+let host_collections () =
+  let g = Gc.quick_stat () in
+  g.Gc.minor_collections + g.Gc.major_collections
+
 let zero ~platform ~procs =
   {
     platform;

@@ -40,6 +40,11 @@ type t = {
 val make_proc_stats : unit -> proc_stats
 val zero : platform:string -> procs:int -> t
 
+val host_collections : unit -> int
+(** Host collections (minor + major) since program start.  [Gc.quick_stat]
+    reports process-wide totals on OCaml 5, so a real backend's run delta
+    (its [gc_count]) covers every domain the run used. *)
+
 val idle_fraction : t -> float
 (** Mean fraction of proc time spent idle (idle / (busy+idle+gc_wait)),
     the quantity behind the paper's "average processor idle rates above

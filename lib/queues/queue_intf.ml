@@ -33,42 +33,6 @@ module type QUEUE_EXT = sig
   val is_empty : 'a queue -> bool
 end
 
-(** The handful of atomic-cell operations the lock-free queue family is
-    written against.  Instantiating with {!Stdlib_atomic} gives the real
-    lock-free structures over [Stdlib.Atomic]; the [mp_check] exploration
-    harness instantiates the same algorithm text with instrumented cells
-    whose every access is a serialization point, so queue linearizability
-    can be model-checked on the schedules that matter. *)
-module type ATOMIC = sig
-  type 'a t
-
-  val make : 'a -> 'a t
-  val get : 'a t -> 'a
-  val set : 'a t -> 'a -> unit
-  val exchange : 'a t -> 'a -> 'a
-  val compare_and_set : 'a t -> 'a -> 'a -> bool
-  val fetch_and_add : int t -> int -> int
-
-  val unsafe_peek : 'a t -> 'a
-  (** A racy, observation-only read: never a serialization point under
-      mp_check and never charged by cost-accounting instances.  Scheduler
-      idle predicates ([Work.idle_until ~ready]) must be side-effect- and
-      charge-free, so they may only look at cells through [unsafe_peek].
-      Algorithm code must keep using [get]. *)
-end
-
-module Stdlib_atomic : ATOMIC with type 'a t = 'a Atomic.t = struct
-  type 'a t = 'a Atomic.t
-
-  let make = Atomic.make
-  let get = Atomic.get
-  let set = Atomic.set
-  let exchange = Atomic.exchange
-  let compare_and_set = Atomic.compare_and_set
-  let fetch_and_add = Atomic.fetch_and_add
-  let unsafe_peek = Atomic.get
-end
-
 (** Priority discipline; as the paper's footnote notes, priorities require a
     minor signature change (a priority passed to the enqueue operation). *)
 module type PRIORITY_QUEUE = sig

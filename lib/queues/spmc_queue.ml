@@ -21,13 +21,14 @@
    flight slots may observe stale values; they are discarded on CAS
    failure.
 
-   The algorithm is a functor over [Queue_intf.ATOMIC]:
-   the default instance below races on [Stdlib.Atomic]; the scheduler
-   instantiates it over charged cells so the simulator prices pops and
-   steals on the bus; mp_check instantiates it over instrumented cells
-   where every access is a serialization point. *)
+   The algorithm is a functor over the platform's atomic cells
+   ([Mp_intf.PRIMS]): the default instance below races on
+   [Stdlib.Atomic]; the scheduler instantiates it over charged cells so
+   the simulator prices pops and steals on the bus; mp_check instantiates
+   it over instrumented cells where every access is a serialization
+   point. *)
 
-module Make (A : Queue_intf.ATOMIC) = struct
+module Make (A : Mp.Mp_intf.PRIMS) = struct
   type buffer = { log_size : int; segment : Obj.t array }
 
   let buffer_make log_size =
@@ -36,7 +37,7 @@ module Make (A : Queue_intf.ATOMIC) = struct
   let buffer_get b i = b.segment.(i land ((1 lsl b.log_size) - 1))
   let buffer_set b i v = b.segment.(i land ((1 lsl b.log_size) - 1)) <- v
 
-  type 'a t = { head : int A.t; tail : int A.t; buf : buffer A.t }
+  type 'a t = { head : int A.cell; tail : int A.cell; buf : buffer A.cell }
 
   let create () =
     { head = A.make 0; tail = A.make 0; buf = A.make (buffer_make 4) }
@@ -98,4 +99,4 @@ module Make (A : Queue_intf.ATOMIC) = struct
     end
 end
 
-include Make (Queue_intf.Stdlib_atomic)
+include Make (Mp.Mp_intf.Atomic_prims)

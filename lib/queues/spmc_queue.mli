@@ -13,13 +13,14 @@
     in-flight thieves either claim successfully or fail their CAS and
     discard what they read.
 
-    The algorithm is a functor over {!Queue_intf.ATOMIC} so the identical
-    text runs over [Stdlib.Atomic] (the default instance exposed below),
+    The algorithm is a functor over the platform's atomic cells
+    ({!Mp.Mp_intf.PRIMS}) so the identical text runs over [Stdlib.Atomic]
+    ({!Mp.Mp_intf.Atomic_prims}, the default instance exposed below),
     over charged cells (the simulator prices pops and steals on the bus),
     and over the [mp_check] harness's instrumented cells, whose every
     access is a schedule-exploration serialization point. *)
 
-module Make (A : Queue_intf.ATOMIC) : sig
+module Make (A : Mp.Mp_intf.PRIMS) : sig
   type 'a t
 
   val create : unit -> 'a t

@@ -63,6 +63,7 @@ let popcount x =
 type line = { mutable sharers : int }
 
 let line () = { sharers = 0 }
+let sharers ln = ln.sharers
 let share t ln ~proc = ln.sharers <- ln.sharers lor (1 lsl node_of t proc)
 
 (* An RMW claims the line exclusive for [proc]'s node.  The result is the

@@ -23,6 +23,9 @@ type line
 val line : unit -> line
 (** A fresh line, cached nowhere. *)
 
+val sharers : line -> int
+(** The nodes holding a copy, as a bitmask (bit [n] = node [n]). *)
+
 val share : t -> line -> proc:int -> unit
 (** [proc]'s node now holds a copy (a charge-free read). *)
 

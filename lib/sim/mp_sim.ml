@@ -21,13 +21,7 @@ struct
   let config = C.config
   let name = "sim:" ^ config.name
 
-  module Kont = struct
-    type 'a cont = 'a Engine.cont
-
-    let callcc = Engine.callcc
-    let throw = Engine.throw
-    let throw_exn = Engine.throw_exn
-  end
+  module Kont = Engine
 
   type pstate =
     | Free
@@ -340,24 +334,12 @@ struct
     if !escaped = None then escaped := Some e;
     Engine.Stop
 
-  let exec_action = function
-    | Engine.Resume (c, v) -> Engine.resume c v
-    | Engine.Raise (c, e) -> Engine.resume_exn c e
-    | Engine.Start f -> Engine.run_fiber ~on_exn f
-    | _ -> raise Engine.Unhandled_action
-
   (* Run one proc from its pending action until it yields back. *)
-  let interp p action =
-    let a = ref action in
-    let live = ref true in
-    while !live do
-      match !a with
-      | Engine.Stop ->
-          p.state <- Free;
-          live := false
-      | A_yield -> live := false
-      | other -> a := exec_action other
-    done
+  let run_proc p action =
+    match Engine.trampoline ~on_exn action with
+    | Engine.Stop -> p.state <- Free
+    | A_yield -> ()
+    | _ -> raise Engine.Unhandled_action
 
   let run_gc () =
     let gc_start =
@@ -419,7 +401,7 @@ struct
     (* The equivalence argument needs a pure predicate: a second evaluation
        at the same position must agree. *)
     if config.debug then assert (rdy () = r);
-    if r then interp p (resume k)
+    if r then run_proc p (resume k)
     else begin
       advance p (p.clock + config.idle_quantum_cycles) ~idle:true;
       incr coalesced_ct;
@@ -436,13 +418,13 @@ struct
      unlock), else re-queue at the position where the episode stopped. *)
   let lock_continue p l stop kont =
     match (stop, kont) with
-    | Won, K_lock k -> interp p (resume k)
+    | Won, K_lock k -> run_proc p (resume k)
     | Won, K_locked (run, k) ->
         run ();
         if rmw p l.line ~cpu:config.unlock_cycles ~bytes:config.lock_bus_bytes
         then begin
           l.held <- false;
-          interp p (resume k)
+          run_proc p (resume k)
         end
         else set_ready p (A_unlock (l, k))
     | (Test_pending _ | Probe_pending _), _ -> set_ready p (A_lock (l, stop, kont))
@@ -454,7 +436,7 @@ struct
         match a with
         | A_work (ops, k) -> (
             match work_run p ops with
-            | None -> interp p (resume k)
+            | None -> run_proc p (resume k)
             | Some rest -> set_ready p (A_work (rest, k)))
         | A_lock (l, Test_pending n, kont) ->
             lock_continue p l (lock_test p l n) kont
@@ -462,8 +444,8 @@ struct
             lock_continue p l (lock_probe p l n) kont
         | A_unlock (l, k) ->
             l.held <- false;
-            interp p (resume k)
-        | a -> interp p a)
+            run_proc p (resume k)
+        | a -> run_proc p a)
 
   let any_gc_waiting () =
     Array.exists (fun p -> match p.state with Gc_waiting _ -> true | _ -> false) procs
@@ -682,16 +664,7 @@ struct
         | Some (Error e) -> raise e
         | None -> assert false
       end
-      else begin
-        lock_ref l;
-        match f () with
-        | v ->
-            unlock l;
-            v
-        | exception e ->
-            unlock l;
-            raise e
-      end
+      else Mp_intf.locked ~lock:lock_ref ~unlock l f
   end
 
   (* Run a work program from the fiber: ops execute inline while the gate
@@ -858,13 +831,7 @@ struct
         fold_counters ())
       (fun () ->
         loop ();
-        match (!result, !escaped) with
-        | Some v, None -> v
-        | _, Some e -> raise e
-        | None, None ->
-            raise
-              (Mp_intf.Deadlock
-                 "sim: all procs released without producing a result"))
+        Mp_intf.outcome ~platform:name ~escaped:!escaped !result)
 
   let stats () =
     let t = Stats.zero ~platform:name ~procs:config.procs in

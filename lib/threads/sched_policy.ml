@@ -61,21 +61,8 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
      SPMC queue's cells charge through [Charged_prims], so on the simulator
      a pop or steal probe costs read/CAS cycles plus bus bytes, while on
      real backends the charges are no-ops and only the Atomic ops remain. *)
-  module CP = Locks.Charged_prims.Make (P) (Locks.Charged_prims.Default_costs)
-
-  module Charged_atomic = struct
-    type 'a t = 'a CP.cell
-
-    let make = CP.make
-    let get = CP.get
-    let set = CP.set
-    let exchange = CP.exchange
-    let compare_and_set = CP.compare_and_set
-    let fetch_and_add = CP.fetch_and_add
-    let unsafe_peek = CP.unsafe_peek
-  end
-
-  module SQ = Queues.Spmc_queue.Make (Charged_atomic)
+  module CP = Locks.Charged_prims.Make (P)
+  module SQ = Queues.Spmc_queue.Make (CP)
 
   let clamp_proc ~n proc = if proc < 0 || proc >= n then 0 else proc
 

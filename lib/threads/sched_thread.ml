@@ -53,62 +53,47 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
      so distinct wake times keep distinct priorities. *)
   let timer_priority time = -(int_of_float (time *. 1e9))
 
+  (* The heap's earliest due time ([infinity] when empty), rewritten under
+     [timer_lock] after every heap change.  Only the heap needs the lock:
+     this cell is read without it, on every backend, because dispatch
+     checks it on every idle iteration and taking the lock each time would
+     make the timer lock the hottest word in the system.  A stale read can
+     only delay a fire to the next check or cost one empty locked drain;
+     the drain re-checks everything. *)
+  let next_due = Atomic.make infinity
+
+  let note_heap_changed () =
+    Atomic.set next_due
+      (match PQ.peek_opt !timers with Some (t, _) -> t | None -> infinity)
+
   let at time callback =
     P.Lock.locked timer_lock (fun () ->
-        PQ.enq !timers ~priority:(timer_priority time) (time, callback))
+        PQ.enq !timers ~priority:(timer_priority time) (time, callback);
+        note_heap_changed ())
 
-  (* Timer-peek invariant.  [fire_due_timers]'s fast path peeks the heap
-     WITHOUT [timer_lock].  That racy peek is only safe when no other host
-     thread can mutate the heap concurrently — which holds on the
-     cooperative backends (uniproc/sim/check run every proc as a fiber of
-     one host domain) and on any backend when the pool has a single proc.
-     It does NOT depend on the scheduling policy: a central queue does not
-     serialize procs, only a single host domain does.  On the domains
-     backend with a multi-proc pool, a peek racing the locked drain's heap
-     mutation could read a torn heap, so dispatch must take the locked
-     path there; [with_pool] computes this per pool, before any proc is
-     acquired. *)
-  let cooperative_host =
-    P.name = "uniproc" || P.name = "check"
-    || (String.length P.name >= 4 && String.sub P.name 0 4 = "sim:")
+  (* Charge-free: the clock is read only when a timer is pending. *)
+  let timer_due () =
+    let t = Atomic.get next_due in
+    t < infinity && t <= P.Work.now ()
 
-  let timer_peek_unlocked = ref true
-
-  let debug_guard =
-    match Sys.getenv_opt "MP_SCHED_DEBUG" with
-    | None | Some "" | Some "0" -> false
-    | Some _ -> true
-
-  (* Fire every due timer; true if any fired.  The unlocked peek matters:
-     dispatch calls this on every idle iteration, and taking the lock each
-     time would make the timer lock the hottest word in the system.  A racy
-     peek can only mis-read in-flight state; the locked drain below
-     re-checks everything. *)
+  (* Fire every due timer; true if any fired. *)
   let fire_due_timers () =
-    let peeked =
-      if !timer_peek_unlocked then begin
-        if debug_guard then
-          (* the invariant above, re-checked live under any policy *)
-          assert (cooperative_host || !acquired <= 1);
-        PQ.peek_opt !timers
-      end
-      else P.Lock.locked timer_lock (fun () -> PQ.peek_opt !timers)
-    in
-    match peeked with
-    | None -> false
-    | Some (t0, _) when t0 > P.Work.now () -> false
-    | Some _ ->
-        let now = P.Work.now () in
-        let rec drain acc =
-          match PQ.peek_opt !timers with
-          | Some (t, _) when t <= now ->
-              let _, cb = PQ.deq !timers in
-              drain (cb :: acc)
-          | _ -> List.rev acc
-        in
-        let due = P.Lock.locked timer_lock (fun () -> drain []) in
-        List.iter (fun cb -> cb ()) due;
-        due <> []
+    if not (timer_due ()) then false
+    else begin
+      let now = P.Work.now () in
+      let rec drain acc =
+        match PQ.peek_opt !timers with
+        | Some (t, _) when t <= now ->
+            let _, cb = PQ.deq !timers in
+            drain (cb :: acc)
+        | _ ->
+            note_heap_changed ();
+            List.rev acc
+      in
+      let due = P.Lock.locked timer_lock (fun () -> drain []) in
+      List.iter (fun cb -> cb ()) due;
+      due <> []
+    end
 
   let record_error e =
     ignore (Atomic.compare_and_set thread_error None (Some e))
@@ -164,15 +149,13 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
           (* Idle until any of the conditions the loop above would act on
              can hold.  The predicate mirrors this dispatch's uncharged
              failure path read-for-read — the policy's charge-free queue
-             hint, an unlocked timer peek, the finished flag — and is
+             hint, the earliest due time, the finished flag — and is
              side-effect- and charge-free, as [Work.idle_until] requires; a
              wake re-runs the full (charged) probes above from the same
              position. *)
           P.Work.idle_until ~ready:(fun () ->
               !finished
-              || (match PQ.peek_opt !timers with
-                 | Some (t0, _) -> t0 <= P.Work.now ()
-                 | None -> false)
+              || timer_due ()
               || Q.S.looks_nonempty Q.q ~proc);
           dispatch ()
         end
@@ -230,11 +213,11 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
     active := true;
     finished := false;
     acquired := 1;
-    timer_peek_unlocked := cooperative_host || want <= 1;
     Atomic.set next_id 1;
     Atomic.set switch_count 0;
     Atomic.set thread_error None;
     timers := PQ.create ();
+    Atomic.set next_due infinity;
     last_switch := Array.make max_procs (P.Work.now ());
     quantum := q;
     P.Work.set_poll_hook poll_check;

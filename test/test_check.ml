@@ -80,6 +80,20 @@ let test_deadlock_detected () =
       Alcotest.failf "expected Deadlock, got:@.%s" (render_failure f)
   | None -> Alcotest.fail "AB-BA deadlock not detected"
 
+(* A scenario's own failure on a spawned proc is what the report names. *)
+let test_spawned_failure_reported () =
+  let body () =
+    P.run (fun () ->
+        P.spawn (fun () -> failwith "msg");
+        P.Work.idle_until ~ready:(fun () -> P.Proc.live_procs () = 1))
+  in
+  let r = P.Explore.dfs ~bound:2 ~max_schedules:30_000 body in
+  match r.Mpcheck.Mp_check.failure with
+  | Some { error = Failure m; _ } when m = "msg" -> ()
+  | Some f ->
+      Alcotest.failf "expected Failure \"msg\", got:@.%s" (render_failure f)
+  | None -> Alcotest.fail "spawned proc's failure not reported"
+
 (* ---- deterministic replay --------------------------------------------- *)
 
 let test_replay_deterministic () =
@@ -435,6 +449,8 @@ let () =
             test_broken_tas_caught;
           Alcotest.test_case "AB-BA deadlock detected" `Quick
             test_deadlock_detected;
+          Alcotest.test_case "spawned proc's failure reported" `Quick
+            test_spawned_failure_reported;
         ] );
       ( "replay",
         [

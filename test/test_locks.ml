@@ -1,14 +1,14 @@
 (* Lock algorithms: semantics (try_lock/lock/unlock), mutual exclusion under
    real domain concurrency, and algorithm-specific behaviours. *)
 
-module P = Locks.Lock_intf.Atomic_prims
+module P = Mp.Mp_intf.Atomic_prims
 
 (* For contended stress on a single-CPU host: a pause that yields the OS
    timeslice, so a descheduled lock holder can run.  Spinning with
    cpu_relax alone makes FIFO handoff locks take a full quantum per
    transfer. *)
-module Yp : Locks.Lock_intf.PRIMS = struct
-  include Locks.Lock_intf.Atomic_prims
+module Yp : Mp.Mp_intf.PRIMS = struct
+  include Mp.Mp_intf.Atomic_prims
 
   let pause () = Unix.sleepf 0.
 
@@ -225,7 +225,7 @@ module SimP =
     end)
     ()
 
-module CP = Locks.Charged_prims.Make (SimP) (Locks.Charged_prims.Default_costs)
+module CP = Locks.Charged_prims.Make (SimP)
 module CTas = Locks.Tas_lock.Make (CP)
 module CTtas = Locks.Ttas_lock.Make (CP)
 

@@ -505,6 +505,49 @@ struct
         ignore (P.run (fun () -> failwith "boom")));
     check "platform reusable after failed run" 3 (P.run (fun () -> 3))
 
+  (* Exception outcomes.  [run]'s result is the same on every backend: an
+     exception that escaped any proc's fiber wins over the root's value.
+     The non-root cases need a spare proc. *)
+  let multi () = P.run (fun () -> P.Proc.max_procs ()) > 1
+
+  let test_worker_raises_after_root () =
+    if multi () then
+      Alcotest.check_raises "worker's exception wins" (Failure "late")
+        (fun () ->
+          ignore
+            (P.run (fun () ->
+                 let root_done = Atomic.make false in
+                 spawn_worker (fun () ->
+                     P.Work.idle_until ~ready:(fun () -> Atomic.get root_done);
+                     failwith "late");
+                 Atomic.set root_done true;
+                 0)))
+
+  let test_double_resume () =
+    if multi () then
+      Alcotest.check_raises "one-shot violation" Engine.Already_resumed
+        (fun () ->
+          ignore
+            (P.run (fun () ->
+                 spawn_worker (fun () ->
+                     let saved = ref None in
+                     (* the body's normal return resumes [k] once *)
+                     Engine.callcc (fun k -> saved := Some k);
+                     match !saved with
+                     | Some k ->
+                         saved := None;
+                         Engine.throw k ()
+                     | None -> ());
+                 0)));
+    check "platform reusable after the violation" 3 (P.run (fun () -> 3))
+
+  let test_root_raises () =
+    Alcotest.check_raises "root's exception" (Failure "root") (fun () ->
+        ignore
+          (P.run (fun () ->
+               if P.Proc.max_procs () > 1 then spawn_worker P.Work.poll;
+               failwith "root")))
+
   (* Every scheduler policy must run a thread pool to completion on every
      backend — preemptive, cooperative, simulated, and checked — with no
      task lost or duplicated. *)
@@ -574,6 +617,11 @@ struct
       Alcotest.test_case "stats contract" `Quick test_stats_contract;
       Alcotest.test_case "exceptions and reuse" `Quick
         test_exceptions_and_reuse;
+      Alcotest.test_case "worker raises after root returned" `Quick
+        test_worker_raises_after_root;
+      Alcotest.test_case "continuation resumed twice" `Quick
+        test_double_resume;
+      Alcotest.test_case "root raises" `Quick test_root_raises;
       Alcotest.test_case "scheduler policy family" `Quick test_sched_policies;
       Alcotest.test_case "server pipeline" `Quick test_server_pipeline;
     ]

@@ -85,7 +85,7 @@ let test_preemption_mask () =
 
 (* ---------------- spin rwlock ---------------- *)
 
-module AP = Locks.Lock_intf.Atomic_prims
+module AP = Mp.Mp_intf.Atomic_prims
 module Rw = Locks.Rw_spin_lock.Make (AP)
 
 let test_rw_semantics () =
