@@ -1,0 +1,220 @@
+(* [mp_repro check]: the gate for the mp_check exploration harness.
+
+   Runs every scenario in the corpus under a wall-clock budget and prints a
+   per-scenario table; exits 1 if any scenario fails, if the self-test (the
+   deliberately broken lock) is NOT caught, or if the per-scenario schedule
+   floor is not met.  Exploration is race-directed (DPOR + sleep sets) by
+   default and can fan out across host domains; everything but the time
+   columns is byte-identical for any --jobs.  Three shapes:
+
+     mp_repro check --bound 3 --seconds 300 --jobs 2     # every-PR gate
+     mp_repro check --bound 3 --json                     # BENCH_check.json
+     mp_repro check --bound 4 --faults --mode both       # weekly deep run *)
+
+open Cmdliner
+
+(* The driver-domain instance: random mode, plain DFS, and scenario-name
+   resolution.  DPOR worker domains get their own generative instance
+   through [make_runner] below. *)
+module P = Mpcheck.Mp_check.Int (struct
+  let max_procs = 2
+end) ()
+
+module S = Mpcheck.Scenarios.Make (P)
+
+let run bound mode runs seed with_faults seconds max_schedules max_steps dpor
+    jobs json json_file =
+  (* one BENCH_check.json object per scenario *)
+  let rows = ref [] in
+  let faults =
+    if with_faults then
+      {
+        Mpcheck.Check_intf.no_faults with
+        try_lock_fail_pct = 20;
+        backoff_boost = 2;
+      }
+    else Mpcheck.Check_intf.no_faults
+  in
+  let t0 = Unix.gettimeofday () in
+  let deadline = t0 +. seconds in
+  let stop () = Unix.gettimeofday () > deadline in
+  let failures = ref 0 in
+  let skipped = ref 0 in
+  Printf.printf
+    "mp_check smoke: bound=%d mode=%s faults=%b dpor=%b jobs=%d budget=%.0fs\n%!"
+    bound mode with_faults dpor jobs seconds;
+  Printf.printf "%-24s %10s %9s %8s %7s %s\n" "scenario" "schedules"
+    "truncated" "pruned" "time" "result";
+  (* A fresh checker instance per worker domain: per-run object ids are a
+     pure function of functor-application order and the forced prefix, so
+     every domain's instance reproduces the driver's labels exactly. *)
+  let make_runner name () =
+    let module P2 = Mpcheck.Mp_check.Int (struct
+      let max_procs = 2
+    end) () in
+    let module S2 = Mpcheck.Scenarios.Make (P2) in
+    let body = List.assoc name (S2.all @ S2.heavy @ S2.broken) in
+    P2.Explore.runner ~faults ~max_steps body
+  in
+  let dpor_report name =
+    let r =
+      Mpcheck.Dpor.explore ~make_runner:(make_runner name) ~jobs ~bound
+        ~max_schedules ~stop ()
+    in
+    {
+      Mpcheck.Mp_check.schedules = r.Mpcheck.Dpor.r_schedules;
+      truncated = r.Mpcheck.Dpor.r_truncated;
+      pruned = r.Mpcheck.Dpor.r_pruned;
+      capped = r.Mpcheck.Dpor.r_capped;
+      failure =
+        Option.map
+          (fun (error, schedule, trace) ->
+            { Mpcheck.Mp_check.error; schedule; seed = None; trace })
+          r.Mpcheck.Dpor.r_failure;
+    }
+  in
+  let run_scenario ~kind want_failure (name, body) =
+    if stop () then begin
+      incr skipped;
+      Printf.printf "%-24s %10s %9s %8s %7s skipped (budget exhausted)\n%!"
+        name "-" "-" "-" "-"
+    end
+    else begin
+      let s0 = Unix.gettimeofday () in
+      let reports = ref [] in
+      if mode = "dfs" || mode = "both" then
+        reports :=
+          (if dpor then dpor_report name
+           else
+             P.Explore.dfs ~bound ~max_schedules ~max_steps ~faults ~stop body)
+          :: !reports;
+      if
+        (mode = "random" || mode = "both")
+        && not
+             (List.exists (fun r -> r.Mpcheck.Mp_check.failure <> None) !reports)
+      then
+        reports :=
+          P.Explore.random ?seed ~runs ~max_steps ~faults body :: !reports;
+      let dt = Unix.gettimeofday () -. s0 in
+      let sum f = List.fold_left (fun n r -> n + f r) 0 !reports in
+      let schedules = sum (fun r -> r.Mpcheck.Mp_check.schedules) in
+      let truncated = sum (fun r -> r.Mpcheck.Mp_check.truncated) in
+      let pruned = sum (fun r -> r.Mpcheck.Mp_check.pruned) in
+      let failure =
+        List.find_map (fun r -> r.Mpcheck.Mp_check.failure) !reports
+      in
+      let capped = List.exists (fun r -> r.Mpcheck.Mp_check.capped) !reports in
+      let ok, verdict =
+        match (failure, want_failure) with
+        | None, false ->
+            (schedules > 0, if capped then "ok (capped)" else "ok")
+        | Some _, true -> (true, "caught (expected)")
+        | None, true -> (false, "MISSED EXPECTED BUG")
+        | Some _, false -> (false, "FAILED")
+      in
+      Printf.printf "%-24s %10d %9d %8d %6.2fs %s\n%!" name schedules truncated
+        pruned dt verdict;
+      (match failure with
+      | Some f when not want_failure ->
+          Format.printf "%a@." Mpcheck.Mp_check.pp_failure f
+      | _ -> ());
+      (* the plain-DFS comparison pass: same bound, same caps, so the
+         reduction factor in BENCH_check.json is like-for-like *)
+      let reduction =
+        if json && dpor && (mode = "dfs" || mode = "both") && kind <> "heavy"
+        then
+          let r =
+            P.Explore.dfs ~bound ~max_schedules ~max_steps ~faults ~stop body
+          in
+          let n = r.Mpcheck.Mp_check.schedules in
+          Printf.sprintf ", \"dfs_schedules\": %d, \"reduction\": %.2f" n
+            (if schedules > 0 then float_of_int n /. float_of_int schedules
+             else 0.0)
+        else ""
+      in
+      rows :=
+        Printf.sprintf
+          "\n    { \"name\": %S, \"kind\": %S, \"schedules\": %d, \"pruned\": \
+           %d, \"truncated\": %d, \"capped\": %b%s, \"seconds\": %.4f, \
+           \"schedules_per_sec\": %.1f, \"ok\": %b }"
+          name kind schedules pruned truncated capped reduction dt
+          (if dt > 0.0 then float_of_int schedules /. dt else 0.0)
+          ok
+        :: !rows;
+      if not ok then incr failures
+    end
+  in
+  List.iter (run_scenario ~kind:"corpus" false) S.all;
+  (* heavy scenarios: schedule-capped so the gate stays fast *)
+  List.iter
+    (run_scenario ~kind:"heavy" false)
+    (if bound >= 2 then S.heavy else []);
+  (* self-test: the broken lock must be caught *)
+  List.iter (run_scenario ~kind:"broken" true) S.broken;
+  let dt = Unix.gettimeofday () -. t0 in
+  Printf.printf "total: %.1fs, %d failure(s), %d skipped\n%!" dt !failures
+    !skipped;
+  if json then begin
+    let oc = open_out json_file in
+    Printf.fprintf oc
+      "{\n  \"benchmark\": \"mp_check\",\n  \"bound\": %d,\n  \"mode\": %S,\n  \
+       \"dpor\": %b,\n  \"jobs\": %d,\n  \"faults\": %b,\n  \"counters\": {%s\n  \
+       },\n  \"scenarios\": [%s\n  ]\n}\n"
+      bound mode dpor jobs with_faults
+      (String.concat ","
+         (List.map
+            (fun (k, v) -> Printf.sprintf "\n    %S: %d" k v)
+            (Mpcheck.Check_intf.counters () @ Exec.Job_pool.counters ())))
+      (String.concat "," (List.rev !rows));
+    close_out oc;
+    Printf.printf "wrote %s\n%!" json_file
+  end;
+  if !failures > 0 then exit 1
+
+let seed_conv =
+  let parse s =
+    match Mpcheck.Sched_seed.of_string s with
+    | seed -> Ok seed
+    | exception _ -> Error (`Msg ("bad seed " ^ s))
+  in
+  Arg.conv
+    ( parse,
+      fun ppf s -> Format.pp_print_string ppf (Mpcheck.Sched_seed.to_string s) )
+
+let cmd =
+  let opt c default names doc = Arg.(value & opt c default & info names ~doc)
+  in
+  let flag names doc = Arg.(value & flag & info names ~doc) in
+  Cmd.v
+    (Cmd.info "check"
+       ~doc:
+         "The mp_check gate: explore every scenario of the corpus under a \
+          wall-clock budget; exit 1 on a failure or a missed expected bug")
+    Term.(
+      const run
+      $ opt Arg.int 2 [ "bound" ] "Preemption bound for DFS."
+      $ opt
+          Arg.(enum (List.map (fun m -> (m, m)) [ "dfs"; "random"; "both" ]))
+          "dfs" [ "mode" ] "$(b,dfs), $(b,random) or $(b,both)."
+      $ opt Arg.int 500 [ "runs" ] "Random runs per scenario."
+      $ opt Arg.(some seed_conv) None [ "seed" ] "Base seed for random mode."
+      $ flag [ "faults" ] "Enable fault injection."
+      $ opt Arg.float 120.0 [ "seconds" ] "Total wall-clock budget."
+      $ opt Arg.int 20_000 [ "max-schedules" ] "DFS schedule cap per scenario."
+      $ opt Arg.int 20_000 [ "max-steps" ] "Per-run step budget."
+      $ Arg.(
+          value
+          & vflag true
+              [
+                (true, info [ "dpor" ] ~doc:"Race-directed exploration (default).");
+                ( false,
+                  info [ "no-dpor" ]
+                    ~doc:
+                      "Plain CHESS DFS: expand every alternative at every \
+                       decision." );
+              ])
+      $ opt Arg.int 1 [ "jobs"; "j" ] "Host domains for DPOR frontier waves."
+      $ flag [ "json" ]
+          "Write the JSON report (adds a plain-DFS comparison pass over the \
+           non-heavy corpus for the reduction factor)."
+      $ opt Arg.string "BENCH_check.json" [ "json-file" ] "JSON output path.")

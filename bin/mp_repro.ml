@@ -1,4 +1,5 @@
-(* Command-line driver for the reproduction experiments.
+(* Command-line driver for the reproduction: every table, figure, golden
+   and gate.
 
    mp_repro fig6 [--procs 1,4,16]    Figure 6 speedup sweep
    mp_repro idle | bus | gc | sgi    the other evaluation sections
@@ -6,11 +7,16 @@
    mp_repro server                   open-loop latency tails + knee (E9)
    mp_repro locks                    lock latency microtable (E3)
    mp_repro portability              source-line inventory (E2)
-   mp_repro all [--quick]            everything
+   mp_repro all [--quick]            everything above but E8/E9, plus the
+                                     model, ablation, lock-scaling and
+                                     sensitivity sections
+   mp_repro sim_core [--json]        host cost of simulating (BENCH_sim.json)
+   mp_repro sim_golden               the values test_sim pins
+   mp_repro server_golden            the values test_server pins
+   mp_repro check                    the mp_check gate
 
-   Every sweep subcommand takes --sched POLICY (or the MP_REPRO_SCHED
-   environment variable) to run the thread pools under a different
-   scheduling policy, and --gc MODEL (or MP_REPRO_GC) to price heap
+   Every sweep subcommand takes --sched POLICY to run the thread pools
+   under a different scheduling policy, and --gc MODEL to price heap
    allocation under a different GC cost model. *)
 
 open Cmdliner
@@ -18,7 +24,10 @@ open Cmdliner
 let fmt = Format.std_formatter
 
 let procs_arg =
-  let doc = "Comma-separated proc counts for the sweep (default 1..16)." in
+  let doc =
+    "Comma-separated proc counts for the sweep (default 1..16); each must \
+     fit the machine.  The 1-proc baseline always runs."
+  in
   Arg.(value & opt (some (list int)) None & info [ "procs" ] ~doc)
 
 let quick_arg =
@@ -27,38 +36,40 @@ let quick_arg =
 
 let jobs_arg =
   let doc =
-    "Fan the sweep's independent (bench, procs) cells across $(docv) host \
-     domains.  Results are merged in grid order, so all output is \
-     identical for every value.  Defaults to $(b,MP_REPRO_JOBS) or 1."
+    "Fan the independent cells across $(docv) host domains.  Results are \
+     merged in grid order, so all output is identical for every value."
   in
-  Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+
+let conv_of of_string to_string =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun m -> `Msg m) (of_string s)),
+      fun ppf v -> Format.pp_print_string ppf (to_string v) )
 
 let sched_arg =
   let doc =
-    "Thread-scheduler policy for the sweep's pools: one of \
-     $(b,fifo)|$(b,lifo)|$(b,distributed)|$(b,ws)|$(b,micropools[:K]).  \
-     Defaults to $(b,MP_REPRO_SCHED) or $(b,distributed)."
+    "Thread-scheduler policy for the pools: one of \
+     $(b,fifo)|$(b,lifo)|$(b,distributed)|$(b,ws)|$(b,micropools[:K])."
   in
-  Arg.(value & opt (some string) None & info [ "sched" ] ~docv:"POLICY" ~doc)
-
-(* --sched beats MP_REPRO_SCHED beats the distributed default; re-render to
-   the canonical spelling for sweep cache keys and sample labels. *)
-let resolve_sched explicit =
-  Mpthreads.Sched_policy.(to_string (resolve ?explicit ()))
+  Arg.(
+    value
+    & opt
+        (conv_of Mpthreads.Sched_policy.of_string Mpthreads.Sched_policy.to_string)
+        Mpthreads.Sched_policy.default
+    & info [ "sched" ] ~docv:"POLICY" ~doc)
 
 let gc_arg =
   let doc =
-    "GC cost model for the sweep's machines: one of \
+    "GC cost model for the machines: one of \
      $(b,stw)|$(b,par_stw[:N])|$(b,minor_pp).  $(b,stw) is the paper's \
      sequential stop-the-world collector; $(b,par_stw) splits the copy \
      across up to N collectors; $(b,minor_pp) gives each proc a private \
-     minor heap.  Defaults to $(b,MP_REPRO_GC) or $(b,stw)."
+     minor heap."
   in
-  Arg.(value & opt (some string) None & info [ "gc" ] ~docv:"MODEL" ~doc)
-
-(* --gc beats MP_REPRO_GC beats the stw default; same canonicalization
-   scheme as resolve_sched. *)
-let resolve_gc explicit = Sim.Gc_model.(to_string (resolve ?explicit ()))
+  Arg.(
+    value
+    & opt (conv_of Sim.Gc_model.of_string Sim.Gc_model.to_string) Sim.Gc_model.default
+    & info [ "gc" ] ~docv:"MODEL" ~doc)
 
 let machine_arg =
   let doc =
@@ -69,7 +80,11 @@ let machine_arg =
      machine.  Machines larger than 16 procs default to the \
      powers-of-four proc list 1,4,...,1024 clamped to the machine."
   in
-  Arg.(value & opt (some string) None & info [ "machine" ] ~docv:"MACHINE" ~doc)
+  let parse s = Result.map (fun _ -> s) (Sim.Sim_config.of_machine_string s) in
+  Arg.(
+    value
+    & opt (conv_of parse Fun.id) "sequent"
+    & info [ "machine" ] ~docv:"MACHINE" ~doc)
 
 let trace_arg =
   let doc =
@@ -84,67 +99,73 @@ let maybe_trace trace go =
   | None -> go ()
   | Some path -> Report.Experiments.trace path go
 
-let plist_of quick procs =
-  match procs with
-  | Some l -> Some l
-  | None -> if quick then Some [ 1; 4; 16 ] else None
-
-(* --quick on any machine but the Sequent trims the powers-of-four list
-   rather than using the flat 1,4,16 grid (the sweep clamps it to the
-   machine size). *)
-let sweep ?(machine = "sequent") quick procs jobs sched gc =
-  let plist =
-    if machine = "sequent" || procs <> None then plist_of quick procs
-    else if quick then Some [ 1; 4; 16; 64 ]
-    else None
+(* A sweep's proc list: an explicit --procs entry outside the machine is a
+   usage error, and --quick trims to [quick_list] (1,4,16 on the Sequent,
+   the powers of four up to 64 elsewhere), which the sweep clamps to the
+   machine size. *)
+let plist ~machine ?quick_list quick procs =
+  let n = (Sim.Sim_config.of_machine_string_exn machine).Sim.Sim_config.procs in
+  let quick_list =
+    Option.value quick_list
+      ~default:(if machine = "sequent" then [ 1; 4; 16 ] else [ 1; 4; 16; 64 ])
   in
-  Report.Experiments.sweep ?plist ?jobs ~sched:(resolve_sched sched)
-    ~gc:(resolve_gc gc) ~machine ()
+  match procs with
+  | None -> Ok (if quick then Some quick_list else None)
+  | Some l -> (
+      match List.find_opt (fun p -> p < 1 || p > n) l with
+      | Some p ->
+          Error
+            (Printf.sprintf "--procs %d: machine %s has procs 1..%d" p machine n)
+      | None -> Ok procs)
+
+(* The flags every sweep subcommand shares; [plist] is checked against
+   [machine]. *)
+type sweep = {
+  quick : bool;
+  plist : int list option;
+  jobs : int;
+  sched : Mpthreads.Sched_policy.t;
+  gc : Sim.Gc_model.t;
+  machine : string;
+}
+
+let sweep_term ?(machine = machine_arg) () =
+  let make quick procs jobs sched gc machine =
+    match plist ~machine quick procs with
+    | Error msg -> `Error (true, msg)
+    | Ok plist -> `Ok { quick; plist; jobs; sched; gc; machine }
+  in
+  Term.(
+    ret
+      (const make $ quick_arg $ procs_arg $ jobs_arg $ sched_arg $ gc_arg
+     $ machine))
+
+let run sw =
+  Report.Experiments.sweep ?plist:sw.plist ~jobs:sw.jobs
+    ~sched:(Mpthreads.Sched_policy.to_string sw.sched)
+    ~gc:(Sim.Gc_model.to_string sw.gc) ~machine:sw.machine ()
+
+let section_cmd name doc print =
+  Cmd.v (Cmd.info name ~doc)
+    Term.(const (fun sw -> print fmt (run sw)) $ sweep_term ())
 
 let fig6_cmd =
-  let run quick procs jobs sched gc machine trace =
+  let run sw trace =
     maybe_trace trace (fun () ->
-        Report.Experiments.print_fig6 fmt
-          (sweep ?machine quick procs jobs sched gc))
+        Report.Experiments.print_fig6 fmt (run sw))
   in
   Cmd.v (Cmd.info "fig6" ~doc:"Self-relative speedup curves (Figure 6)")
-    Term.(
-      const run $ quick_arg $ procs_arg $ jobs_arg $ sched_arg $ gc_arg
-      $ machine_arg $ trace_arg)
-
-let idle_cmd =
-  let run quick procs jobs sched gc machine =
-    Report.Experiments.print_idle fmt (sweep ?machine quick procs jobs sched gc)
-  in
-  Cmd.v (Cmd.info "idle" ~doc:"Processor idle fractions (E4)")
-    Term.(
-      const run $ quick_arg $ procs_arg $ jobs_arg $ sched_arg $ gc_arg
-      $ machine_arg)
-
-let bus_cmd =
-  let run quick procs jobs sched gc machine =
-    Report.Experiments.print_bus fmt (sweep ?machine quick procs jobs sched gc)
-  in
-  Cmd.v (Cmd.info "bus" ~doc:"Memory-bus traffic and contention (E5)")
-    Term.(
-      const run $ quick_arg $ procs_arg $ jobs_arg $ sched_arg $ gc_arg
-      $ machine_arg)
-
-let gc_cmd =
-  let run quick procs jobs sched gc machine =
-    Report.Experiments.print_gc_ablation fmt
-      (sweep ?machine quick procs jobs sched gc)
-  in
-  Cmd.v (Cmd.info "gc" ~doc:"GC ablation (E6)")
-    Term.(
-      const run $ quick_arg $ procs_arg $ jobs_arg $ sched_arg $ gc_arg
-      $ machine_arg)
+    Term.(const run $ sweep_term () $ trace_arg)
 
 let gc_sweep_cmd =
   let run quick procs jobs sched machine =
-    Report.Experiments.print_gc_models fmt
-      (Report.Experiments.gc_sweep ?plist:(plist_of quick procs) ?jobs
-         ~sched:(resolve_sched sched) ?machine ())
+    match plist ~machine ~quick_list:[ 1; 4; 16 ] quick procs with
+    | Error msg -> `Error (true, msg)
+    | Ok plist ->
+        `Ok
+          (Report.Experiments.print_gc_models fmt
+             (Report.Experiments.gc_sweep ?plist ~jobs
+                ~sched:(Mpthreads.Sched_policy.to_string sched) ~machine ()))
   in
   Cmd.v
     (Cmd.info "gc_sweep"
@@ -153,15 +174,15 @@ let gc_sweep_cmd =
           lay the speedup curves side by side: the paper-\xc2\xa76.2 \
           collector-headroom analysis (E8)")
     Term.(
-      const run $ quick_arg $ procs_arg $ jobs_arg $ sched_arg $ machine_arg)
+      ret
+        (const run $ quick_arg $ procs_arg $ jobs_arg $ sched_arg
+       $ machine_arg))
 
 let sgi_cmd =
-  let run quick procs jobs sched gc =
-    Report.Experiments.print_sgi fmt
-      (sweep ~machine:"sgi" quick procs jobs sched gc)
-  in
   Cmd.v (Cmd.info "sgi" ~doc:"The SGI machine model sweep (E7)")
-    Term.(const run $ quick_arg $ procs_arg $ jobs_arg $ sched_arg $ gc_arg)
+    Term.(
+      const (fun sw -> Report.Experiments.print_sgi fmt (run sw))
+      $ sweep_term ~machine:(Term.const "sgi") ())
 
 let server_cmd =
   let json_arg =
@@ -169,8 +190,6 @@ let server_cmd =
     Arg.(value & flag & info [ "json" ] ~doc)
   in
   let run quick jobs machine json =
-    let machine = Option.value machine ~default:"sequent" in
-    let jobs = Exec.Job_pool.resolve_jobs jobs in
     let grid = Report.Server_bench.grid ~quick ~jobs ~machine () in
     let ramp = Report.Server_bench.ramp ~quick ~jobs ~machine () in
     Report.Server_bench.print_server fmt grid ramp;
@@ -203,24 +222,80 @@ let portability_cmd =
     Term.(const run $ const ())
 
 let all_cmd =
-  let run quick procs jobs sched gc machine trace =
+  let run sw trace =
     Report.Experiments.print_lock_latency fmt;
     Report.Experiments.print_portability fmt;
-    maybe_trace trace (fun () ->
-        let s = sweep ?machine quick procs jobs sched gc in
-        Report.Experiments.print_fig6 fmt s;
-        Report.Experiments.print_idle fmt s;
-        Report.Experiments.print_bus fmt s;
-        Report.Experiments.print_gc_ablation fmt s);
+    let s =
+      maybe_trace trace (fun () ->
+          let s = run sw in
+          Report.Experiments.print_fig6 fmt s;
+          Report.Experiments.print_idle fmt s;
+          Report.Experiments.print_bus fmt s;
+          Report.Experiments.print_gc_ablation fmt s;
+          s)
+    in
+    Sections.print_model fmt s;
+    Sections.print_ablations fmt;
+    Sections.print_lock_scaling fmt ~jobs:sw.jobs ~sched:sw.sched;
+    Sections.print_sensitivity fmt;
     Report.Experiments.print_sgi fmt
-      (sweep ~machine:"sgi" false
-         (if quick then Some [ 1; 4; 8 ] else None)
-         jobs sched gc)
+      (run
+         {
+           sw with
+           machine = "sgi";
+           plist = (if sw.quick then Some [ 1; 4; 8 ] else None);
+         })
   in
-  Cmd.v (Cmd.info "all" ~doc:"Every evaluation section")
-    Term.(
-      const run $ quick_arg $ procs_arg $ jobs_arg $ sched_arg $ gc_arg
-      $ machine_arg $ trace_arg)
+  Cmd.v
+    (Cmd.info "all"
+       ~doc:
+         "E1-E7 plus the model cross-check, ablation, lock-scaling and           sensitivity sections")
+    Term.(const run $ sweep_term () $ trace_arg)
+
+let sim_core_cmd =
+  let json_arg =
+    let doc = "Also write the grid to $(b,BENCH_sim.json)." in
+    Arg.(value & flag & info [ "json" ] ~doc)
+  in
+  let run quick json jobs =
+    let rows = Sections.sim_core ~jobs ~quick in
+    Sections.print_sim_core fmt rows;
+    if json then begin
+      Sections.write_sim_json rows "BENCH_sim.json";
+      Format.fprintf fmt "@.wrote BENCH_sim.json@."
+    end
+  in
+  Cmd.v
+    (Cmd.info "sim_core"
+       ~doc:
+         "Host-time cost of the simulator per (machine, scheduler, GC model, \
+          workload, procs) cell: scheduler decisions, effect-handler \
+          suspensions, charges coalesced by run-ahead")
+    Term.(const run $ quick_arg $ json_arg $ jobs_arg)
+
+let sim_golden_cmd =
+  let run sched gc jobs =
+    List.iter print_endline (Sections.golden_lines ~jobs ~sched ~gc)
+  in
+  Cmd.v
+    (Cmd.info "sim_golden"
+       ~doc:
+         "One GOLDEN line per workload and proc count: the virtual-time \
+          values test/test_sim.ml pins, plus host-side cost counts")
+    Term.(const run $ sched_arg $ gc_arg $ jobs_arg)
+
+let server_golden_cmd =
+  let run jobs =
+    List.iter
+      (fun c -> print_endline (Report.Server_bench.golden_line c))
+      (Report.Server_bench.grid ~jobs ())
+  in
+  Cmd.v
+    (Cmd.info "server_golden"
+       ~doc:
+         "One GOLDEN line per (scheduler, procs) cell of the default server \
+          config: the values test/test_server.ml pins")
+    Term.(const run $ jobs_arg)
 
 let () =
   let info =
@@ -235,13 +310,20 @@ let () =
        (Cmd.group info
           [
             fig6_cmd;
-            idle_cmd;
-            bus_cmd;
-            gc_cmd;
+            section_cmd "idle" "Processor idle fractions (E4)"
+              Report.Experiments.print_idle;
+            section_cmd "bus" "Memory-bus traffic and contention (E5)"
+              Report.Experiments.print_bus;
+            section_cmd "gc" "GC ablation (E6)"
+              Report.Experiments.print_gc_ablation;
             gc_sweep_cmd;
             sgi_cmd;
             server_cmd;
             locks_cmd;
             portability_cmd;
             all_cmd;
+            sim_core_cmd;
+            sim_golden_cmd;
+            server_golden_cmd;
+            Check_gate.cmd;
           ]))

@@ -640,14 +640,6 @@ struct
                           !nsteps (Proc.live_procs ())))
             end
             else if !nsteps >= !current_max_steps then begin
-              (if Sys.getenv_opt "MP_CHECK_DEBUG" <> None then
-                 let tail =
-                   List.filteri (fun i _ -> i < 24) !decisions_rev
-                 in
-                 List.iteri
-                   (fun i d ->
-                     Printf.eprintf "  -%02d p%d %s\n%!" i d.d_chosen d.d_op)
-                   tail);
               truncated := true;
               failed := Some Truncated
             end

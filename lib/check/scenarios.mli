@@ -7,7 +7,7 @@
     packages over a minimal proc-per-thread scheduler — and raises if an
     invariant that must hold on {e every} schedule is violated.  Shared by
     [test/test_check.ml] (exhaustive DFS per scenario) and
-    [bench/check_smoke.exe] (the CI gate). *)
+    [mp_repro check] (the CI gate). *)
 
 module Make (C : Mp_check.S with type Proc.proc_datum = int) : sig
   val all : (string * (unit -> unit)) list

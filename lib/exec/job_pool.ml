@@ -3,15 +3,6 @@ let c_jobs = Obs.Counters.counter registry "exec.jobs_run"
 let c_batches = Obs.Counters.counter registry "exec.parallel_batches"
 let c_domains = Obs.Counters.counter registry "exec.domains_spawned"
 
-let default_jobs () =
-  match Sys.getenv_opt "MP_REPRO_JOBS" with
-  | Some v -> ( match int_of_string_opt (String.trim v) with
-    | Some n when n >= 1 -> n
-    | _ -> 1)
-  | None -> 1
-
-let resolve_jobs = function Some n -> max 1 n | None -> default_jobs ()
-
 (* One slot per job; distinct jobs write distinct slots, and Domain.join
    publishes every worker's writes before the caller reads, so the merge
    is race-free without locks. *)
@@ -55,17 +46,6 @@ let map ~jobs f xs =
          (function Ok_ v -> v | Exn e -> raise e | Empty -> assert false)
          results)
   end
-
-(* [--jobs N] anywhere in [argv]; shared by the bench executables, which
-   scan their arguments by hand. *)
-let parse_jobs argv =
-  let explicit = ref None in
-  Array.iteri
-    (fun i a ->
-      if a = "--jobs" && i + 1 < Array.length argv then
-        explicit := int_of_string_opt argv.(i + 1))
-    argv;
-  resolve_jobs !explicit
 
 let counters () =
   List.filter

@@ -1,6 +1,6 @@
 (** Domain-parallel job pool for independent simulator runs.
 
-    The sweep drivers (bench sections, fig6 cells, golden generation,
+    The sweep drivers (experiment grids, golden generation,
     lock-comparison sweeps) are embarrassingly parallel: every cell
     instantiates its own generative [Mp_sim] machine, so cells share no
     simulator state.  This pool fans such cells across OCaml 5 host
@@ -12,20 +12,6 @@
     every [n] — output order never depends on domain scheduling.  With
     [jobs <= 1] (the default) [f] runs inline on the calling domain,
     byte-identical to the historical sequential drivers. *)
-
-val default_jobs : unit -> int
-(** Parallelism when the caller gives no explicit [--jobs]: the
-    [MP_REPRO_JOBS] environment variable when set to a positive integer,
-    else 1 (sequential). *)
-
-val resolve_jobs : int option -> int
-(** [resolve_jobs explicit] is [explicit] when given (clamped to >= 1),
-    else {!default_jobs}. *)
-
-val parse_jobs : string array -> int
-(** [parse_jobs argv] resolves the value following [--jobs] in [argv] (the
-    last one wins) via {!resolve_jobs}; for executables that scan their
-    arguments by hand. *)
 
 val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] = [List.map f xs], evaluating up to [jobs] elements

@@ -17,6 +17,15 @@ type sample = {
   alloc_words : int;
   checksum : int;
   verified : bool;
+  makespan_cycles : int;
+  bus_bytes : int;
+  remote_bytes : int;
+  invalidations : int;
+  gc_cycles : int;
+  decisions : int;
+  suspensions : int;
+  coalesced : int;
+  heap_ops : int;
 }
 
 let default_procs = [ 1; 2; 4; 6; 8; 10; 12; 14; 16 ]
@@ -77,12 +86,23 @@ let run_cell (config : Sim.Sim_config.t) (bench, procs) =
   let sched =
     Mpthreads.Sched_policy.of_string_exn config.Sim.Sim_config.sched
   in
-  let sample_of_run ?seq_base procs checksum =
-    let st = P.stats () in
-    let expected =
-      if bench = "seq" then checksum else expected_checksum bench
-    in
-    {
+  (* [seq]'s self-relative baseline: the same copies on one proc, run
+     first on this machine; the registry then restarts for the measured
+     run. *)
+  let seq_base =
+    if bench = "seq" && procs > 1 then begin
+      ignore (B.seq ~procs:1 ~copies:procs ~sched ());
+      Obs.Counters.reset P.Telemetry.counters;
+      Some (P.stats ()).Mp.Stats.elapsed
+    end
+    else None
+  in
+  let t0 = Sys.time () in
+  let checksum = B.run_named ~sched bench ~procs in
+  let host_seconds = Sys.time () -. t0 in
+  let st = P.stats () in
+  let expected = if bench = "seq" then procs else expected_checksum bench in
+  ( {
       machine = config.Sim.Sim_config.name;
       sched = config.Sim.Sim_config.sched;
       gc_model = Sim.Gc_model.to_string config.Sim.Sim_config.gc;
@@ -101,19 +121,18 @@ let run_cell (config : Sim.Sim_config.t) (bench, procs) =
       alloc_words = Mp.Stats.total_alloc_words st;
       checksum;
       verified = checksum = expected;
-    }
-  in
-  if bench = "seq" then begin
-    (* self-relative baseline: the same p copies on one proc *)
-    let copies = procs in
-    let _ = B.seq ~procs:1 ~copies ~sched () in
-    let base = sample_of_run 1 copies in
-    if procs = 1 then base
-    else
-      let c = B.seq ~procs ~copies ~sched () in
-      sample_of_run ~seq_base:base.elapsed procs c
-  end
-  else sample_of_run procs (B.run_named ~sched bench ~procs)
+      makespan_cycles = P.Machine.makespan_cycles ();
+      bus_bytes = P.Machine.bus_bytes ();
+      remote_bytes = P.Machine.remote_bytes ();
+      invalidations = P.Machine.invalidations ();
+      gc_cycles = P.Machine.gc_cycles ();
+      decisions = P.Machine.sched_decisions ();
+      suspensions = P.Machine.suspensions ();
+      coalesced = P.Machine.coalesced_charges ();
+      heap_ops = P.Machine.heap_ops ();
+    },
+    host_seconds,
+    Obs.Counters.dump P.Telemetry.counters )
 
 (* The default proc list grows with the machine: a 64-node NUMA box is
    swept at the powers of four up to its size rather than the flat 1..16
@@ -126,7 +145,8 @@ let machine_procs (config : Sim.Sim_config.t) =
 
 (* [Exec.Job_pool.map] merges the cells back by index, so the sample list
    — and everything rendered from it — is identical for every [jobs]. *)
-let sweep ?plist ?jobs ?(sched = "distributed") ?(gc = "stw") ~machine () =
+let sweep ?plist ?(jobs = 1) ?(sched = "distributed") ?(gc = "stw") ~machine
+    () =
   let config =
     Sim.Sim_config.of_machine_string_exn ~sched
       ~gc:(Sim.Gc_model.of_string_exn gc)
@@ -134,14 +154,17 @@ let sweep ?plist ?jobs ?(sched = "distributed") ?(gc = "stw") ~machine () =
   in
   let plist =
     Option.value plist ~default:(machine_procs config)
-    |> List.filter (fun p -> p <= config.Sim.Sim_config.procs)
+    |> List.filter (fun p -> p >= 1 && p <= config.Sim.Sim_config.procs)
   in
+  (* every speedup divides by the 1-proc cell *)
+  let plist = if List.mem 1 plist then plist else 1 :: plist in
   (* a traced sweep runs its cells in order so their events stream to the
      sink one cell at a time *)
-  let jobs =
-    if Option.is_some !trace_sink then 1 else Exec.Job_pool.resolve_jobs jobs
-  in
-  Exec.Job_pool.map ~jobs (run_cell config)
+  let jobs = if Option.is_some !trace_sink then 1 else jobs in
+  Exec.Job_pool.map ~jobs
+    (fun cell ->
+      let sample, _, _ = run_cell config cell in
+      sample)
     (List.concat_map (fun b -> List.map (fun p -> (b, p)) plist) benches)
 
 (* The §6 headroom replay (E8): the same machine and schedule swept once per

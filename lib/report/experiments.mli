@@ -28,16 +28,31 @@ type sample = {
   alloc_words : int;
   checksum : int;
   verified : bool;  (** checksum matches the sequential reference *)
+  makespan_cycles : int;  (** the measured run's machine totals: *)
+  bus_bytes : int;
+  remote_bytes : int;  (** crossed the inter-node link *)
+  invalidations : int;
+  gc_cycles : int;  (** pause cycles *)
+  decisions : int;  (** scheduler decisions (host-side, deterministic) *)
+  suspensions : int;  (** effect-handler suspensions (likewise) *)
+  coalesced : int;  (** charges absorbed by run-ahead (likewise) *)
+  heap_ops : int;  (** ready-heap operations (likewise) *)
 }
 
 val default_procs : int list
 (** 1, 2, 4, 6, 8, 10, 12, 14, 16 — Figure 6's x axis. *)
 
-val run_cell : Sim.Sim_config.t -> string * int -> sample
+val run_cell :
+  Sim.Sim_config.t -> string * int -> sample * float * (string * int) list
 (** [run_cell config (bench, procs)] runs one grid cell on a private
     machine built from [config], under the scheduling policy
-    [config.sched], and verifies its result.  Inside {!trace} the cell's
-    telemetry streams to the trace file. *)
+    [config.sched], and verifies its result.  Beside the sample it returns
+    the host CPU seconds of the measured run and the cell's counter
+    registry ({!Obs.Counters.dump}); both stay out of the sample, which is
+    a pure function of the cell.  A [seq] cell first runs its 1-proc
+    baseline on the same machine; only the measured run is timed and
+    counted.  Inside {!trace} the cell's telemetry streams to the trace
+    file. *)
 
 val sweep :
   ?plist:int list ->
@@ -50,7 +65,8 @@ val sweep :
 (** The six-benchmark grid over [plist] on any
     {!Sim.Sim_config.of_machine_string} selector (["sequent"], ["sgi"],
     ["numa:<nodes>x<procs>"], ["numa1024"]), one {!run_cell} per cell.
-    [plist] is clamped to the machine size; machines larger than 16 procs
+    [plist] is clamped to the machine size and always gains the 1-proc
+    baseline every speedup divides by; machines larger than 16 procs
     default to the powers-of-four list [1; 4; 16; 64; 256; 1024], smaller
     ones to {!default_procs}.
 
@@ -62,8 +78,8 @@ val sweep :
     [jobs] fans the cells across that many host domains via
     {!Exec.Job_pool}; results are merged back in grid order, so the
     returned samples (and all output rendered from them) are identical for
-    every [jobs] value.  Defaults to [MP_REPRO_JOBS] or 1; inside {!trace}
-    the cells run one at a time. *)
+    every [jobs] value.  Defaults to 1; inside {!trace} the cells run one
+    at a time. *)
 
 val gc_models : string list
 (** The three collectors of the E8 headroom replay:

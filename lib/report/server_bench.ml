@@ -17,9 +17,8 @@ type cell = {
   p95_ns : int;
   p99_ns : int;
   p999_ns : int;
-  mean_ns : float;
   queue_wait : float;
-  buckets : (int * int) list;
+  hist : Obs.Histogram.t;
 }
 
 let schedulers = [ "fifo"; "distributed"; "ws" ]
@@ -62,30 +61,34 @@ let run_cell ~machine ~config (sched, procs, rate) =
     p95_ns = r.Workloads.Server.p95;
     p99_ns = r.Workloads.Server.p99;
     p999_ns = r.Workloads.Server.p999;
-    mean_ns = Obs.Histogram.mean r.Workloads.Server.hist;
     queue_wait = r.Workloads.Server.queue_wait;
-    buckets = Obs.Histogram.nonzero_buckets r.Workloads.Server.hist;
+    hist = r.Workloads.Server.hist;
   }
 
-let resolve_jobs jobs = Exec.Job_pool.resolve_jobs jobs
+let golden_line c =
+  Printf.sprintf
+    "GOLDEN server sched=%-12s procs=%-2d count=%d sum=%d p50=%d p95=%d \
+     p99=%d p999=%d elapsed=%.9f tput=%.3f qwait=%.9f"
+    c.sched c.procs (Obs.Histogram.count c.hist) (Obs.Histogram.sum c.hist)
+    c.p50_ns c.p95_ns c.p99_ns c.p999_ns c.elapsed c.throughput c.queue_wait
 
-let grid ?(quick = false) ?jobs ?(machine = "sequent") () =
+let grid ?(quick = false) ?(jobs = 1) ?(machine = "sequent") () =
   let config = base_config ~quick in
   let cells =
     List.concat_map
       (fun sched -> List.map (fun procs -> (sched, procs, config.Workloads.Server.rate)) grid_procs)
       schedulers
   in
-  Exec.Job_pool.map ~jobs:(resolve_jobs jobs) (run_cell ~machine ~config) cells
+  Exec.Job_pool.map ~jobs (run_cell ~machine ~config) cells
 
-let ramp ?(quick = false) ?jobs ?(machine = "sequent") ?(procs = 16) () =
+let ramp ?(quick = false) ?(jobs = 1) ?(machine = "sequent") ?(procs = 16) () =
   let config = base_config ~quick in
   let cells =
     List.concat_map
       (fun sched -> List.map (fun rate -> (sched, procs, rate)) (ramp_rates ~quick))
       schedulers
   in
-  Exec.Job_pool.map ~jobs:(resolve_jobs jobs) (run_cell ~machine ~config) cells
+  Exec.Job_pool.map ~jobs (run_cell ~machine ~config) cells
 
 (* Saturation knee of one scheduler's ramp: the lowest offered load whose
    p99 exceeds 5x the p99 at the lightest load — i.e. where queueing
@@ -152,7 +155,8 @@ let cell_json c =
      \"throughput\":%.3f,\"p50_ns\":%d,\"p95_ns\":%d,\"p99_ns\":%d,\
      \"p999_ns\":%d,\"mean_ns\":%.1f,\"queue_wait_s\":%.9f}"
     c.machine c.sched c.procs c.rate c.requests c.completed c.elapsed
-    c.throughput c.p50_ns c.p95_ns c.p99_ns c.p999_ns c.mean_ns c.queue_wait
+    c.throughput c.p50_ns c.p95_ns c.p99_ns c.p999_ns
+    (Obs.Histogram.mean c.hist) c.queue_wait
 
 let to_json ~quick grid_cells ramp_cells =
   let b = Buffer.create 4096 in

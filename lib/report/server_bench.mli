@@ -16,9 +16,8 @@ type cell = {
   p95_ns : int;
   p99_ns : int;
   p999_ns : int;
-  mean_ns : float;
   queue_wait : float;  (** producer seconds blocked on full shard queues *)
-  buckets : (int * int) list;  (** latency histogram digest *)
+  hist : Obs.Histogram.t;  (** the cell's latency histogram, ns *)
 }
 
 val schedulers : string list
@@ -30,8 +29,21 @@ val grid_procs : int list
 
 val ramp_rates : quick:bool -> float list
 
+val run_cell :
+  machine:string -> config:Workloads.Server.config -> string * int * float ->
+  cell
+(** [run_cell ~machine ~config (sched, procs, rate)] runs [config] at
+    offered load [rate] on a private machine built from the
+    {!Sim.Sim_config.of_machine_string} selector [machine]. *)
+
+val golden_line : cell -> string
+(** The cell's [GOLDEN server ...] line: the latency histogram's count,
+    sum and tail quantiles, elapsed, throughput and queue wait — the
+    values the server golden table pins. *)
+
 val grid : ?quick:bool -> ?jobs:int -> ?machine:string -> unit -> cell list
-(** One cell per (scheduler, procs) at the default offered load. *)
+(** One cell per (scheduler, procs) at the default offered load; [jobs]
+    (default 1) fans the cells across host domains. *)
 
 val ramp :
   ?quick:bool -> ?jobs:int -> ?machine:string -> ?procs:int -> unit ->

@@ -61,16 +61,6 @@ let of_string s =
 let of_string_exn s =
   match of_string s with Ok m -> m | Error msg -> invalid_arg msg
 
-let env_var = "MP_REPRO_GC"
-
-let resolve ?explicit () =
-  match explicit with
-  | Some s -> of_string_exn s
-  | None -> (
-      match Sys.getenv_opt env_var with
-      | Some s when String.trim s <> "" -> of_string_exn s
-      | _ -> default)
-
 (* Cost constants, extracted from [Sim_config] by the simulator so this
    module stays independent of it (the config references [t], not the
    other way round). *)

@@ -31,14 +31,6 @@ val of_string : string -> (t, string) result
 
 val of_string_exn : string -> t
 
-val env_var : string
-(** ["MP_REPRO_GC"] — consulted by {!resolve} when no explicit selector is
-    given, mirroring [MP_REPRO_SCHED]. *)
-
-val resolve : ?explicit:string -> unit -> t
-(** Selector precedence: [explicit] if given, else a non-empty
-    {!env_var}, else {!default}. *)
-
 (** Cost constants, extracted from [Sim_config] by the simulator (this
     module does not depend on the config; the config references {!t}). *)
 type params = {

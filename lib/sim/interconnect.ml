@@ -112,8 +112,3 @@ let remote_bytes t = t.remote_bytes
 let invalidations t = t.invalidations
 let bus_busy_cycles t = Array.fold_left ( + ) 0 t.bus_busy
 let link_busy_cycles t = t.link_busy
-
-let describe t =
-  Printf.sprintf "bus_free_at=[%s] link_free_at=%d"
-    (String.concat ";" (Array.to_list (Array.map string_of_int t.bus_free_at)))
-    t.link_free_at

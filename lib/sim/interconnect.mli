@@ -51,6 +51,3 @@ val remote_bytes : t -> int
 val invalidations : t -> int
 val bus_busy_cycles : t -> int
 val link_busy_cycles : t -> int
-
-val describe : t -> string
-(** Bus and link reservation state, for the deadlock watchdog. *)

@@ -150,17 +150,6 @@ struct
   let emit = Telemetry.emit
   let observe_clock n = if n > !max_clock then max_clock := n
 
-  (* Real-time watchdog for debugging client deadlocks: dump proc states if
-     the simulation makes this many scheduling decisions without finishing. *)
-  let debug_iterations =
-    match Sys.getenv_opt "MP_SIM_DEBUG_ITERS" with
-    | Some v -> int_of_string_opt v
-    | None -> None
-
-  (* The watchdog counts scheduling decisions, so when it is armed every
-     charge must go through the scheduler. *)
-  let run_ahead_enabled = config.run_ahead && debug_iterations = None
-
   (* ------------------------------------------------------------------ *)
   (* Ready-set maintenance.                                             *)
   (* ------------------------------------------------------------------ *)
@@ -214,7 +203,7 @@ struct
     let clock = p.clock in
     advance p (Interconnect.transact ic ~proc:p.id ~clock ~cpu ~bytes ~route) ~idle;
     let inline =
-      admit && run_ahead_enabled
+      admit && config.run_ahead
       && (not !gc_pending)
       && Ready_heap.precedes_min ready ~clock:p.clock ~id:p.id
     in
@@ -450,32 +439,7 @@ struct
   let any_gc_waiting () =
     Array.exists (fun p -> match p.state with Gc_waiting _ -> true | _ -> false) procs
 
-  let iter_count = ref 0
-
-  let dump_states () =
-    let b = Buffer.create 256 in
-    Array.iter
-      (fun p ->
-        Buffer.add_string b
-          (Printf.sprintf "proc %d clock=%d state=%s\n" p.id p.clock
-             (match p.state with
-             | Free -> "Free"
-             | Ready _ -> "Ready"
-             | Current -> "Current"
-             | Gc_waiting _ -> "Gc_waiting")))
-      procs;
-    Buffer.add_string b
-      (Printf.sprintf "region=%d gc_pending=%b %s\n" (GcM.region_used ())
-         !gc_pending (Interconnect.describe ic));
-    Buffer.contents b
-
   let rec loop () =
-    (match debug_iterations with
-    | Some n ->
-        incr iter_count;
-        if !iter_count mod n = 0 then
-          prerr_string (Printf.sprintf "[sim after %d decisions]\n%s" !iter_count (dump_states ()))
-    | None -> ());
     if not (Ready_heap.is_empty ready) then begin
         let p = Ready_heap.pop_unchecked ready in
         check_heap ();
@@ -635,7 +599,7 @@ struct
              { proc = q.id; clock = q.clock; spins = !attempt })
 
     let lock l =
-      if run_ahead_enabled then ignore (lock_fast l (fun c -> K_lock c))
+      if config.run_ahead then ignore (lock_fast l (fun c -> K_lock c))
       else lock_ref l
 
     let unlock l =
@@ -649,7 +613,7 @@ struct
        parked episode: under contention the whole sequence costs at most
        one suspension instead of one per probe, retry and unlock. *)
     let locked l f =
-      if run_ahead_enabled then begin
+      if config.run_ahead then begin
         let res = ref None in
         let run () = res := Some (try Ok (f ()) with e -> Error e) in
         let parked = lock_fast l (fun c -> K_locked (run, c)) in
@@ -673,7 +637,7 @@ struct
      the gate disabled this is the reference per-op loop. *)
   let run_ops ops =
     let p = cur () in
-    if run_ahead_enabled then
+    if config.run_ahead then
       match work_run p ops with
       | None -> ()
       | Some rest -> park p (fun c -> A_work (rest, c))
@@ -740,7 +704,7 @@ struct
        the first check happens one quantum after the call — exactly where
        the reference polling loop evaluates it. *)
     let idle_until ~ready =
-      if run_ahead_enabled then begin
+      if config.run_ahead then begin
         let p = cur () in
         advance p (p.clock + config.idle_quantum_cycles) ~idle:true;
         incr idle_parks_ct;

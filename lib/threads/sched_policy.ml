@@ -44,16 +44,6 @@ let of_string s =
 let of_string_exn s =
   match of_string s with Ok p -> p | Error msg -> invalid_arg msg
 
-let env_var = "MP_REPRO_SCHED"
-
-let resolve ?explicit () =
-  match explicit with
-  | Some s -> of_string_exn s
-  | None -> (
-      match Sys.getenv_opt env_var with
-      | Some s when String.trim s <> "" -> of_string_exn s
-      | _ -> default)
-
 module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
   module MQ = Queues.Multi_queue.Make (P.Lock)
 

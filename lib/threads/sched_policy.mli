@@ -42,15 +42,6 @@ val of_string_exn : string -> t
 val names : string list
 (** Accepted spellings, for usage strings. *)
 
-val env_var : string
-(** ["MP_REPRO_SCHED"] — the environment fallback consulted by
-    {!resolve}. *)
-
-val resolve : ?explicit:string -> unit -> t
-(** Policy selection with precedence: [?explicit] (e.g. a [--sched] flag)
-    beats the [MP_REPRO_SCHED] environment variable beats {!default}.
-    @raise Invalid_argument on an unparsable spelling. *)
-
 module Make (P : Mp.Mp_intf.PLATFORM_INT) : sig
   val instance : t -> (module Thread_intf.SCHEDULER)
   (** The policy's ready-queue implementation over [P]. *)

@@ -263,7 +263,7 @@ let test_dpor_equivalence () =
     (S.all @ S.broken)
 
 (* Exact DPOR schedule counts at bound 3 for the scenarios that drive the
-   blocking constructs (the same figures [check_smoke --bound 3] prints).
+   blocking constructs (the same figures [mp_repro check --bound 3] prints).
    Any change to the sequence of platform operations a park or wake
    performs moves one of these numbers. *)
 let test_dpor_schedule_pins () =

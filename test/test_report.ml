@@ -258,6 +258,14 @@ let test_sweep_jobs_deterministic () =
   in
   checkb "jobs=2 sample list identical to jobs=1" true (s1 = s2)
 
+(* Every speedup divides by the 1-proc cell, so a sweep over [4] alone
+   still runs it: the same samples as the [1; 4] sweep. *)
+let test_sweep_adds_baseline () =
+  let s = Report.Experiments.sweep ~plist:[ 4 ] ~machine:"sequent" () in
+  checkb "plist [4] sweeps [1; 4]" true (s = Lazy.force samples);
+  checkb "mm speedup@4 readable" true
+    (Report.Experiments.speedup s ~bench:"mm" ~procs:4 > 1.0)
+
 let test_print_sections_smoke () =
   let s = Lazy.force samples in
   let out =
@@ -384,6 +392,8 @@ let () =
           Alcotest.test_case "parallel driver deterministic" `Slow
             test_sweep_jobs_deterministic;
           Alcotest.test_case "gc exclusion" `Slow test_sweep_no_gc_at_least_as_fast;
+          Alcotest.test_case "1-proc baseline always runs" `Slow
+            test_sweep_adds_baseline;
           Alcotest.test_case "print sections" `Slow test_print_sections_smoke;
           Alcotest.test_case "trace keeps ws samples" `Slow
             test_trace_keeps_samples;

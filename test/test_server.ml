@@ -2,36 +2,24 @@
    latency-tail ordering, the pure generators, and qcheck properties of the
    log-bucketed histogram it reports through.
 
-   The GOLDEN table is produced by bench/server_golden.exe — regenerate
-   with `dune exec bench/server_golden.exe` when the pinned default config
-   changes, and never update it to absorb a virtual-time change without
-   understanding why the change is correct. *)
+   The GOLDEN table is produced by `mp_repro server_golden` — regenerate
+   with `dune exec bin/mp_repro.exe -- server_golden` when the pinned
+   default config changes, and never update it to absorb a virtual-time
+   change without understanding why the change is correct. *)
 
 let check = Alcotest.(check int)
 
 (* ---------------- golden determinism cells ---------------- *)
 
+(* The line `mp_repro server_golden` prints, from the cell runner its grid
+   and the E9 sweep use. *)
 let digest (sched, procs) =
-  let module M =
-    Sim.Mp_sim.Int (struct
-        let config =
-          Sim.Sim_config.sequent ~procs:16
-            ~sched:(Mpthreads.Sched_policy.to_string sched) ()
-      end)
-      ()
-  in
-  let module S = Workloads.Server.Make (M) in
-  let r = S.run ~procs ~sched Workloads.Server.default in
-  Printf.sprintf
-    "GOLDEN server sched=%-12s procs=%-2d count=%d sum=%d p50=%d p95=%d \
-     p99=%d p999=%d elapsed=%.9f tput=%.3f qwait=%.9f"
-    (Mpthreads.Sched_policy.to_string sched)
-    procs
-    (Obs.Histogram.count r.Workloads.Server.hist)
-    (Obs.Histogram.sum r.Workloads.Server.hist)
-    r.Workloads.Server.p50 r.Workloads.Server.p95 r.Workloads.Server.p99
-    r.Workloads.Server.p999 r.Workloads.Server.elapsed
-    r.Workloads.Server.throughput r.Workloads.Server.queue_wait
+  Report.Server_bench.(
+    golden_line
+      (run_cell ~machine:"sequent" ~config:Workloads.Server.default
+         ( Mpthreads.Sched_policy.to_string sched,
+           procs,
+           Workloads.Server.default.Workloads.Server.rate )))
 
 let golden =
   Mpthreads.Sched_policy.
@@ -91,19 +79,13 @@ let test_rerun_identical () =
    the p99 tail at full machine width. *)
 let test_ws_tail_beats_fifo () =
   let p99 sched =
-    let module M =
-      Sim.Mp_sim.Int (struct
-          let config =
-            Sim.Sim_config.sequent ~procs:16
-              ~sched:(Mpthreads.Sched_policy.to_string sched) ()
-        end)
-        ()
-    in
-    let module S = Workloads.Server.Make (M) in
-    (S.run ~procs:16 ~sched Workloads.Server.default).Workloads.Server.p99
+    (Report.Server_bench.run_cell ~machine:"sequent"
+       ~config:Workloads.Server.default
+       (sched, 16, Workloads.Server.default.Workloads.Server.rate))
+      .Report.Server_bench.p99_ns
   in
-  let fifo = p99 Mpthreads.Sched_policy.Fifo in
-  let ws = p99 Mpthreads.Sched_policy.Ws in
+  let fifo = p99 "fifo" in
+  let ws = p99 "ws" in
   if ws >= fifo then
     Alcotest.failf "ws p99 %d not below central fifo p99 %d at 16 procs" ws
       fifo

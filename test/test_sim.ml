@@ -327,10 +327,10 @@ let prop_ready_heap_sorts =
 (* ---------------- determinism equivalence (goldens) ---------------- *)
 
 (* The golden values below were captured from the pre-ready-heap,
-   always-suspend scheduler (seed of PR 1) by bench/sim_golden.exe.  Any
+   always-suspend scheduler; `mp_repro sim_golden` prints them.  Any
    scheduler or run-ahead change that alters virtual time fails these; a
-   legitimate model change must regenerate the table with that tool and
-   justify the diff. *)
+   legitimate model change must regenerate the table with that command
+   and justify the diff. *)
 
 module GCfg = struct
   let config = Sim.Sim_config.sequent ~procs:16 ()
@@ -391,6 +391,9 @@ let golden : (string * (int * int * int * int * int) list) list =
       ] );
   ]
 
+(* Each row is checked twice: on the shared instance [G], and through the
+   cell runner the CLI's sweeps and `mp_repro sim_golden` use (a private
+   machine; a [seq] cell runs its 1-proc baseline there first). *)
 let golden_case bench rows () =
   List.iter
     (fun (procs, makespan, gc, bus, witness) ->
@@ -399,7 +402,17 @@ let golden_case bench rows () =
       check (tag "witness") witness w;
       check (tag "makespan") makespan (G.Machine.makespan_cycles ());
       check (tag "collections") gc (G.Machine.gc_collections ());
-      check (tag "bus bytes") bus (G.Machine.bus_bytes ()))
+      check (tag "bus bytes") bus (G.Machine.bus_bytes ());
+      let s, _, _ =
+        Report.Experiments.run_cell
+          (Sim.Sim_config.sequent ~procs:16 ())
+          (bench, procs)
+      in
+      let tag s = tag ("run_cell " ^ s) in
+      check (tag "witness") witness s.Report.Experiments.checksum;
+      check (tag "makespan") makespan s.Report.Experiments.makespan_cycles;
+      check (tag "collections") gc s.Report.Experiments.gc_count;
+      check (tag "bus bytes") bus s.Report.Experiments.bus_bytes)
     rows
 
 (* Telemetry must be pure observation: with event recording enabled the
@@ -569,9 +582,9 @@ let test_sched_all_policies_correct () =
 (* ---------------- GC cost model family ---------------- *)
 
 (* Requesting the default collector explicitly is the identity:
-   bit-identical to the golden table (the --gc stw / MP_REPRO_GC=stw call
-   path of bench/sim_golden.exe and the stw cells of BENCH_sim.json are
-   generated through exactly this construction). *)
+   bit-identical to the golden table (the `--gc stw` call path of
+   `mp_repro sim_golden` and the stw cells of BENCH_sim.json are generated
+   through exactly this construction). *)
 module GStw =
   Sim.Mp_sim.Int (struct
       let config =
@@ -860,7 +873,7 @@ let test_numa_run_ahead_equivalence () =
     [ ("mm", 16); ("mst", 16); ("seq", 16) ]
 
 (* Absolute values for the two-node machine, from the numa:2x8 rows of
-   bench/sim_golden.exe.  The twin test above only shows that the two
+   `mp_repro sim_golden`.  The twin test above only shows that the two
    schedulers agree; this table pins the link arithmetic itself.
    (bench, makespan cycles, bus bytes, remote bytes, invalidations,
    result witness), all at 16 procs. *)
