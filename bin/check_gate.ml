@@ -1,21 +1,19 @@
 (* [mp_repro check]: the gate for the mp_check exploration harness.
 
    Runs every scenario in the corpus under a wall-clock budget and prints a
-   per-scenario table; exits 1 if any scenario fails, if the self-test (the
-   deliberately broken lock) is NOT caught, or if the per-scenario schedule
-   floor is not met.  Exploration is race-directed (DPOR + sleep sets) by
-   default and can fan out across host domains; everything but the time
-   columns is byte-identical for any --jobs.  Three shapes:
+   per-scenario table; exits 1 if any scenario fails, if a self-test (a
+   deliberately broken client) is NOT caught, or if the per-scenario
+   schedule floor is not met — a scenario the budget skipped counts as
+   missing it.  The self-tests run whatever the budget; they take
+   milliseconds.  Exploration is race-directed (DPOR + sleep sets) by
+   default.  Three shapes:
 
-     mp_repro check --bound 3 --seconds 300 --jobs 2     # every-PR gate
+     mp_repro check --bound 3 --seconds 300              # every-PR gate
      mp_repro check --bound 3 --json                     # BENCH_check.json
      mp_repro check --bound 4 --faults --mode both       # weekly deep run *)
 
 open Cmdliner
 
-(* The driver-domain instance: random mode, plain DFS, and scenario-name
-   resolution.  DPOR worker domains get their own generative instance
-   through [make_runner] below. *)
 module P = Mpcheck.Mp_check.Int (struct
   let max_procs = 2
 end) ()
@@ -23,7 +21,7 @@ end) ()
 module S = Mpcheck.Scenarios.Make (P)
 
 let run bound mode runs seed with_faults seconds max_schedules max_steps dpor
-    jobs json json_file =
+    json json_file =
   (* one BENCH_check.json object per scenario *)
   let rows = ref [] in
   let faults =
@@ -41,39 +39,12 @@ let run bound mode runs seed with_faults seconds max_schedules max_steps dpor
   let failures = ref 0 in
   let skipped = ref 0 in
   Printf.printf
-    "mp_check smoke: bound=%d mode=%s faults=%b dpor=%b jobs=%d budget=%.0fs\n%!"
-    bound mode with_faults dpor jobs seconds;
+    "mp_check smoke: bound=%d mode=%s faults=%b dpor=%b budget=%.0fs\n%!"
+    bound mode with_faults dpor seconds;
   Printf.printf "%-24s %10s %9s %8s %7s %s\n" "scenario" "schedules"
     "truncated" "pruned" "time" "result";
-  (* A fresh checker instance per worker domain: per-run object ids are a
-     pure function of functor-application order and the forced prefix, so
-     every domain's instance reproduces the driver's labels exactly. *)
-  let make_runner name () =
-    let module P2 = Mpcheck.Mp_check.Int (struct
-      let max_procs = 2
-    end) () in
-    let module S2 = Mpcheck.Scenarios.Make (P2) in
-    let body = List.assoc name (S2.all @ S2.heavy @ S2.broken) in
-    P2.Explore.runner ~faults ~max_steps body
-  in
-  let dpor_report name =
-    let r =
-      Mpcheck.Dpor.explore ~make_runner:(make_runner name) ~jobs ~bound
-        ~max_schedules ~stop ()
-    in
-    {
-      Mpcheck.Mp_check.schedules = r.Mpcheck.Dpor.r_schedules;
-      truncated = r.Mpcheck.Dpor.r_truncated;
-      pruned = r.Mpcheck.Dpor.r_pruned;
-      capped = r.Mpcheck.Dpor.r_capped;
-      failure =
-        Option.map
-          (fun (error, schedule, trace) ->
-            { Mpcheck.Mp_check.error; schedule; seed = None; trace })
-          r.Mpcheck.Dpor.r_failure;
-    }
-  in
   let run_scenario ~kind want_failure (name, body) =
+    let stop = if want_failure then fun () -> false else stop in
     if stop () then begin
       incr skipped;
       Printf.printf "%-24s %10s %9s %8s %7s skipped (budget exhausted)\n%!"
@@ -84,9 +55,8 @@ let run bound mode runs seed with_faults seconds max_schedules max_steps dpor
       let reports = ref [] in
       if mode = "dfs" || mode = "both" then
         reports :=
-          (if dpor then dpor_report name
-           else
-             P.Explore.dfs ~bound ~max_schedules ~max_steps ~faults ~stop body)
+          P.Explore.dfs ~bound ~max_schedules ~max_steps ~faults ~stop ~dpor
+            body
           :: !reports;
       if
         (mode = "random" || mode = "both")
@@ -158,18 +128,18 @@ let run bound mode runs seed with_faults seconds max_schedules max_steps dpor
     let oc = open_out json_file in
     Printf.fprintf oc
       "{\n  \"benchmark\": \"mp_check\",\n  \"bound\": %d,\n  \"mode\": %S,\n  \
-       \"dpor\": %b,\n  \"jobs\": %d,\n  \"faults\": %b,\n  \"counters\": {%s\n  \
-       },\n  \"scenarios\": [%s\n  ]\n}\n"
-      bound mode dpor jobs with_faults
+       \"dpor\": %b,\n  \"faults\": %b,\n  \"counters\": {%s\n  },\n  \
+       \"scenarios\": [%s\n  ]\n}\n"
+      bound mode dpor with_faults
       (String.concat ","
          (List.map
             (fun (k, v) -> Printf.sprintf "\n    %S: %d" k v)
-            (Mpcheck.Check_intf.counters () @ Exec.Job_pool.counters ())))
+            (Mpcheck.Check_intf.counters ())))
       (String.concat "," (List.rev !rows));
     close_out oc;
     Printf.printf "wrote %s\n%!" json_file
   end;
-  if !failures > 0 then exit 1
+  if !failures + !skipped > 0 then exit 1
 
 let seed_conv =
   let parse s =
@@ -213,7 +183,6 @@ let cmd =
                       "Plain CHESS DFS: expand every alternative at every \
                        decision." );
               ])
-      $ opt Arg.int 1 [ "jobs"; "j" ] "Host domains for DPOR frontier waves."
       $ flag [ "json" ]
           "Write the JSON report (adds a plain-DFS comparison pass over the \
            non-heavy corpus for the reduction factor)."

@@ -1,4 +1,7 @@
-(** Fault-injection configuration for schedule exploration.
+(** What the exploration platform ({!Mp_check}) and the DPOR driver
+    ({!Dpor}) share: fault-injection configuration, visible-operation
+    descriptors, the two ways a run ends without failing ({!Truncated},
+    {!Sleep_blocked}) and the [check.*] counters.
 
     Faults model the legal-but-rare behaviours of a real platform that the
     deterministic backends never produce on their own: a [try_lock] that
@@ -74,6 +77,11 @@ let depends a b =
   | Global, _ | _, Global -> true
   | _ -> a.obj = b.obj && not (a.access = Read && b.access = Read)
 
+exception Truncated
+(** A run exceeded the per-run step budget ([max_steps]).  Truncated runs
+    are counted, not treated as failures: they signal livelock or a budget
+    set too low, and exploration of that branch is incomplete. *)
+
 exception Sleep_blocked
 (** A run was aborted because every enabled choice was in the sleep set:
     the schedule is a commuted permutation of one already explored.
@@ -82,8 +90,7 @@ exception Sleep_blocked
 (* ---- check.* telemetry --------------------------------------------- *)
 
 (* One process-wide registry shared by every checker instance (instances
-   are generative; the exploration counters are not).  All bumps happen on
-   the driver domain, so totals are deterministic for any --jobs. *)
+   are generative; the exploration counters are not). *)
 let counters_registry = Obs.Counters.create ()
 let c_schedules = Obs.Counters.counter counters_registry "check.schedules_explored"
 let c_prunes = Obs.Counters.counter counters_registry "check.sleepset_prunes"

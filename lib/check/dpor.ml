@@ -1,5 +1,4 @@
-(* Dynamic partial order reduction over recorded runs, plus the
-   deterministic parallel frontier driver.
+(* Dynamic partial order reduction over recorded runs.
 
    The platform side (mp_check) records, per decision, the op descriptor
    of the executed operation ({!Check_intf.opdesc}) and the exploration
@@ -19,17 +18,11 @@
      prefix and seeds the sleep set of later siblings with the procs
      already scheduled at that node.
 
-   Determinism under parallel fan-out: the frontier is processed in
-   fixed-size waves whose composition depends only on insertion order,
-   never on [--jobs]; results come back index-merged from
-   [Exec.Job_pool.map]; all bookkeeping (counting, node registration,
-   race insertion, failure selection = lowest index in the earliest wave)
-   happens sequentially on the driver domain.  Worker domains run their
-   own generative checker instance behind a [Domain.DLS] key, so per-run
-   object ids — which depend only on functor-application order and the
-   forced prefix — are identical on every domain. *)
+   The frontier is a FIFO queue worked through one forced run at a time
+   on the calling domain, so the explored set, the counts and the first
+   failure depend only on insertion order. *)
 
-(* One recorded decision of a run, as the driver sees it. *)
+(* One recorded decision of a run. *)
 type step = {
   s_proc : int;  (** the proc that executed *)
   s_label : string;  (** trace label of the executed op *)
@@ -43,26 +36,15 @@ type step = {
   s_sleep : int;  (** sleep set (bitmask) in force when deciding *)
 }
 
-type outcome =
-  | Ok_run
-  | Truncated_run  (** hit the per-run step budget *)
-  | Sleep_blocked_run
-      (** every enabled choice was asleep: a commuted duplicate *)
-  | Failed_run of exn
-
-type run_result = { outcome : outcome; steps : step array }
-
-(* An instance-independent handle for executing forced runs: the driver
-   never touches a platform instance directly, so worker domains can each
-   own a fresh generative one. *)
 type runner = {
   nprocs : int;
   run_prefix :
-    prefix:int array -> split:int -> alt:int -> sleep0:int -> run_result;
+    prefix:int array -> split:int -> alt:int -> sleep0:int ->
+    exn option * step array;
       (** force [prefix.(0 .. split-1)], then [alt] at decision [split]
           (skipped when [alt < 0]), then the default policy with the
           sleep set engaged from decision [split] seeded with [sleep0] *)
-  shrink : exn -> int list -> exn * int list * Obs.Event.t list;
+  shrink : exn -> step array -> exn * int list * Obs.Event.t list;
 }
 
 type result = {
@@ -70,7 +52,6 @@ type result = {
   r_pruned : int;  (** runs abandoned sleep-blocked *)
   r_truncated : int;
   r_capped : bool;
-  r_frontier_peak : int;
   r_failure : (exn * int list * Obs.Event.t list) option;
 }
 
@@ -197,7 +178,7 @@ let races ~nprocs (steps : step array) : (int * int) list =
    collision would silently merge two distinct prefixes (missing some
    exploration); at 63 bits and millions of nodes the probability is
    ~1e-5 over a whole deep run, and the hash is a pure function of the
-   prefix, so determinism across [--jobs] is unaffected. *)
+   prefix, so a collision would at least be reproducible. *)
 let h0 = 0x243F6A8885A308D3L
 
 let prefix_hashes (chosen : int array) =
@@ -216,33 +197,27 @@ let prefix_hashes (chosen : int array) =
 type node = { mutable alts : int; n_sleep : int }
 type item = { prefix : int array; split : int; alt : int; sleep0 : int }
 
-let explore ?(batch = 32) ~make_runner ~jobs ~bound ~max_schedules ~stop () =
-  let key = Domain.DLS.new_key make_runner in
-  let driver = Domain.DLS.get key in
-  let nprocs = driver.nprocs in
+let explore runner ~bound ~max_schedules ~stop =
+  let nprocs = runner.nprocs in
   let nodes : (int64, node) Hashtbl.t = Hashtbl.create 4096 in
   let frontier : item Queue.t = Queue.create () in
   Queue.add { prefix = [||]; split = 0; alt = -1; sleep0 = 0 } frontier;
   let schedules = ref 0 and pruned = ref 0 and truncs = ref 0 in
   let capped = ref false and peak = ref 1 in
-  let raw_failure = ref None in
-  let process it res =
-    match res.outcome with
-    | Truncated_run ->
+  let failure = ref None in
+  let run it =
+    let err, steps =
+      runner.run_prefix ~prefix:it.prefix ~split:it.split ~alt:it.alt
+        ~sleep0:it.sleep0
+    in
+    match err with
+    | Some Check_intf.Truncated ->
         (* counted like the plain DFS counts them: the branch is lost to
            the step budget, nothing to expand *)
         incr schedules;
         incr truncs
-    | Failed_run e ->
-        incr schedules;
-        if !raw_failure = None then
-          raw_failure :=
-            Some (e, Array.to_list (Array.map (fun s -> s.s_proc) res.steps))
-    | Ok_run | Sleep_blocked_run ->
-        (match res.outcome with
-        | Ok_run -> incr schedules
-        | _ -> incr pruned);
-        let steps = res.steps in
+    | None | Some Check_intf.Sleep_blocked ->
+        if Option.is_none err then incr schedules else incr pruned;
         let len = Array.length steps in
         let chosen = Array.map (fun s -> s.s_proc) steps in
         let hs = prefix_hashes chosen in
@@ -319,33 +294,19 @@ let explore ?(batch = 32) ~make_runner ~jobs ~bound ~max_schedules ~stop () =
               end
             end)
           (races ~nprocs steps)
+    | Some e ->
+        incr schedules;
+        failure := Some (runner.shrink e steps)
   in
-  while (not (Queue.is_empty frontier)) && !raw_failure = None && not !capped
+  while
+    (not (Queue.is_empty frontier)) && Option.is_none !failure && not !capped
   do
     if stop () || !schedules + !pruned >= max_schedules then capped := true
     else begin
-      let n = min batch (Queue.length frontier) in
-      let items = List.init n (fun _ -> Queue.pop frontier) in
-      let results =
-        Exec.Job_pool.map ~jobs
-          (fun it ->
-            let r = Domain.DLS.get key in
-            r.run_prefix ~prefix:it.prefix ~split:it.split ~alt:it.alt
-              ~sleep0:it.sleep0)
-          items
-      in
-      List.iter2 process items results;
-      let qn = Queue.length frontier in
-      if qn > !peak then peak := qn
+      run (Queue.pop frontier);
+      peak := max !peak (Queue.length frontier)
     end
   done;
-  (* shrink on the driver's own runner: replays are sequential and
-     deterministic whatever [--jobs] ran the finding *)
-  let failure =
-    match !raw_failure with
-    | None -> None
-    | Some (e, sched0) -> Some (driver.shrink e sched0)
-  in
   Obs.Counters.add Check_intf.c_schedules !schedules;
   Obs.Counters.add Check_intf.c_prunes !pruned;
   Obs.Counters.max_gauge Check_intf.c_frontier !peak;
@@ -354,6 +315,5 @@ let explore ?(batch = 32) ~make_runner ~jobs ~bound ~max_schedules ~stop () =
     r_pruned = !pruned;
     r_truncated = !truncs;
     r_capped = !capped;
-    r_frontier_peak = !peak;
-    r_failure = failure;
+    r_failure = !failure;
   }

@@ -1,11 +1,10 @@
-(** Dynamic partial order reduction and the parallel frontier driver.
+(** Dynamic partial order reduction over recorded runs.
 
     The exploration platform ({!Mp_check}) records one {!step} per
     decision; this module turns completed runs into the minimal set of
     alternatives worth exploring (happens-before race reversals, with
-    sleep sets suppressing commuted duplicates) and drives the frontier
-    in fixed-size waves over {!Exec.Job_pool} so the result — counts,
-    counterexample, shrink — is byte-identical for any [--jobs].
+    sleep sets suppressing commuted duplicates) and works through that
+    FIFO frontier one forced run at a time on the calling domain.
 
     The dependence relation lives in {!Check_intf.depends}; the platform
     side of the contract (how ops are labelled with objects and access
@@ -30,22 +29,15 @@ type step = {
   s_sleep : int;
 }
 
-type outcome =
-  | Ok_run
-  | Truncated_run
-  | Sleep_blocked_run
-  | Failed_run of exn
-
-type run_result = { outcome : outcome; steps : step array }
-
-(** Instance-independent execution handle; build one per domain with
-    [Mp_check.S.Explore.runner] so worker domains never share platform
-    state. *)
+(** How {!explore} executes forced runs on one platform instance:
+    [run_prefix] returns the exception that escaped the run ([None] if it
+    completed) and the run's decisions. *)
 type runner = {
   nprocs : int;
   run_prefix :
-    prefix:int array -> split:int -> alt:int -> sleep0:int -> run_result;
-  shrink : exn -> int list -> exn * int list * Obs.Event.t list;
+    prefix:int array -> split:int -> alt:int -> sleep0:int ->
+    exn option * step array;
+  shrink : exn -> step array -> exn * int list * Obs.Event.t list;
 }
 
 type result = {
@@ -53,26 +45,11 @@ type result = {
   r_pruned : int;
   r_truncated : int;
   r_capped : bool;
-  r_frontier_peak : int;
   r_failure : (exn * int list * Obs.Event.t list) option;
 }
 
-val races : nprocs:int -> step array -> (int * int) list
-(** Dependent, happens-before-unordered pairs [(i, j)], [i < j], in a
-    deterministic order.  Exposed for the cross-check tests. *)
-
 val explore :
-  ?batch:int ->
-  make_runner:(unit -> runner) ->
-  jobs:int ->
-  bound:int ->
-  max_schedules:int ->
-  stop:(unit -> bool) ->
-  unit ->
-  result
-(** Race-directed exploration from the empty schedule.  [make_runner] is
-    called once per participating domain (through [Domain.DLS]); [batch]
-    (default 32) is the wave size and is deliberately independent of
-    [jobs] so the explored set never depends on host parallelism.
-    [stop] is polled between waves; with [jobs = 1] runs execute inline
-    on the calling domain. *)
+  runner -> bound:int -> max_schedules:int -> stop:(unit -> bool) -> result
+(** Race-directed exploration from the empty schedule, stopping at the
+    first failure (shrunk with [runner.shrink]).  [stop] is polled before
+    every run. *)

@@ -9,8 +9,6 @@
 
 module Engine = Mp.Engine
 
-exception Truncated
-
 type failure = {
   error : exn;
   schedule : int list;
@@ -29,7 +27,10 @@ type report = {
 let pp_failure fmt f =
   Format.fprintf fmt "@[<v>failure: %s@;" (Printexc.to_string f.error);
   (match f.seed with
-  | Some s -> Format.fprintf fmt "seed: %s (replay with MP_CHECK_SEED=%s)@;" s s
+  | Some s ->
+      Format.fprintf fmt
+        "seed: %s (replay with mp_repro check --mode random --seed %s --runs 1)@;"
+        s s
   | None -> ());
   Format.fprintf fmt "schedule (%d forced choices): [%s]@;"
     (List.length f.schedule)
@@ -63,12 +64,6 @@ module type S = sig
       ?dpor:bool ->
       (unit -> unit) ->
       report
-
-    val runner :
-      ?faults:Check_intf.faults ->
-      ?max_steps:int ->
-      (unit -> unit) ->
-      Dpor.runner
 
     val random :
       ?seed:int64 ->
@@ -155,33 +150,19 @@ struct
   let failed : exn option ref = ref None
   let last_chosen = ref (-1)
   let preempts = ref 0
-  let truncated = ref false
   let spins = ref 0
 
-  (* One decision of the exploration loop.  [d_choices] is the
-     fairness-restricted choice set (yielded procs excluded while a
-     non-yielded proc is enabled); [d_prev]/[d_prev_continuable] record
-     whether switching away from the previous proc costs a preemption, so
-     the DFS can price alternatives without re-running the prefix. *)
-  type decision = {
-    d_choices : int array;
-    d_chosen : int;
-    d_prev : int;
-    d_prev_continuable : bool;
-    d_preempts_before : int;
-    d_op : string;
-    d_obj : int;  (* object id + access kind of the executed op, for the
-                     DPOR dependence relation (see Check_intf.depends) *)
-    d_access : Check_intf.access;
-    d_sleep : int;  (* sleep set (bitmask) in force at this decision *)
-    d_stutter : bool;
-        (* every offered proc was parked at a spin-yield point: the choice
-           only reorders spin iterations (stutter steps), so the DFS does
-           not branch here — without this cut a pair of overlapping spin
-           loops makes exploration enumerate "spin one more time" forever *)
-  }
-
-  let decisions_rev : decision list ref = ref []
+  (* The decisions of the current run, newest first.  A decision's
+     [s_choices] is the fairness-restricted choice set (yielded procs
+     excluded while a non-yielded proc is enabled); [s_prev] and
+     [s_prev_continuable] record whether switching away from the previous
+     proc costs a preemption, so the DFS can price alternatives without
+     re-running the prefix.  [s_stutter] marks a decision where every
+     offered proc was parked at a spin-yield point: the choice only
+     reorders spin iterations, so the DFS does not branch there — without
+     this cut a pair of overlapping spin loops makes exploration
+     enumerate "spin one more time" forever. *)
+  let decisions_rev : Dpor.step list ref = ref []
 
   (* Exploration configuration, installed around each run. *)
   type policy = step:int -> choices:int array -> default:int -> int
@@ -607,7 +588,6 @@ struct
     decisions_rev := [];
     preempts := 0;
     last_chosen := -1;
-    truncated := false;
     sleep_now := 0;
     Hashtbl.reset fault_occ;
     n_acquire := 0
@@ -639,10 +619,8 @@ struct
                            still live)"
                           !nsteps (Proc.live_procs ())))
             end
-            else if !nsteps >= !current_max_steps then begin
-              truncated := true;
-              failed := Some Truncated
-            end
+            else if !nsteps >= !current_max_steps then
+              failed := Some Check_intf.Truncated
             else begin
               let default = default_choice choices in
               let chosen = !current_policy ~step:!nsteps ~choices ~default in
@@ -692,17 +670,17 @@ struct
                 let od = procs.(chosen).op in
                 decisions_rev :=
                   {
-                    d_choices = choices;
-                    d_chosen = chosen;
-                    d_prev = prev;
-                    d_prev_continuable = prev_continuable;
-                    d_preempts_before = !preempts;
-                    d_op = od.Check_intf.label;
-                    d_obj = od.Check_intf.obj;
-                    d_access = od.Check_intf.access;
-                    d_sleep = (if engaged then !sleep_now else 0);
-                    d_stutter =
+                    Dpor.s_proc = chosen;
+                    s_label = od.Check_intf.label;
+                    s_obj = od.Check_intf.obj;
+                    s_access = od.Check_intf.access;
+                    s_choices = choices;
+                    s_stutter =
                       Array.for_all (fun i -> procs.(i).yielded) choices;
+                    s_preempts_before = !preempts;
+                    s_prev = prev;
+                    s_prev_continuable = prev_continuable;
+                    s_sleep = (if engaged then !sleep_now else 0);
                   }
                   :: !decisions_rev;
                 if prev_continuable && chosen <> prev then incr preempts;
@@ -742,17 +720,15 @@ struct
   (* ---- exploration drivers ------------------------------------------ *)
 
   module Explore = struct
-    let decisions () = Array.of_list (List.rev !decisions_rev)
-
     let forced_policy forced : policy =
      fun ~step ~choices:_ ~default ->
       if step < Array.length forced then forced.(step) else default
 
-    (* [body] is a scenario thunk that itself calls [run] exactly once. *)
+    (* [body] is a scenario thunk that itself calls [run] exactly once.
+       Returns what escaped the run and its decisions. *)
     let run_one ~policy ?(sleep_from = max_int) ?(sleep0 = 0) ~faults
         ~max_steps body =
       decisions_rev := [];
-      truncated := false;
       current_policy := policy;
       current_faults := faults;
       current_max_steps := max_steps;
@@ -761,23 +737,26 @@ struct
       let err = (try body (); None with e -> Some e) in
       current_policy := default_only;
       current_sleep_from := max_int;
-      (err, decisions (), !truncated)
+      (err, Array.of_list (List.rev !decisions_rev))
 
-    let schedule_of ds = Array.to_list (Array.map (fun d -> d.d_chosen) ds)
+    let schedule_of ds = Array.to_list (Array.map (fun d -> d.Dpor.s_proc) ds)
 
     let trace_of ds =
       Array.to_list
         (Array.mapi
-           (fun i d -> Obs.Event.Step { proc = d.d_chosen; clock = i; op = d.d_op })
+           (fun i d ->
+             Obs.Event.Step { proc = d.Dpor.s_proc; clock = i; op = d.s_label })
            ds)
 
-    (* Shrink a failing schedule: first bisect to a shortest failing
-       prefix (the default-policy suffix usually reproduces), then drop
-       single decisions to a fixpoint.  Every candidate is verified by
-       replay before being adopted, so divergence under removal (forced
-       choices reinterpreted positionally, with default fallback) can only
-       cost us minimality, never soundness. *)
-    let shrink ~faults ~max_steps body error0 schedule0 =
+    (* Shrink the schedule of a failing run (decisions [ds0]): first
+       bisect to a shortest failing prefix (the default-policy suffix
+       usually reproduces), then drop single decisions to a fixpoint.
+       Every candidate is verified by replay before being adopted, so
+       divergence under removal (forced choices reinterpreted
+       positionally, with default fallback) can only cost us minimality,
+       never soundness. *)
+    let shrink ~faults ~max_steps body error0 ds0 =
+      let schedule0 = schedule_of ds0 in
       let attempts = ref 0 in
       let budget = 400 in
       let last_fail = ref None in
@@ -786,13 +765,13 @@ struct
         && begin
              incr attempts;
              Obs.Counters.incr Check_intf.c_replays;
-             let err, ds, _ =
+             let err, ds =
                run_one
                  ~policy:(forced_policy (Array.of_list sched))
                  ~faults ~max_steps body
              in
              match err with
-             | Some Truncated | None -> false
+             | Some Check_intf.Truncated | None -> false
              | Some e ->
                  last_fail := Some (e, ds);
                  true
@@ -826,13 +805,13 @@ struct
       end;
       (* canonical replay of the minimum for its error and trace *)
       Obs.Counters.incr Check_intf.c_replays;
-      let err, ds, _ =
+      let err, ds =
         run_one
           ~policy:(forced_policy (Array.of_list !current))
           ~faults ~max_steps body
       in
       match err with
-      | Some Truncated | None -> (
+      | Some Check_intf.Truncated | None -> (
           match !last_fail with
           | Some (e, ds) -> (e, !current, trace_of ds)
           | None -> (error0, !current, trace_of ds))
@@ -849,55 +828,22 @@ struct
       else if step = split && alt >= 0 then alt
       else default
 
-    let steps_of ds =
-      Array.map
-        (fun d ->
-          {
-            Dpor.s_proc = d.d_chosen;
-            s_label = d.d_op;
-            s_obj = d.d_obj;
-            s_access = d.d_access;
-            s_choices = d.d_choices;
-            s_stutter = d.d_stutter;
-            s_preempts_before = d.d_preempts_before;
-            s_prev = d.d_prev;
-            s_prev_continuable = d.d_prev_continuable;
-            s_sleep = d.d_sleep;
-          })
-        ds
-
-    (* The instance-independent handle the DPOR driver works through:
-       worker domains each build one over their own generative instance,
-       so forced runs never share platform state across domains. *)
-    let runner ?(faults = Check_intf.no_faults) ?(max_steps = 10_000) body =
-      {
-        Dpor.nprocs = n_procs;
-        run_prefix =
-          (fun ~prefix ~split ~alt ~sleep0 ->
-            let err, ds, _ =
-              run_one
-                ~policy:(policy_of prefix split alt)
-                ~sleep_from:split ~sleep0 ~faults ~max_steps body
-            in
-            let outcome =
-              match err with
-              | None -> Dpor.Ok_run
-              | Some Truncated -> Dpor.Truncated_run
-              | Some Check_intf.Sleep_blocked -> Dpor.Sleep_blocked_run
-              | Some e -> Dpor.Failed_run e
-            in
-            { Dpor.outcome; steps = steps_of ds });
-        shrink = (fun e sched -> shrink ~faults ~max_steps body e sched);
-      }
-
     let dfs ?(bound = 2) ?(max_schedules = 20_000) ?(max_steps = 10_000)
         ?(faults = Check_intf.no_faults) ?(stop = fun () -> false)
         ?(dpor = false) body =
       if dpor then
         let r =
           Dpor.explore
-            ~make_runner:(fun () -> runner ~faults ~max_steps body)
-            ~jobs:1 ~bound ~max_schedules ~stop ()
+            {
+              Dpor.nprocs = n_procs;
+              run_prefix =
+                (fun ~prefix ~split ~alt ~sleep0 ->
+                  run_one
+                    ~policy:(policy_of prefix split alt)
+                    ~sleep_from:split ~sleep0 ~faults ~max_steps body);
+              shrink = shrink ~faults ~max_steps body;
+            }
+            ~bound ~max_schedules ~stop
         in
         {
           schedules = r.Dpor.r_schedules;
@@ -929,15 +875,15 @@ struct
               incr schedules;
               Obs.Counters.incr Check_intf.c_schedules;
               let forced_len = if alt < 0 then 0 else split + 1 in
-              let err, ds, _ =
+              let err, ds =
                 run_one ~policy:(policy_of base split alt) ~faults ~max_steps
                   body
               in
               match err with
-              | Some Truncated -> incr truncs
+              | Some Check_intf.Truncated -> incr truncs
               | Some e ->
                   let error, schedule, trace =
-                    shrink ~faults ~max_steps body e (schedule_of ds)
+                    shrink ~faults ~max_steps body e ds
                   in
                   failure := Some { error; schedule; seed = None; trace }
               | None ->
@@ -946,22 +892,22 @@ struct
                      alternative's preemption cost is the prefix's count
                      plus one iff taking it switches away from a proc that
                      could have continued. *)
-                  let chosen = Array.map (fun d -> d.d_chosen) ds in
+                  let chosen = Array.map (fun d -> d.Dpor.s_proc) ds in
                   for i = Array.length ds - 1 downto forced_len do
                     let d = ds.(i) in
-                    if not d.d_stutter then
+                    if not d.s_stutter then
                       Array.iter
                         (fun a ->
-                          if a <> d.d_chosen then begin
+                          if a <> d.s_proc then begin
                             let cost =
-                              d.d_preempts_before
-                              + if d.d_prev_continuable && a <> d.d_prev then 1
+                              d.s_preempts_before
+                              + if d.s_prev_continuable && a <> d.s_prev then 1
                                 else 0
                             in
                             if cost <= bound then
                               stack := (chosen, i, a) :: !stack
                           end)
-                        d.d_choices
+                        d.s_choices
                   done
             end
       done;
@@ -976,12 +922,7 @@ struct
 
     let random ?seed ?(runs = 500) ?(max_steps = 10_000)
         ?(faults = Check_intf.no_faults) body =
-      let base, runs =
-        match Sys.getenv_opt "MP_CHECK_SEED" with
-        | Some s -> (Sched_seed.of_string s, 1)
-        | None ->
-            ((match seed with Some s -> s | None -> Sched_seed.default), runs)
-      in
+      let base = Option.value seed ~default:Sched_seed.default in
       let failure = ref None in
       let truncs = ref 0 in
       let n = ref 0 in
@@ -995,13 +936,13 @@ struct
            in
            incr n;
            Obs.Counters.incr Check_intf.c_schedules;
-           let err, ds, _ = run_one ~policy ~faults ~max_steps body in
+           let err, ds = run_one ~policy ~faults ~max_steps body in
            match err with
            | None -> ()
-           | Some Truncated -> incr truncs
+           | Some Check_intf.Truncated -> incr truncs
            | Some e ->
                let error, schedule, trace =
-                 shrink ~faults ~max_steps body e (schedule_of ds)
+                 shrink ~faults ~max_steps body e ds
                in
                failure :=
                  Some
@@ -1025,13 +966,13 @@ struct
     let replay ~schedule ?(max_steps = 10_000) ?(faults = Check_intf.no_faults)
         body =
       Obs.Counters.incr Check_intf.c_replays;
-      let err, ds, _ =
+      let err, ds =
         run_one
           ~policy:(forced_policy (Array.of_list schedule))
           ~faults ~max_steps body
       in
       match err with
-      | None | Some Truncated -> None
+      | None | Some Check_intf.Truncated -> None
       | Some e ->
           Some { error = e; schedule; seed = None; trace = trace_of ds }
   end

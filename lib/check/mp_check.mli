@@ -13,14 +13,9 @@
 
     Three exploration modes (see {!S.Explore}): exhaustive DFS under an
     iterative preemption bound (CHESS-style), random-schedule fuzzing from a
-    printable 64-bit seed with [MP_CHECK_SEED] replay, and either combined
+    printable 64-bit seed that replays as a single run, and either combined
     with fault injection ({!Check_intf.faults}).  A failing run is shrunk to
     a minimal forced schedule and rendered as an [Obs] event trace. *)
-
-exception Truncated
-(** A run exceeded the per-run step budget ([max_steps]).  Truncated runs
-    are counted, not treated as failures: they signal livelock or a budget
-    set too low, and exploration of that branch is incomplete. *)
 
 type failure = {
   error : exn;  (** the exception that escaped the failing run *)
@@ -29,8 +24,8 @@ type failure = {
           decisions beyond the list follow the default (non-preemptive)
           policy.  Feed it back through {!S.Explore.replay}. *)
   seed : string option;
-      (** printable seed of the failing run (random mode only); replay with
-          [MP_CHECK_SEED=<seed>]. *)
+      (** printable seed of the failing run (random mode only); replay it
+          as the single run of {!S.Explore.random} [~seed ~runs:1]. *)
   trace : Obs.Event.t list;
       (** the minimal counterexample, one {!Obs.Event.Step} per decision. *)
 }
@@ -106,15 +101,6 @@ module type S = sig
         such.  Same failure semantics, same shrink, usually orders of
         magnitude fewer schedules. *)
 
-    val runner :
-      ?faults:Check_intf.faults ->
-      ?max_steps:int ->
-      (unit -> unit) ->
-      Dpor.runner
-    (** The instance-independent execution handle for {!Dpor.explore}:
-        build one per host domain (over a fresh generative instance each)
-        to fan exploration out with deterministic, index-merged results. *)
-
     val random :
       ?seed:int64 ->
       ?runs:int ->
@@ -123,9 +109,8 @@ module type S = sig
       (unit -> unit) ->
       report
     (** Random-schedule fuzzing: [runs] runs (default 500), the [i]-th
-        driven by [Sched_seed.derive seed i].  When the [MP_CHECK_SEED]
-        environment variable is set it overrides [seed] and forces a single
-        run — the replay path for a seed printed by a previous failure. *)
+        driven by [Sched_seed.derive seed i].  Since [derive s 0 = s], the
+        seed printed by a failure replays with [~seed ~runs:1]. *)
 
     val replay :
       schedule:int list ->

@@ -1,8 +1,8 @@
 (** Printable 64-bit schedule seeds (splitmix64).
 
     Random schedule exploration derives every per-run seed from one base
-    seed, and a failing run's seed is printed in a form the user can feed
-    back through the [MP_CHECK_SEED] environment variable — so a CI fuzzing
+    seed, and a failing run's seed is printed in a form [mp_repro check
+    --seed] accepts — with [--runs 1] it replays as run 0, so a CI fuzzing
     failure replays locally from its log line alone. *)
 
 type t = int64

@@ -1,8 +1,3 @@
-let registry = Obs.Counters.create ()
-let c_jobs = Obs.Counters.counter registry "exec.jobs_run"
-let c_batches = Obs.Counters.counter registry "exec.parallel_batches"
-let c_domains = Obs.Counters.counter registry "exec.domains_spawned"
-
 (* One slot per job; distinct jobs write distinct slots, and Domain.join
    publishes every worker's writes before the caller reads, so the merge
    is race-free without locks. *)
@@ -12,14 +7,8 @@ let run_job f x = match f x with v -> Ok_ v | exception e -> Exn e
 
 let map ~jobs f xs =
   let n = List.length xs in
-  if jobs <= 1 || n <= 1 then
-    List.map
-      (fun x ->
-        Obs.Counters.incr c_jobs;
-        f x)
-      xs
+  if jobs <= 1 || n <= 1 then List.map f xs
   else begin
-    Obs.Counters.incr c_batches;
     let inputs = Array.of_list xs in
     let results = Array.make n Empty in
     (* The caller and the spawned workers claim jobs from one shared
@@ -29,15 +18,12 @@ let map ~jobs f xs =
     let rec worker () =
       let i = Atomic.fetch_and_add next 1 in
       if i < n then begin
-        Obs.Counters.incr c_jobs;
         results.(i) <- run_job f inputs.(i);
         worker ()
       end
     in
     let domains =
-      Array.init (min (jobs - 1) (n - 1)) (fun _ ->
-          Obs.Counters.incr c_domains;
-          Domain.spawn worker)
+      Array.init (min (jobs - 1) (n - 1)) (fun _ -> Domain.spawn worker)
     in
     worker ();
     Array.iter Domain.join domains;
@@ -46,8 +32,3 @@ let map ~jobs f xs =
          (function Ok_ v -> v | Exn e -> raise e | Empty -> assert false)
          results)
   end
-
-let counters () =
-  List.filter
-    (fun (name, _) -> String.length name > 5 && String.sub name 0 5 = "exec.")
-    (Obs.Counters.dump registry)

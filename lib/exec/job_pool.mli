@@ -10,8 +10,7 @@
     Determinism: jobs carry their list index and results are merged back
     by index, so [map ~jobs:n f xs] returns exactly [List.map f xs] for
     every [n] — output order never depends on domain scheduling.  With
-    [jobs <= 1] (the default) [f] runs inline on the calling domain,
-    byte-identical to the historical sequential drivers. *)
+    [jobs <= 1] [f] runs inline on the calling domain. *)
 
 val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] = [List.map f xs], evaluating up to [jobs] elements
@@ -21,9 +20,3 @@ val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     when [jobs > 1]; any domain-local state (e.g. the engine's suspension
     counter) is per-job-correct because a job runs entirely on one
     domain. *)
-
-val counters : unit -> (string * int) list
-(** Cumulative [exec.*] telemetry for this process, sorted by name:
-    [exec.jobs_run] (jobs executed through the pool, inline or parallel),
-    [exec.parallel_batches] (calls to [map] with [jobs > 1] and >= 2
-    jobs) and [exec.domains_spawned]. *)

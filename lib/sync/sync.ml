@@ -260,7 +260,7 @@ struct
       spin : P.Lock.mutex_lock;
       parties : int;
       mutable arrived : int;
-      mutable waiters : unit K.waiter list;
+      mutable waiters : (int Engine.cont * int * int) list;
     }
 
     let create ~parties =
@@ -277,11 +277,11 @@ struct
             t.arrived <- 0;
             K.Go
               (fun () ->
-                List.iter (K.wake sync "sync.barrier") ws;
+                List.iter (K.wake_with sync "sync.barrier") ws;
                 index)
           end
           else begin
-            t.waiters <- (Kont_util.unit_cont_of k index, tid) :: t.waiters;
+            t.waiters <- (k, index, tid) :: t.waiters;
             K.Wait
           end)
   end

@@ -277,24 +277,28 @@ let test_rwlock_misuse () =
 (* ---------------- Barrier ---------------- *)
 
 let test_barrier_releases_all () =
+  let indices = Array.make 4 (-1) in
   let v =
     in_pool (fun () ->
         let b = Sync.Barrier.create ~parties:4 in
         let passed = Atomic.make 0 in
-        for _ = 1 to 3 do
+        for i = 1 to 3 do
           S.fork (fun () ->
-              ignore (Sync.Barrier.await b);
+              indices.(i) <- Sync.Barrier.await b;
               Atomic.incr passed)
         done;
         S.yield ();
         checkb "nobody passed early" true (Atomic.get passed = 0);
-        ignore (Sync.Barrier.await b);
+        indices.(0) <- Sync.Barrier.await b;
         while Atomic.get passed < 3 do
           S.yield ()
         done;
         Atomic.get passed)
   in
-  check "all released together" 3 v
+  check "all released together" 3 v;
+  Alcotest.(check (list int))
+    "parties receive the distinct arrival indices 0..3" [ 0; 1; 2; 3 ]
+    (List.sort compare (Array.to_list indices))
 
 let test_barrier_cyclic () =
   let v =
