@@ -425,7 +425,7 @@ struct
           (Check_intf.desc "proc.release" Check_intf.obj_procpool
              Check_intf.Rmw)
         K_plain;
-      Engine.suspend (fun _ -> Engine.Stop)
+      Engine.leave (fun () -> Engine.Stop)
 
     let initial_datum = D.initial
     let get_datum () = procs.(!cur).datum
@@ -705,6 +705,19 @@ struct
           end
         in
         loop ();
+        (* A run stopped early (a prune, truncation, a failure or a
+           deadlock) leaves procs suspended.  End their fibers, with
+           [running] already false so that unwinding takes no
+           serialization point. *)
+        running := false;
+        Array.iter
+          (fun p ->
+            match p.pending with
+            | Some (Engine.Resume (k, _)) -> (
+                try Engine.discard k
+                with e -> if !failed = None then failed := Some e)
+            | _ -> ())
+          procs;
         Mp.Mp_intf.outcome ~platform:name ~escaped:!failed !result)
 
   let stats () =

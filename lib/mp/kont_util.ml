@@ -16,3 +16,13 @@ let cont_of_thunk ~on_return f =
 
 let unit_cont_of k v =
   cont_of_thunk ~on_return:(fun () -> ()) (fun () -> Engine.throw k v)
+
+let protect ~finally f =
+  match f () with
+  | v ->
+      finally ();
+      v
+  | exception (Engine.Abandoned as e) -> raise e
+  | exception e ->
+      finally ();
+      raise e

@@ -129,7 +129,7 @@ module Make
           Condition.broadcast cond;
           Mutex.unlock m
 
-    let release_proc () = Engine.suspend (fun _ -> Engine.Stop)
+    let release_proc () = Engine.leave (fun () -> Engine.Stop)
     let initial_datum = D.initial
     let get_datum () = (my_slot ()).datum
     let set_datum d = (my_slot ()).datum <- d

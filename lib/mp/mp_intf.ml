@@ -48,8 +48,9 @@ module type PROC = sig
 
   val release_proc : unit -> 'a
   (** Stop executing and return the current physical processor to the
-      system.  The current computation is abandoned (capture it first with
-      [callcc] if it must survive).  Never returns. *)
+      system.  The current computation is ended, and its stack freed
+      (capture it first with [callcc] if it must survive).  Never
+      returns. *)
 
   val initial_datum : proc_datum
 

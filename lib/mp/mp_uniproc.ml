@@ -12,7 +12,7 @@ struct
 
     let datum = ref D.initial
     let acquire_proc (PS (_, _)) = raise No_More_Procs
-    let release_proc () = Engine.suspend (fun _ -> Engine.Stop)
+    let release_proc () = Engine.leave (fun () -> Engine.Stop)
     let initial_datum = D.initial
     let get_datum () = !datum
     let set_datum d = datum := d

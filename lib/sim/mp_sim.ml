@@ -525,7 +525,7 @@ struct
       if not ok then raise No_More_Procs
 
     let release_proc () =
-      Engine.suspend (fun _ ->
+      Engine.leave (fun () ->
           let p = cur () in
           flush_run_ahead p;
           p.state <- Free;

@@ -249,7 +249,7 @@ struct
 
     let with_lock lock unlock t f =
       lock t;
-      Fun.protect ~finally:(fun () -> unlock t) f
+      Kont_util.protect ~finally:(fun () -> unlock t) f
 
     let with_read t f = with_lock read_lock read_unlock t f
     let with_write t f = with_lock write_lock write_unlock t f

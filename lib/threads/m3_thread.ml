@@ -57,7 +57,11 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) (S : Thread_intf.SCHED) = struct
         P.Lock.lock registry_lock;
         Hashtbl.replace registry (S.id ()) t.astate;
         P.Lock.unlock registry_lock;
-        let outcome = try Done (f ()) with e -> Raised e in
+        let outcome =
+          try Done (f ()) with
+          | Mp.Engine.Abandoned as e -> raise e
+          | e -> Raised e
+        in
         P.Lock.lock t.spin;
         t.state <- outcome;
         let joiners = t.joiners in

@@ -28,6 +28,9 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) (S : Thread_intf.SCHED) : sig
         mutex is available.  Ownership is handed directly to the longest
         waiting thread on unlock. *)
 
+    val try_lock : t -> bool
+    (** Take the mutex if it is free, without blocking. *)
+
     val unlock : t -> unit
     val with_lock : t -> (unit -> 'a) -> 'a
   end

@@ -95,7 +95,7 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) (S : Thread_intf.SCHED) = struct
 
       let with_lock t f =
         lock t;
-        Fun.protect ~finally:(fun () -> unlock t) f
+        Kont_util.protect ~finally:(fun () -> unlock t) f
     end
 
     module Condition = struct

@@ -136,7 +136,9 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
     | Some (Thunk (f, tid)) ->
         if tel then note_run proc (Q.S.steals Q.q) steals0 tid;
         P.Proc.set_datum tid;
-        (try f () with e -> record_error e);
+        (try f () with
+         | Engine.Abandoned as e -> raise e
+         | e -> record_error e);
         dispatch ()
     | Some (Cont (k, v, tid)) ->
         if tel then note_run proc (Q.S.steals Q.q) steals0 tid;
@@ -231,7 +233,9 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
     (* Elastic policies clamp themselves to the procs actually acquired;
        nothing has been forked yet, so the clamp cannot strand work. *)
     Q.S.prepare Q.q ~procs:!acquired;
-    let result = try Ok (f ()) with e -> Error e in
+    let result =
+      try Ok (f ()) with Engine.Abandoned as e -> raise e | e -> Error e
+    in
     finished := true;
     active := false;
     P.Work.set_poll_hook (fun () -> ());
@@ -254,7 +258,9 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
         let remaining = ref n in
         let waiter : (unit Engine.cont * int) option ref = ref None in
         let wrap f () =
-          (try f () with e -> record_error e);
+          (try f () with
+           | Engine.Abandoned as e -> raise e
+           | e -> record_error e);
           let w =
             P.Lock.locked lock (fun () ->
                 decr remaining;

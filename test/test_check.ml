@@ -320,6 +320,25 @@ let test_dpor_schedule_pins () =
         r.Mpcheck.Mp_check.pruned)
     corpus
 
+(* A run the explorer stops early — a sleep-set prune, a failure — leaves
+   procs suspended mid-run; the checker ends their fibers, so the engine's
+   live-fiber count is back at its start value after the exploration. *)
+let test_stopped_runs_end_fibers () =
+  let explore name body =
+    let live = Mp.Engine.live_fibers () in
+    let r =
+      P.Explore.dfs ~bound:3 ~max_schedules:20_000 ~max_steps:20_000
+        ~dpor:true body
+    in
+    checki (name ^ ": live fibers back at start") live
+      (Mp.Engine.live_fibers ());
+    r
+  in
+  let r = explore "lock_mcs_disjoint" (List.assoc "lock_mcs_disjoint" S.all) in
+  checki "lock_mcs_disjoint: pruned runs" 18 r.Mpcheck.Mp_check.pruned;
+  let r = explore "broken_tas" broken_body in
+  checkb "broken_tas: failing run" true (r.Mpcheck.Mp_check.failure <> None)
+
 (* Both explorers shrink the broken TAS to the SAME canonical
    counterexample: the minimal forced schedule is a property of the bug,
    not of the order the space was walked. *)
@@ -480,6 +499,8 @@ let () =
             `Quick test_dpor_schedule_pins;
           Alcotest.test_case "broken TAS shrinks to the same counterexample"
             `Quick test_dpor_broken_counterexample;
+          Alcotest.test_case "stopped runs end their fibers" `Quick
+            test_stopped_runs_end_fibers;
           QCheck_alcotest.to_alcotest qcheck_dpor_cross_check;
         ] );
       ( "procs3",

@@ -80,6 +80,26 @@ let test_one_shot_enforced () =
          end
          else false))
 
+(* [throw] ends the fiber it leaves by unwinding it with [Abandoned]; a
+   fiber that does anything but end makes [run] raise the engine's
+   failure. *)
+let test_abandoned_fiber_must_end () =
+  let fails what body =
+    Alcotest.match_raises what
+      (function Engine.Abandon_failed _ -> true | _ -> false)
+      (fun () -> ignore (U.run (fun () -> Engine.callcc body)))
+  in
+  fails "swallows and returns" (fun k ->
+      (try Engine.throw k 1 with _ -> ());
+      2);
+  fails "raises something else" (fun k ->
+      try Engine.throw k 1 with Engine.Abandoned -> failwith "other");
+  fails "suspends while unwinding" (fun k ->
+      try Engine.throw k 1
+      with Engine.Abandoned -> Engine.suspend (fun c -> Engine.Resume (c, 3)));
+  check "engine usable afterwards" 5
+    (U.run (fun () -> Engine.callcc (fun k -> Engine.throw k 5)))
+
 let test_typed_continuations () =
   (* continuations carry non-trivial value types *)
   let v =
@@ -192,6 +212,8 @@ let () =
           Alcotest.test_case "one-shot enforced" `Quick test_one_shot_enforced;
           Alcotest.test_case "typed continuations" `Quick
             test_typed_continuations;
+          Alcotest.test_case "abandoned fiber must end" `Quick
+            test_abandoned_fiber_must_end;
         ] );
       ( "suspend",
         [

@@ -397,12 +397,30 @@ let test_sig_mask_nesting () =
    [Work.idle_until] so the same code is correct under true parallelism
    and under cooperative scheduling. *)
 
-module Conformance (P : Mp_intf.PLATFORM with type Proc.proc_datum = int) =
+module Conformance (B : Mp_intf.PLATFORM with type Proc.proc_datum = int) =
 struct
+  (* Every case's [run] that returns a value has ended every fiber it
+     started: the engine's live-fiber count is back at its start value.
+     A fiber left live is a stack the platform never frees. *)
+  module P = struct
+    include B
+
+    let run f =
+      let live = Engine.live_fibers () in
+      let v = B.run f in
+      check (B.name ^ ": live fibers back at start") live
+        (Engine.live_fibers ());
+      v
+  end
+
+  (* A worker the pool refuses is a continuation nobody will resume: end
+     its fiber rather than leave it live. *)
   let spawn_worker ?(datum = 0) body =
-    P.Proc.acquire_proc
-      (P.Proc.PS
-         (Kont_util.cont_of_thunk ~on_return:P.Proc.release_proc body, datum))
+    let k = Kont_util.cont_of_thunk ~on_return:P.Proc.release_proc body in
+    try P.Proc.acquire_proc (P.Proc.PS (k, datum))
+    with P.Proc.No_More_Procs as e ->
+      Engine.discard k;
+      raise e
 
   let join () = P.Work.idle_until ~ready:(fun () -> P.Proc.live_procs () = 1)
 
@@ -570,6 +588,27 @@ struct
         check (Printf.sprintf "policy %s: all tasks ran once" label) 10 v)
       Mpthreads.Sched_policy.[ Fifo; Lifo; Distributed; Ws; Micropools 2 ]
 
+  (* Every way out of a fiber ends it: a callcc body that returns, raises
+     or throws, a released proc, and a thread pool's switches and exits
+     ([P.run] checks the count). *)
+  let test_fibers_ended () =
+    let v =
+      P.run (fun () ->
+          let a = Engine.callcc (fun _ -> 1) in
+          let b = Engine.callcc (fun k -> Engine.throw k 2) in
+          let c =
+            try Engine.callcc (fun _ -> failwith "c") with Failure _ -> 3
+          in
+          if P.Proc.max_procs () > 1 then begin
+            spawn_worker ignore;
+            join ()
+          end;
+          ST.with_pool ~procs:(min 2 (P.Proc.max_procs ())) ~quantum:1e6
+            (fun () -> ST.fork_join [ ST.yield; ST.yield ]);
+          a + b + c)
+    in
+    check "values delivered" 6 v
+
   (* The server pipeline end-to-end on this backend: a fixed 200-request
      closed-burst trace (rate = infinity ⇒ every arrival at t = 0, so no
      sleep timers — it runs under the checker's single schedule too);
@@ -623,6 +662,7 @@ struct
         test_double_resume;
       Alcotest.test_case "root raises" `Quick test_root_raises;
       Alcotest.test_case "scheduler policy family" `Quick test_sched_policies;
+      Alcotest.test_case "live fibers back at start" `Quick test_fibers_ended;
       Alcotest.test_case "server pipeline" `Quick test_server_pipeline;
     ]
 end

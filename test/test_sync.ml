@@ -405,6 +405,42 @@ let test_countdown_already_zero () =
       Sync.Countdown.count_down c;
       check "stays at zero" 0 (Sync.Countdown.remaining c))
 
+(* ---------------- brackets left by a throw ----------------
+
+   A thread captures [k] outside a locked bracket and throws to it from
+   inside.  The fiber it leaves is ended, and an ended fiber's frames run
+   no client code: the bracket skips its release, as if the fiber had
+   been dropped mid-section, so the lock is still held afterwards. *)
+
+module M3 = Mpthreads.M3_thread.Make (P) (S)
+
+let test_rwlock_bracket_left_by_throw () =
+  let v =
+    in_pool ~procs:1 (fun () ->
+        let rw = Sync.Rwlock.create () in
+        let v =
+          Mp.Engine.callcc (fun k ->
+              Sync.Rwlock.with_write rw (fun () -> Mp.Engine.throw k 7))
+        in
+        (* raises Invalid_argument unless the lock is still write-held *)
+        Sync.Rwlock.write_unlock rw;
+        v)
+  in
+  check "thrown value" 7 v
+
+let test_mutex_bracket_left_by_throw () =
+  let v, free =
+    in_pool ~procs:1 (fun () ->
+        let m = M3.Mutex.create () in
+        let v =
+          Mp.Engine.callcc (fun k ->
+              M3.Mutex.with_lock m (fun () -> Mp.Engine.throw k 7))
+        in
+        (v, M3.Mutex.try_lock m))
+  in
+  check "thrown value" 7 v;
+  checkb "mutex still held" false free
+
 let () =
   Alcotest.run "sync"
     [
@@ -460,5 +496,12 @@ let () =
         [
           Alcotest.test_case "counts down" `Quick test_countdown;
           Alcotest.test_case "already zero" `Quick test_countdown_already_zero;
+        ] );
+      ( "brackets",
+        [
+          Alcotest.test_case "rwlock bracket left by a throw" `Quick
+            test_rwlock_bracket_left_by_throw;
+          Alcotest.test_case "mutex bracket left by a throw" `Quick
+            test_mutex_bracket_left_by_throw;
         ] );
     ]
