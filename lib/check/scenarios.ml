@@ -170,6 +170,56 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
           "spmc_queue: element returned twice";
         check (got = [ 1; 2; 3 ]) "spmc_queue: lost or invented an element")
 
+  (* Both ends of the owner's side against a thief: the owner pushes 1..4,
+     pops down to its last element (newest first) and pushes 0 at the
+     oldest end, while a thief steals twice.  Every element comes out
+     exactly once, the owner's pops run newest-first, and the thief's
+     batches oldest-first — 0 is older than 1.  The owner's pop of the
+     last element races the thief's CAS for it: a pop that shrinks the
+     window without synchronising with thieves hands it out twice. *)
+  let spmc_owner_ends_scenario () =
+    C.run (fun () ->
+        let module SQ = Queues.Spmc_queue.Make (C.Prims) in
+        let q = SQ.create () in
+        let batches = ref [] in
+        let popped = ref [] in
+        C.spawn (fun () ->
+            for _ = 1 to 2 do
+              batches := Array.to_list (SQ.steal_half q) :: !batches
+            done);
+        for v = 1 to 4 do
+          SQ.push q v
+        done;
+        for _ = 1 to 3 do
+          match SQ.pop q with Some v -> popped := v :: !popped | None -> ()
+        done;
+        SQ.push_oldest q 0;
+        join ();
+        let rec drain () =
+          match SQ.pop q with
+          | Some v ->
+              popped := v :: !popped;
+              drain ()
+          | None -> ()
+        in
+        drain ();
+        let rec ascending = function
+          | a :: (b :: _ as tl) -> a < b && ascending tl
+          | _ -> true
+        in
+        let got = List.sort compare (List.concat !batches @ !popped) in
+        check
+          (List.length got = List.length (List.sort_uniq compare got))
+          "spmc owner ends: element returned twice";
+        check (got = [ 0; 1; 2; 3; 4 ])
+          "spmc owner ends: lost or invented an element";
+        check
+          (List.for_all ascending !batches)
+          "spmc owner ends: a steal did not return oldest-first";
+        (* [popped] is newest pop first *)
+        check (ascending !popped)
+          "spmc owner ends: the owner did not pop newest-first")
+
   (* Pinned micropools: with 2 pools over 2 procs, an item pushed into
      pool p (= proc mod 2) may only ever be taken by a proc of that pool —
      work must not migrate, whatever the interleaving.  Items are tagged
@@ -913,6 +963,7 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
       ("lock_ticket_disjoint", disjoint_scenario (module T_ticket));
       ("lock_mcs_disjoint", disjoint_scenario (module T_mcs));
       ("queue_spmc", spmc_queue_scenario);
+      ("queue_spmc_owner_ends", spmc_owner_ends_scenario);
       ("sched_micropool_affinity", micropool_affinity_scenario);
       ("sched_ws_steal_half", ws_steal_half_scenario);
       ("queue_multi", multi_queue_scenario);

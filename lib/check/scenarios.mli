@@ -12,8 +12,10 @@
 module Make (C : Mp_check.S with type Proc.proc_datum = int) : sig
   val all : (string * (unit -> unit)) list
   (** Small-state scenarios meant for exhaustive bound-2 DFS: the 8 mutex
-      algorithms + the reader/writer spin lock, the three shared queues,
-      the server accept/shard/work pipeline over bounded shard queues,
+      algorithms + the reader/writer spin lock, the shared queues (the
+      spmc queue twice: a steal racing the owner's pops, and both owner
+      ends against a thief), the server accept/shard/work pipeline over
+      bounded shard queues,
       Sync ivar/mvar/semaphore, Select, CML rendezvous and choice, and the
       proc-pool contract. *)
 

@@ -19,7 +19,7 @@ module Make (P : Mp.Mp_intf.PLATFORM) = struct
      platform Lock's own "lock.spins". *)
   let c_spins = P.Telemetry.counter "lock.prims_spins"
 
-  let make v = { v = Atomic.make v; ln = P.Work.line () }
+  let make v = { v = Mp.Mp_intf.padded (Atomic.make v); ln = P.Work.line () }
 
   let get c =
     P.Work.charge read_cycles;

@@ -17,6 +17,10 @@ module Make
     mutable inbox : Engine.action option;
     mutable domain : unit Domain.t option;
     stats : Stats.proc_stats;
+    mutable acquires : int;
+        (* lock acquisitions of the current delivery, folded into
+           [lock.acquires] when it ends: the registry cell is shared by
+           every domain, this field by none *)
   }
 
   let m = Mutex.create ()
@@ -25,8 +29,11 @@ module Make
   let running = ref false
   let escaped : exn option Atomic.t = Atomic.make None
 
+  (* Padded: each slot is written on every dispatch of its own proc
+     ([datum], [acquires]). *)
   let slots =
     Array.init max_procs (fun id ->
+        Mp_intf.padded
         {
           id;
           datum = D.initial;
@@ -34,6 +41,7 @@ module Make
           inbox = None;
           domain = None;
           stats = Stats.make_proc_stats ();
+          acquires = 0;
         })
 
   let proc_key = Domain.DLS.new_key (fun () -> -1)
@@ -47,6 +55,8 @@ module Make
         ~stream_of:(fun () -> Domain.DLS.get proc_key)
         ~now_ts:Mp_intf.host_ns ()
   end)
+
+  let c_acquires = Telemetry.counter "lock.acquires"
 
   let my_slot () =
     let id = Domain.DLS.get proc_key in
@@ -70,6 +80,8 @@ module Make
     (match Engine.trampoline ~on_exn action with
     | Engine.Stop -> ()
     | _ -> raise Engine.Unhandled_action);
+    Obs.Counters.add c_acquires slot.acquires;
+    slot.acquires <- 0;
     slot.stats.busy <- slot.stats.busy +. (Unix.gettimeofday () -. t0);
     slot.stats.alloc_words <-
       slot.stats.alloc_words + int_of_float (Gc.minor_words () -. w0);
@@ -153,13 +165,18 @@ module Make
   module Lock = struct
     type mutex_lock = bool Atomic.t
 
-    let c_acquires = Telemetry.counter "lock.acquires"
     let c_spins = Telemetry.counter "lock.spins"
     let mutex_lock () = Atomic.make false
 
+    (* Inside a run every lock is taken during some proc's delivery, which
+       counts it; a lock taken from outside any proc counts directly. *)
     let try_lock l =
       let ok = not (Atomic.exchange l true) in
-      if ok then Obs.Counters.incr c_acquires;
+      (if ok then
+         let id = Domain.DLS.get proc_key in
+         if !running && id >= 0 then
+           slots.(id).acquires <- slots.(id).acquires + 1
+         else Obs.Counters.incr c_acquires);
       ok
 
     let lock l =

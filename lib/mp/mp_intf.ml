@@ -7,7 +7,8 @@
     Client packages (thread systems, channels, CML) are functors over
     [PLATFORM].  What every backend shares is defined here once: the
     [run] {!outcome}, the default {!locked}, the atomic-cell signature
-    {!PRIMS} and the real backends' charge-free {!Free_work}. *)
+    {!PRIMS}, the cache-line {!padded} copy and the real backends'
+    charge-free {!Free_work}. *)
 
 exception No_More_Procs
 (** Raised by [acquire_proc] when every proc is in use.  Shared across all
@@ -158,7 +159,29 @@ module type PRIMS = sig
   (** Account one failed acquisition attempt (contention statistics). *)
 end
 
-(** {!PRIMS} over [Stdlib.Atomic], with a global spin counter. *)
+(** [padded x] is a copy of the record or atomic [x] followed by unused
+    words, so that no other block shares a cache line (or the adjacent
+    line a prefetcher pairs with it) with [x]'s fields.  A word one proc
+    writes often then never invalidates the line another proc is using
+    (false sharing).  OCaml 5.1 has no [Atomic.make_contended]; this is
+    the [copy_as_padded] trick of the multicore-magic library.  [x] must
+    be a block of ordinary fields — not a float record or float array —
+    and must not be compared structurally (the padding is part of it). *)
+let padded (x : 'a) : 'a =
+  let padding = 15 in
+  let r = Obj.repr x in
+  let n = Obj.size r in
+  let b = Obj.new_block (Obj.tag r) (n + padding) in
+  for i = 0 to n - 1 do
+    Obj.set_field b i (Obj.field r i)
+  done;
+  for i = n to n + padding - 1 do
+    Obj.set_field b i (Obj.repr 0)
+  done;
+  Obj.obj b
+
+(** {!PRIMS} over [Stdlib.Atomic], with a global spin counter.  Each cell
+    is {!padded}. *)
 module Atomic_prims : sig
   include PRIMS
 
@@ -167,7 +190,7 @@ module Atomic_prims : sig
 end = struct
   type 'a cell = 'a Atomic.t
 
-  let make = Atomic.make
+  let make v = padded (Atomic.make v)
   let get = Atomic.get
   let set = Atomic.set
   let exchange = Atomic.exchange

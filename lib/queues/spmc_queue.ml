@@ -1,32 +1,45 @@
-(* Lock-free single-producer / multi-consumer FIFO with steal-half.
+(* Lock-free single-producer / multi-consumer work-stealing queue with
+   steal-half.
 
-   [tail] is the owner's end (written only by the single producer); [head]
-   is the consumption end, advanced by CAS from both the owner's [pop] and
-   thieves' [steal_half].  Indices are monotone ints over a circular
-   [Obj.t] buffer, so there is no ABA: a CAS
-   on [head] succeeds iff no other consumer claimed any part of the
-   window since it was read, and success grants exclusive ownership of
-   the claimed [head, head') range.
+   The occupied window is the index range [head, tail) of a circular
+   [Obj.t] buffer.  The owner works at the newest end: [push] adds at
+   [tail] and [pop] takes [tail - 1], so a fork/join tree on one proc runs
+   depth-first.  Thieves take from the oldest end: [steal_half] claims the
+   oldest ceil(n/2) elements at once.  The owner can also add at the
+   oldest end ([push_oldest]), which is where a yielding thread goes so
+   that it runs after everything already queued.
+
+   The window is one boxed [{head; tail}] record in a single cell, and
+   every transition — owner or thief — replaces it by CAS with a freshly
+   allocated record.  Physical equality then identifies a snapshot: no
+   record is ever reinstalled, so there is no ABA, and a successful CAS
+   proves that nothing moved since the snapshot was read.  In particular
+   the owner's pop and a thief's steal racing for the last element are
+   decided by the same CAS (the owner never shrinks the window with a
+   plain store).
+
+   Elements are written by the owner only, into slots outside the
+   published window, before the CAS that publishes them.  A thief reads
+   its batch between reading the window and its CAS; if the owner reused
+   any of those slots meanwhile, the window changed and the CAS fails, so
+   whatever it read is discarded.
+
+   Buffer growth is owner-only grow-by-copy.  The copy never mutates the
+   old buffer, and both buffers hold the same elements over the window
+   the copy was made for, so a thief that read either one under an
+   unchanged window read the right elements.
 
    Steal-half is the point of the structure: one successful CAS transfers
    ceil(n/2) elements, so a thief pays one bus transaction per batch
    instead of one per element (a Chase-Lev steal-one), amortizing victim
    traffic under heavy stealing.
 
-   Buffer growth is owner-only grow-by-copy.  The copy never mutates the
-   old buffer and [head] never moves backwards, so a thief that read the
-   old buffer either CASes successfully (its claimed slots were copied,
-   not overwritten — the owner writes fresh elements only into the new
-   buffer) or fails and discards what it read.  Racy reads of claimed-in-
-   flight slots may observe stale values; they are discarded on CAS
-   failure.
-
    The algorithm is a functor over the platform's atomic cells
    ([Mp_intf.PRIMS]): the default instance below races on
    [Stdlib.Atomic]; the scheduler instantiates it over charged cells so
-   the simulator prices pops and steals on the bus; mp_check instantiates
-   it over instrumented cells where every access is a serialization
-   point. *)
+   the simulator prices pushes, pops and steals on the bus; mp_check
+   instantiates it over instrumented cells where every access is a
+   serialization point. *)
 
 module Make (A : Mp.Mp_intf.PRIMS) = struct
   type buffer = { log_size : int; segment : Obj.t array }
@@ -37,65 +50,92 @@ module Make (A : Mp.Mp_intf.PRIMS) = struct
   let buffer_get b i = b.segment.(i land ((1 lsl b.log_size) - 1))
   let buffer_set b i v = b.segment.(i land ((1 lsl b.log_size) - 1)) <- v
 
-  type 'a t = { head : int A.cell; tail : int A.cell; buf : buffer A.cell }
+  type window = { head : int; tail : int }
 
-  let create () =
-    { head = A.make 0; tail = A.make 0; buf = A.make (buffer_make 4) }
+  type 'a t = {
+    window : window A.cell;
+    buf : buffer A.cell;
+    occupied : int Atomic.t;
+  }
 
-  let size t = max 0 (A.get t.tail - A.get t.head)
-  let length_hint t = max 0 (A.unsafe_peek t.tail - A.unsafe_peek t.head)
-  let looks_nonempty t = A.unsafe_peek t.tail - A.unsafe_peek t.head > 0
+  let create ?(occupied = Atomic.make 0) () =
+    {
+      window = A.make { head = 0; tail = 0 };
+      buf = A.make (buffer_make 4);
+      occupied;
+    }
 
-  let grow t b head tail =
-    let bigger = buffer_make (b.log_size + 1) in
-    for i = head to tail - 1 do
-      buffer_set bigger i (buffer_get b i)
-    done;
-    A.set t.buf bigger;
-    bigger
+  let size t =
+    let w = A.get t.window in
+    w.tail - w.head
 
-  (* Owner only. *)
-  let push t v =
-    let tail = A.get t.tail in
-    let head = A.get t.head in
+  let length_hint t =
+    let w = A.unsafe_peek t.window in
+    w.tail - w.head
+
+  let looks_nonempty t = length_hint t > 0
+
+  (* Owner only: the buffer, grown if [w] fills it, so one more element
+     fits at either end. *)
+  let room t w =
     let b = A.get t.buf in
-    (* [head] may be stale (it only advances), so [tail - head] is an
-       over-estimate of occupancy and growth is conservative. *)
-    let b = if tail - head >= 1 lsl b.log_size then grow t b head tail else b in
-    buffer_set b tail (Obj.repr v);
-    (* publish the element before publishing the new tail *)
-    A.set t.tail (tail + 1)
+    if w.tail - w.head < 1 lsl b.log_size then b
+    else begin
+      let bigger = buffer_make (b.log_size + 1) in
+      for i = w.head to w.tail - 1 do
+        buffer_set bigger i (buffer_get b i)
+      done;
+      A.set t.buf bigger;
+      bigger
+    end
 
-  (* Any consumer: claim the oldest element with a CAS on [head]. *)
-  let pop (type a) (t : a t) : a option =
-    let rec attempt () =
-      let head = A.get t.head in
-      let tail = A.get t.tail in
-      if tail - head <= 0 then None
-      else begin
-        let b = A.get t.buf in
-        let v : a = Obj.obj (buffer_get b head) in
-        if A.compare_and_set t.head head (head + 1) then Some v
-        else attempt () (* lost the claim to another consumer *)
-      end
-    in
-    attempt ()
+  (* Replace the snapshot [w] by [w'].  Only a CAS that fills the empty
+     queue or takes its last element touches the shared [occupied]
+     count. *)
+  let claim t w w' =
+    let ok = A.compare_and_set t.window w w' in
+    if ok then begin
+      let was = w.tail - w.head and now = w'.tail - w'.head in
+      if was = 0 && now > 0 then Atomic.incr t.occupied
+      else if was > 0 && now = 0 then Atomic.decr t.occupied
+    end;
+    ok
+
+  (* Owner only.  The CAS fails only when a thief claimed a batch since
+     [w] was read; the slot written is still free, so retry. *)
+  let rec push t v =
+    let w = A.get t.window in
+    buffer_set (room t w) w.tail (Obj.repr v);
+    if not (claim t w { w with tail = w.tail + 1 }) then push t v
+
+  let rec push_oldest t v =
+    let w = A.get t.window in
+    buffer_set (room t w) (w.head - 1) (Obj.repr v);
+    if not (claim t w { w with head = w.head - 1 }) then push_oldest t v
+
+  (* Owner only: the newest element. *)
+  let rec pop : type a. a t -> a option =
+   fun t ->
+    let w = A.get t.window in
+    if w.tail - w.head <= 0 then None
+    else
+      let v : a = Obj.obj (buffer_get (A.get t.buf) (w.tail - 1)) in
+      if claim t w { w with tail = w.tail - 1 } then Some v else pop t
 
   (* Thief: claim the oldest ceil(n/2) elements with one CAS.  Returns
      [| |] when the queue looked empty or the claim was lost — the thief
      moves on to another victim rather than spinning here. *)
   let steal_half (type a) (t : a t) : a array =
-    let head = A.get t.head in
-    let tail = A.get t.tail in
-    let n = tail - head in
+    let w = A.get t.window in
+    let n = w.tail - w.head in
     if n <= 0 then [||]
     else begin
       let k = (n + 1) / 2 in
       let b = A.get t.buf in
       let batch =
-        Array.init k (fun i -> (Obj.obj (buffer_get b (head + i)) : a))
+        Array.init k (fun i -> (Obj.obj (buffer_get b (w.head + i)) : a))
       in
-      if A.compare_and_set t.head head (head + k) then batch else [||]
+      if claim t w { w with head = w.head + k } then batch else [||]
     end
 end
 

@@ -68,6 +68,7 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
     let create ~procs = MQ.create ~procs
     let prepare _ ~procs:_ = ()
     let push_local q ~proc x = MQ.push q ~proc x
+    let push_yield = push_local
     let push_new q ~proc:_ x = MQ.push_global q x
     let take q ~proc = MQ.take q ~proc
     let looks_nonempty q ~proc:_ = MQ.looks_nonempty q
@@ -87,6 +88,7 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
     let create ~procs:_ = MQ.create ~procs:1
     let prepare _ ~procs:_ = ()
     let push_local q ~proc:_ x = MQ.push_back q ~proc:0 x
+    let push_yield = push_local
     let push_new q ~proc:_ x = MQ.push_back q ~proc:0 x
     let take q ~proc:_ = MQ.take_local q ~proc:0
     let looks_nonempty q ~proc:_ = MQ.looks_nonempty_local q ~proc:0
@@ -107,6 +109,7 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
     let create ~procs:_ = MQ.create ~procs:1
     let prepare _ ~procs:_ = ()
     let push_local q ~proc:_ x = MQ.push q ~proc:0 x
+    let push_yield = push_local
     let push_new q ~proc:_ x = MQ.push q ~proc:0 x
     let take q ~proc:_ = MQ.take_local q ~proc:0
     let looks_nonempty q ~proc:_ = MQ.looks_nonempty_local q ~proc:0
@@ -118,7 +121,14 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
   (* Multiprogrammed work stealing (the Manticore workGroup shape): one
      lock-free SPMC steal-half queue per proc, randomized victim selection,
      and batch transfer — a thief keeps the oldest stolen element and
-     re-owns the rest of the batch on its own queue.
+     re-owns the rest of the batch on its own queue.  The owner pops its
+     newest item, so fork/join runs depth-first on each proc while thieves
+     take the oldest (largest) subtrees.
+
+     No word shared by procs is written on a fork or a dispatch: steal
+     counters live in the thief's own slot, and the idle hint [occupied]
+     counts non-empty queues, so only the CAS that fills an empty queue or
+     takes its last element writes it.
 
      Determinism: victim selection uses a per-proc xorshift stream seeded
      from the proc index only, so a simulator run is a pure function of the
@@ -127,18 +137,18 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
   module Work_stealing : Thread_intf.SCHEDULER = struct
     let name = "ws"
 
-    type 'a slot = { q : 'a SQ.t; mutable rng : int; mutable last_victim : int }
+    type 'a slot = {
+      q : 'a SQ.t;
+      mutable rng : int;
+      mutable last_victim : int;
+      mutable attempts : int;
+      mutable hits : int;
+    }
 
     type 'a t = {
       slots : 'a slot array;
       mutable live : int; (* procs acquired into the pool; set by prepare *)
-      mutable attempts : int;
-      mutable hits : int;
-      total : int Stdlib.Atomic.t;
-          (* net items across all slots: +1 per push, -1 per successful pop
-             or steal (a steal's batch re-push cancels against the batch
-             removal).  Gives an O(1) emptiness hint where scanning every
-             slot's queue was O(procs). *)
+      occupied : int Stdlib.Atomic.t;
     }
 
     let seed_of p =
@@ -149,14 +159,20 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
       if x land max_int = 0 then 1 else x land max_int
 
     let create ~procs =
+      let occupied = Mp.Mp_intf.padded (Stdlib.Atomic.make 0) in
       {
         slots =
           Array.init procs (fun p ->
-              { q = SQ.create (); rng = seed_of p; last_victim = -1 });
+              Mp.Mp_intf.padded
+                {
+                  q = SQ.create ~occupied ();
+                  rng = seed_of p;
+                  last_victim = -1;
+                  attempts = 0;
+                  hits = 0;
+                });
         live = procs;
-        attempts = 0;
-        hits = 0;
-        total = Stdlib.Atomic.make 0;
+        occupied;
       }
 
     let prepare t ~procs =
@@ -172,11 +188,10 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
       s.rng <- x;
       x
 
-    let push_local t ~proc x =
-      (* the calling proc is this slot's single producer *)
-      SQ.push t.slots.(clamp_proc ~n:(Array.length t.slots) proc).q x;
-      Stdlib.Atomic.incr t.total
-
+    (* the calling proc is its slot's single producer *)
+    let own t proc = t.slots.(clamp_proc ~n:(Array.length t.slots) proc).q
+    let push_local t ~proc x = SQ.push (own t proc) x
+    let push_yield t ~proc x = SQ.push_oldest (own t proc) x
     let push_new = push_local
 
     let steal t ~proc =
@@ -187,19 +202,18 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
       else begin
         let s = t.slots.(proc) in
         let probe victim =
-          t.attempts <- t.attempts + 1;
+          s.attempts <- s.attempts + 1;
           match SQ.steal_half t.slots.(victim).q with
           | [||] -> None
           | batch ->
-              t.hits <- t.hits + 1;
+              s.hits <- s.hits + 1;
               s.last_victim <- victim;
-              (* keep the oldest, re-own the rest: this proc is its own
-                 queue's single producer, so the SPMC invariant holds.
-                 Net item count: batch removed, batch - 1 re-pushed = -1. *)
+              (* keep the oldest, re-own the rest in the victim's order:
+                 this proc is its own queue's single producer, so the
+                 SPMC invariant holds *)
               for i = 1 to Array.length batch - 1 do
                 SQ.push s.q batch.(i)
               done;
-              Stdlib.Atomic.decr t.total;
               Some batch.(0)
         in
         (* A full pass over the victims in rotating order from [start],
@@ -250,18 +264,18 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
     let take t ~proc =
       let proc = clamp_proc ~n:(Array.length t.slots) proc in
       match SQ.pop t.slots.(proc).q with
-      | Some _ as v ->
-          Stdlib.Atomic.decr t.total;
-          v
+      | Some _ as v -> v
       | None -> steal t ~proc
 
-    let looks_nonempty t ~proc:_ = Stdlib.Atomic.get t.total > 0
+    let looks_nonempty t ~proc:_ = Stdlib.Atomic.get t.occupied > 0
 
     let total_length t =
       Array.fold_left (fun acc s -> acc + SQ.length_hint s.q) 0 t.slots
 
-    let steals t = t.hits
-    let steal_attempts t = t.attempts
+    let steals t = Array.fold_left (fun acc s -> acc + s.hits) 0 t.slots
+
+    let steal_attempts t =
+      Array.fold_left (fun acc s -> acc + s.attempts) 0 t.slots
   end
 
   (* Pinned micropools: the procs are partitioned into [k] pools
@@ -302,6 +316,7 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
       if P.Proc.nodes () > 1 then P.Proc.node_of proc mod t.pools
       else proc mod t.pools
     let push_local t ~proc x = MQ.push t.mq ~proc:(pool t proc) x
+    let push_yield = push_local
 
     let push_new t ~proc:_ x =
       let p = t.rotor mod t.pools in

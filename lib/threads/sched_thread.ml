@@ -32,10 +32,26 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
   let finished = ref false
   let acquired = ref 1
   let quantum = ref 0.02
-  let next_id = Atomic.make 1
-  let switch_count = Atomic.make 0
   let thread_error : exn option Atomic.t = Atomic.make None
-  let last_switch = ref [||]
+
+  (* Per-proc scheduler state.  Each record is written only by its own
+     proc and padded onto its own cache lines, so no fork or dispatch
+     writes a line another proc writes (the totals are summed when read).
+     [forks] also numbers the proc's threads: the k-th thread forked on
+     proc p of N gets id k * N + p + 1, unique across procs and never the
+     root's 0. *)
+  type proc_state = {
+    mutable forks : int;
+    mutable switches : int;
+    mutable last_switch : float;
+  }
+
+  let fresh_states now =
+    Array.init (P.Proc.max_procs ()) (fun _ ->
+        Mp_intf.padded { forks = 0; switches = 0; last_switch = now })
+
+  let per_proc = ref (fresh_states 0.)
+  let total field = Array.fold_left (fun acc s -> acc + field s) 0 !per_proc
 
   (* Pending timers in a binary-heap priority queue, earliest wake time
      first (O(log n) insert instead of the old O(n) sorted-list insert;
@@ -121,14 +137,13 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
       P.Telemetry.emit (Obs.Event.Steal { proc; clock = ts });
     P.Telemetry.emit (Obs.Event.Switch { proc; clock = ts; thread = tid })
 
-  let mark_switch proc =
-    Atomic.incr switch_count;
-    let arr = !last_switch in
-    if proc < Array.length arr then arr.(proc) <- P.Work.now ()
+  let mark_switch me =
+    me.switches <- me.switches + 1;
+    me.last_switch <- P.Work.now ()
 
   let rec dispatch () =
     let proc = P.Proc.self () in
-    mark_switch proc;
+    mark_switch !per_proc.(proc);
     let tel = P.Telemetry.enabled () in
     let (module Q) = !rq in
     let steals0 = if tel then Q.S.steals Q.q else 0 in
@@ -170,11 +185,13 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
      distributed policies spray them round-robin); resumed continuations
      stay on the resuming proc's queue for affinity. *)
   let fork child =
-    let tid = Atomic.fetch_and_add next_id 1 in
+    let proc = max 0 (P.Proc.self ()) in
+    let me = !per_proc.(proc) in
+    let tid = (me.forks * Array.length !per_proc) + proc + 1 in
+    me.forks <- me.forks + 1;
     let (module Q) = !rq in
-    Q.S.push_new Q.q ~proc:(P.Proc.self ()) (Thunk (child, tid));
+    Q.S.push_new Q.q ~proc (Thunk (child, tid));
     if P.Telemetry.enabled () then begin
-      let proc = max 0 (P.Proc.self ()) in
       let ts = P.Telemetry.now_ts () in
       let depth = Q.S.total_length Q.q in
       P.Telemetry.emit (Obs.Event.Fork { proc; clock = ts; thread = tid });
@@ -183,9 +200,12 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
       Obs.Counters.max_gauge c_depth depth
     end
 
+  (* An explicit yield and a quantum preemption alike: the policy decides
+     where a yielder waits (work stealing puts it behind its queue). *)
   let yield () =
     Engine.callcc (fun cont ->
-        enqueue (Cont (cont, (), id ()));
+        let (module Q) = !rq in
+        Q.S.push_yield Q.q ~proc:(P.Proc.self ()) (Cont (cont, (), id ()));
         dispatch ())
 
   let reschedule (cont, tid) = enqueue (Cont (cont, (), tid))
@@ -197,9 +217,8 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
     if !active then begin
       ignore (fire_due_timers ());
       let proc = P.Proc.self () in
-      let arr = !last_switch in
-      if proc >= 0 && proc < Array.length arr then
-        if P.Work.now () -. arr.(proc) > !quantum then yield ()
+      if proc >= 0 && P.Work.now () -. !per_proc.(proc).last_switch > !quantum
+      then yield ()
     end
 
   let worker_cont () =
@@ -215,12 +234,10 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
     active := true;
     finished := false;
     acquired := 1;
-    Atomic.set next_id 1;
-    Atomic.set switch_count 0;
     Atomic.set thread_error None;
     timers := PQ.create ();
     Atomic.set next_due infinity;
-    last_switch := Array.make max_procs (P.Work.now ());
+    per_proc := fresh_states (P.Work.now ());
     quantum := q;
     P.Work.set_poll_hook poll_check;
     (try
@@ -239,8 +256,8 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
     finished := true;
     active := false;
     P.Work.set_poll_hook (fun () -> ());
-    Obs.Counters.set c_forks (Atomic.get next_id - 1);
-    Obs.Counters.set c_switches (Atomic.get switch_count);
+    Obs.Counters.set c_forks (total (fun s -> s.forks));
+    Obs.Counters.set c_switches (total (fun s -> s.switches));
     Obs.Counters.set c_steals (Q.S.steals Q.q);
     Obs.Counters.set c_steal_attempts (Q.S.steal_attempts Q.q);
     Obs.Counters.set c_steal_hits (Q.S.steals Q.q);
@@ -328,5 +345,5 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
     let (module Q) = !rq in
     Q.S.steal_attempts Q.q
 
-  let switches () = Atomic.get switch_count
+  let switches () = total (fun s -> s.switches)
 end

@@ -67,7 +67,14 @@ module type SCHEDULER = sig
 
   val push_local : 'a t -> proc:int -> 'a -> unit
   (** Enqueue with affinity to [proc] (the calling proc): resumed
-      continuations and yields land here. *)
+      continuations land here. *)
+
+  val push_yield : 'a t -> proc:int -> 'a -> unit
+  (** Enqueue a thread that yielded — explicitly or at a quantum
+      preemption — from [proc].  Work stealing puts it at the oldest end
+      of [proc]'s queue, behind everything already queued there, since its
+      owner pops newest-first and would otherwise resume the yielder at
+      once; every other policy treats it as {!push_local}. *)
 
   val push_new : 'a t -> proc:int -> 'a -> unit
   (** Enqueue a freshly forked thread from [proc]; policies with no

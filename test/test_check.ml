@@ -273,7 +273,8 @@ let test_dpor_schedule_pins () =
       ("lock_tas_disjoint", (7, 6));
       ("lock_ticket_disjoint", (13, 12));
       ("lock_mcs_disjoint", (19, 18));
-      ("queue_spmc", (407, 0));
+      ("queue_spmc", (265, 0));
+      ("queue_spmc_owner_ends", (672, 0));
       ("sched_micropool_affinity", (7, 0));
       ("sched_ws_steal_half", (4, 0));
       ("queue_multi", (5, 4));

@@ -299,12 +299,12 @@ let prop_bounded_never_exceeds =
 
 (* ---------------- SPMC steal-half queue ---------------- *)
 
-let test_spmc_fifo_pop () =
+let test_spmc_owner_lifo () =
   let q = Spmc_queue.create () in
   List.iter (Spmc_queue.push q) [ 1; 2; 3 ];
-  Alcotest.(check (option int)) "oldest" (Some 1) (Spmc_queue.pop q);
+  Alcotest.(check (option int)) "newest" (Some 3) (Spmc_queue.pop q);
   Alcotest.(check (option int)) "next" (Some 2) (Spmc_queue.pop q);
-  Alcotest.(check (option int)) "newest last" (Some 3) (Spmc_queue.pop q);
+  Alcotest.(check (option int)) "oldest last" (Some 1) (Spmc_queue.pop q);
   Alcotest.(check (option int)) "empty" None (Spmc_queue.pop q)
 
 let test_spmc_steal_half () =
@@ -351,35 +351,78 @@ let test_spmc_growth () =
   checkb "looks empty" false (Spmc_queue.looks_nonempty q)
 
 let test_spmc_interleaved_push () =
-  (* pushes interleaved with claims keep FIFO order among survivors and
-     exercise wraparound of the circular buffer *)
+  (* pushes interleaved with pops keep LIFO order among survivors and
+     exercise wraparound of the circular buffer: a thief's batches move
+     the window forward, so the owner's later pushes wrap *)
   let q = Spmc_queue.create () in
   let out = ref [] in
   for i = 1 to 100 do
     Spmc_queue.push q i;
-    if i mod 3 = 0 then
-      match Spmc_queue.pop q with
-      | Some v -> out := v :: !out
-      | None -> Alcotest.fail "nonempty pop"
+    if i mod 3 = 0 then begin
+      (match Spmc_queue.pop q with
+      | Some v -> check "pop returns the push just made" i v
+      | None -> Alcotest.fail "nonempty pop");
+      out := i :: !out
+    end;
+    if i mod 10 = 0 then
+      Array.iter (fun v -> out := v :: !out) (Spmc_queue.steal_half q)
   done;
-  let rec drain () =
+  let rec drain last =
     match Spmc_queue.pop q with
     | Some v ->
+        checkb "owner pops newest first" true (v < last);
         out := v :: !out;
-        drain ()
+        drain v
     | None -> ()
   in
-  drain ();
-  check_list "permutation of pushes, FIFO claims ascending"
+  drain max_int;
+  check_list "permutation of pushes"
     (List.init 100 (fun i -> i + 1))
-    (List.sort compare !out);
-  (* claims are FIFO: the reversed accumulator is descending *)
-  checkb "fifo claims" true
-    (let rec desc = function
-       | a :: (b :: _ as tl) -> a > b && desc tl
-       | _ -> true
-     in
-     desc !out)
+    (List.sort compare !out)
+
+(* The oldest-end push: what the scheduler does with a yielding thread.
+   It is the first element a steal returns and the last the owner pops. *)
+let test_spmc_push_oldest () =
+  let q = Spmc_queue.create () in
+  List.iter (Spmc_queue.push q) [ 1; 2; 3 ];
+  Spmc_queue.push_oldest q 0;
+  Alcotest.(check (array int)) "steal starts at the oldest end" [| 0; 1 |]
+    (Spmc_queue.steal_half q);
+  Spmc_queue.push_oldest q 9;
+  Alcotest.(check (option int)) "owner pops newest" (Some 3) (Spmc_queue.pop q);
+  Alcotest.(check (option int)) "then" (Some 2) (Spmc_queue.pop q);
+  Alcotest.(check (option int)) "oldest-end push last" (Some 9)
+    (Spmc_queue.pop q);
+  Alcotest.(check (option int)) "empty" None (Spmc_queue.pop q);
+  (* wraps below index 0 and grows from there *)
+  for i = 1 to 40 do
+    Spmc_queue.push_oldest q i
+  done;
+  check "size after 40 oldest-end pushes" 40 (Spmc_queue.size q);
+  Alcotest.(check (option int)) "the first is now the newest" (Some 1)
+    (Spmc_queue.pop q);
+  Alcotest.(check (array int)) "a steal takes the latest oldest-end pushes"
+    (Array.init 20 (fun i -> 40 - i))
+    (Spmc_queue.steal_half q)
+
+(* [occupied] counts non-empty queues: only a fill or an emptying moves it. *)
+let test_spmc_occupied_count () =
+  let occupied = Atomic.make 0 in
+  let a = Spmc_queue.create ~occupied () in
+  let b = Spmc_queue.create ~occupied () in
+  Spmc_queue.push a 1;
+  Spmc_queue.push a 2;
+  Spmc_queue.push_oldest b 3;
+  check "two non-empty queues" 2 (Atomic.get occupied);
+  ignore (Spmc_queue.pop a);
+  check "a still non-empty" 2 (Atomic.get occupied);
+  ignore (Spmc_queue.steal_half a);
+  check "a emptied by a steal" 1 (Atomic.get occupied);
+  ignore (Spmc_queue.pop b);
+  check "b emptied by a pop" 0 (Atomic.get occupied);
+  ignore (Spmc_queue.pop b);
+  ignore (Spmc_queue.steal_half a);
+  check "empty claims change nothing" 0 (Atomic.get occupied)
 
 (* The steal-half queue under 4 host domains: 1 owner pushing/popping + 3
    thief domains consuming whole steal-half batches.
@@ -490,11 +533,13 @@ let () =
         ] );
       ( "spmc",
         [
-          Alcotest.test_case "fifo pop" `Quick test_spmc_fifo_pop;
+          Alcotest.test_case "owner pops newest" `Quick test_spmc_owner_lifo;
           Alcotest.test_case "steal half" `Quick test_spmc_steal_half;
           Alcotest.test_case "growth + drain" `Quick test_spmc_growth;
           Alcotest.test_case "interleaved push" `Quick
             test_spmc_interleaved_push;
+          Alcotest.test_case "oldest-end push" `Quick test_spmc_push_oldest;
+          Alcotest.test_case "occupied count" `Quick test_spmc_occupied_count;
         ] );
       qsuite "properties"
         [

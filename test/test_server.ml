@@ -52,17 +52,19 @@ let golden =
          p999=96468991 elapsed=8.063249500 tput=248.039 qwait=0.000000000" );
       ( (Ws, 1),
         "GOLDEN server sched=ws           procs=1  count=2000 \
-         sum=7113112038035 p50=3623878655 p95=6979321855 p99=6979321855 \
-         p999=7052951600 elapsed=15.085442312 tput=132.578 \
-         qwait=0.000000000" );
+         sum=7254187718777 p50=3623878655 p95=6979321855 p99=7229317423 \
+         p999=7229317423 elapsed=15.097292938 tput=132.474 \
+         qwait=12.578521938" );
       ( (Ws, 4),
         "GOLDEN server sched=ws           procs=4  count=2000 \
-         sum=32160219338 p50=11010047 p95=50331647 p99=71303167 \
-         p999=96468991 elapsed=8.062623625 tput=248.058 qwait=0.000000000" );
+         sum=32209572729 p50=11010047 p95=50331647 p99=71303167 \
+         p999=96468991 elapsed=8.062592563 tput=248.059 \
+         qwait=0.000000000" );
       ( (Ws, 16),
         "GOLDEN server sched=ws           procs=16 count=2000 \
-         sum=31433743938 p50=11010047 p95=48234495 p99=71303167 \
-         p999=92274687 elapsed=8.062611375 tput=248.059 qwait=0.000000000" );
+         sum=31580231155 p50=11010047 p95=50331647 p99=71303167 \
+         p999=96468991 elapsed=8.062648625 tput=248.057 \
+         qwait=0.000000000" );
     ]
 
 let golden_case cell expected () =

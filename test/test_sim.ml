@@ -943,8 +943,9 @@ let test_numa_large_p_suspension_budget () =
     ]
 
 (* Host-seconds guard on the quick sweep's heaviest cell: a 1024-proc
-   run must stay affordable (measured ~4-10s solo; the budget leaves
-   room for slow CI hosts without letting it grow unbounded). *)
+   run must stay affordable (measured ~20-26s solo: every ws push is a
+   bus RMW that waits behind the running tasks' traffic; the budget
+   leaves room for slow CI hosts without letting it grow unbounded). *)
 let test_numa_1024_host_budget () =
   let t0 = Sys.time () in
   ignore

@@ -376,6 +376,103 @@ let test_policy_ws_steals () =
   checkb "steals observed" true (TS.steals () > 0);
   checkb "attempts >= hits" true (TS.steal_attempts () >= TS.steals ())
 
+(* Work stealing runs fork_join depth-first: each owner pops its newest
+   task, so a proc holds about one root-to-leaf path of suspended joins
+   rather than the breadth of the task tree (43 live fibers at most at a
+   leaf; an owner popping its oldest task holds 484). *)
+let test_policy_ws_depth_first () =
+  let peak = ref 0 in
+  let v =
+    TP.run (fun () ->
+        TS.with_pool ~procs:4 ~sched:Mpthreads.Sched_policy.Ws (fun () ->
+            let rec seq_fib k =
+              if k < 2 then k else seq_fib (k - 1) + seq_fib (k - 2)
+            in
+            let rec node k =
+              if k < 8 then begin
+                peak := max !peak (Engine.live_fibers ());
+                let v = seq_fib k in
+                TP.Work.step ~instrs:(40 * (v + 1)) ~alloc_words:(v + 1) ();
+                v
+              end
+              else begin
+                TP.Work.step ~instrs:120 ~alloc_words:24 ();
+                let a = ref 0 and b = ref 0 in
+                TS.fork_join
+                  [
+                    (fun () -> a := node (k - 1)); (fun () -> b := node (k - 2));
+                  ];
+                !a + !b
+              end
+            in
+            node 20))
+  in
+  check "fib 20" 6765 v;
+  checkb
+    (Printf.sprintf "peak live fibers %d <= 100" !peak)
+    true (!peak <= 100)
+
+(* A yield goes behind everything queued: two threads yielding in a loop
+   on one proc take turns.  If it went to the owner's newest end, a
+   yielder would resume itself at once. *)
+let test_policy_ws_yields_alternate () =
+  let log =
+    TP.run (fun () ->
+        TS.with_pool ~procs:1 ~sched:Mpthreads.Sched_policy.Ws (fun () ->
+            let log = ref [] in
+            TS.fork_join
+              (List.map
+                 (fun who () ->
+                   for _ = 1 to 4 do
+                     log := who :: !log;
+                     TS.yield ()
+                   done)
+                 [ 1; 2 ]);
+            List.rev !log))
+  in
+  check "eight turns" 8 (List.length log);
+  checkb
+    (Printf.sprintf "turns alternate: %s"
+       (String.concat " " (List.map string_of_int log)))
+    true
+    (let rec alternates = function
+       | a :: (b :: _ as tl) -> a <> b && alternates tl
+       | _ -> true
+     in
+     alternates log)
+
+(* Each proc counts its own forks, switches, steals and lock acquisitions;
+   after a 2-proc domains pool the totals are exact.  A tree of 232
+   two-way fork_joins forks 464 threads and takes 3 locks per join (one
+   per child, one for the waiter) plus one per node to record its id; no
+   two of the 465 threads share an id. *)
+let test_sched_counters_exact () =
+  let get name = Obs.Counters.get (D.Telemetry.counter name) in
+  let before = List.map get [ "lock.acquires" ] in
+  let ids = ref [] in
+  let ids_lock = D.Lock.mutex_lock () in
+  let switches, steals =
+    D.run (fun () ->
+        S.with_pool ~procs:2 ~sched:Mpthreads.Sched_policy.Ws (fun () ->
+            let rec node k =
+              D.Lock.locked ids_lock (fun () -> ids := S.id () :: !ids);
+              if k >= 2 then
+                S.fork_join [ (fun () -> node (k - 1)); (fun () -> node (k - 2)) ]
+            in
+            node 12);
+        (S.switches (), S.steals ()))
+  in
+  check "distinct thread ids" 465 (List.length (List.sort_uniq compare !ids));
+  check "sched.forks" 464 (get "sched.forks");
+  check "lock.acquires"
+    ((3 * 232) + 465)
+    (get "lock.acquires" - List.hd before);
+  check "sched.switches" switches (get "sched.switches");
+  checkb "a switch per forked thread at least" true (switches >= 464);
+  check "sched.steals" steals (get "sched.steals");
+  check "sched.steal_hits" steals (get "sched.steal_hits");
+  checkb "steal attempts >= hits" true (get "sched.steal_attempts" >= steals)
+
 module Ml = Mpthreads.Ml_threads.Make (D) (S)
 
 let test_ml_fork_and_handles () =
@@ -700,6 +797,12 @@ let () =
           Alcotest.test_case "lifo dispatch order" `Quick
             test_policy_lifo_order;
           Alcotest.test_case "ws steals on sim" `Quick test_policy_ws_steals;
+          Alcotest.test_case "ws runs depth-first" `Quick
+            test_policy_ws_depth_first;
+          Alcotest.test_case "ws yields alternate" `Quick
+            test_policy_ws_yields_alternate;
+          Alcotest.test_case "counters exact on 2 domains" `Quick
+            test_sched_counters_exact;
         ] );
       ( "timers",
         [
