@@ -30,7 +30,9 @@ module Make (P : Mp.Mp_intf.PLATFORM) = struct
   (* Observation-only read for scheduler idle predicates, which must be
      charge-free: [Work.idle_until ~ready] evaluates its predicate from
      scheduler context where charging would corrupt virtual time.  It does
-     not touch the sharer set either (no proc context there). *)
+     not touch the sharer set either (no proc context there).  The [ws]
+     steal sweep uses it as a free filter too: a queue it goes on to probe
+     is re-read by a charged [get] and claimed by CAS. *)
   let unsafe_peek c = Atomic.get c.v
 
   let set c v =

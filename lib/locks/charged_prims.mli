@@ -15,7 +15,9 @@ module Make (P : Mp.Mp_intf.PLATFORM) : sig
   (** A read costs 2 cycles, a write 20, an RMW (exchange,
       compare_and_set, fetch_and_add) 60 plus a bus transaction on the
       cell's line, and a pause unit 10.  [unsafe_peek] is free and leaves
-      the line alone, as scheduler idle predicates require. *)
+      the line alone, as scheduler idle predicates require; the [ws]
+      steal sweep peeks the same way to skip empty-looking queues, and
+      re-validates a queue it probes with a charged [get] and CAS. *)
 
   val spin_count : unit -> int
   val reset_spin_count : unit -> unit

@@ -146,8 +146,11 @@ module type PRIMS = sig
   (** A racy, observation-only read: never a serialization point under
       mp_check and never charged.  Scheduler idle predicates
       ([Work.idle_until ~ready]) must be side-effect- and charge-free, so
-      they may only look at cells through [unsafe_peek].  Algorithm code
-      must keep using [get]. *)
+      they may only look at cells through [unsafe_peek].  The [ws] steal
+      sweep also uses it as a filter, to skip a queue that looks empty;
+      a queue it does probe is re-read with [get] and claimed by CAS, so
+      a stale peek costs a wasted probe or a missed one, never a wrong
+      result.  Algorithm code must keep using [get]. *)
 
   val pause : unit -> unit
   (** One spin-wait iteration. *)

@@ -5,6 +5,8 @@ module Make (L : Mp.Mp_intf.LOCK) = struct
     slots : 'a slot array;
     mutable rotor : int; (* round-robin cursor for push_global; racy by design *)
     mutable steal_count : int;
+    mutable steal_attempts : int;
+        (* victims locked because their deque looked non-empty *)
     items : int Atomic.t;
         (* exact element count, updated inside the slot locks; lets the
            emptiness hint be O(1) instead of an O(procs) deque scan.  Kept
@@ -20,6 +22,7 @@ module Make (L : Mp.Mp_intf.LOCK) = struct
             { lock = L.mutex_lock (); deque = Deque.create () });
       rotor = 0;
       steal_count = 0;
+      steal_attempts = 0;
       items = Atomic.make 0;
     }
 
@@ -72,7 +75,8 @@ module Make (L : Mp.Mp_intf.LOCK) = struct
         let victim = (proc + i) mod n in
         let slot = t.slots.(victim) in
         if Deque.is_empty slot.deque then scan (i + 1)
-        else
+        else begin
+          t.steal_attempts <- t.steal_attempts + 1;
           match
             protected slot (fun () ->
                 match Deque.pop_back_opt slot.deque with
@@ -85,6 +89,7 @@ module Make (L : Mp.Mp_intf.LOCK) = struct
               t.steal_count <- t.steal_count + 1;
               found
           | None -> scan (i + 1)
+        end
     in
     scan 1
 
@@ -108,4 +113,5 @@ module Make (L : Mp.Mp_intf.LOCK) = struct
     Array.fold_left (fun acc slot -> acc + Deque.length slot.deque) 0 t.slots
 
   let steals t = t.steal_count
+  let steal_attempts t = t.steal_attempts
 end

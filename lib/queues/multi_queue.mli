@@ -51,4 +51,9 @@ module Make (L : Mp.Mp_intf.LOCK) : sig
 
   val steals : 'a t -> int
   (** Number of successful steals so far. *)
+
+  val steal_attempts : 'a t -> int
+  (** Number of victims {!steal} locked because their deque looked
+      non-empty, successful or not.  Empty-looking victims are skipped
+      unlocked and not counted. *)
 end

@@ -19,15 +19,17 @@ type cell = {
   p999_ns : int;
   queue_wait : float;
   hist : Obs.Histogram.t;
+  suspensions : int;
 }
 
 let schedulers = [ "fifo"; "distributed"; "ws" ]
 let grid_procs = [ 1; 4; 16 ]
 
 (* Offered loads for the saturation ramp, requests per virtual second at 16
-   procs on the Sequent model.  Pipeline capacity there is ~460 req/s
-   (bounded by the CML global lock, not the workers), so the ramp crosses
-   the knee inside the list. *)
+   procs on the Sequent model.  The committed full ramp (BENCH_server.json)
+   puts every scheduler's knee at 500 req/s, where throughput levels off
+   near 460 req/s, so the list crosses the knee.  What sets that ceiling is
+   not yet attributed (ROADMAP.md item 3). *)
 let ramp_rates ~quick =
   if quick then [ 150.; 300.; 450.; 700. ]
   else [ 150.; 200.; 250.; 300.; 350.; 400.; 450.; 500.; 600.; 700. ]
@@ -63,6 +65,7 @@ let run_cell ~machine ~config (sched, procs, rate) =
     p999_ns = r.Workloads.Server.p999;
     queue_wait = r.Workloads.Server.queue_wait;
     hist = r.Workloads.Server.hist;
+    suspensions = M.Machine.suspensions ();
   }
 
 let golden_line c =
@@ -153,10 +156,11 @@ let cell_json c =
     "{\"machine\":\"%s\",\"sched\":\"%s\",\"procs\":%d,\"rate\":%.1f,\
      \"requests\":%d,\"completed\":%d,\"elapsed_s\":%.9f,\
      \"throughput\":%.3f,\"p50_ns\":%d,\"p95_ns\":%d,\"p99_ns\":%d,\
-     \"p999_ns\":%d,\"mean_ns\":%.1f,\"queue_wait_s\":%.9f}"
+     \"p999_ns\":%d,\"mean_ns\":%.1f,\"queue_wait_s\":%.9f,\
+     \"suspensions\":%d}"
     c.machine c.sched c.procs c.rate c.requests c.completed c.elapsed
     c.throughput c.p50_ns c.p95_ns c.p99_ns c.p999_ns
-    (Obs.Histogram.mean c.hist) c.queue_wait
+    (Obs.Histogram.mean c.hist) c.queue_wait c.suspensions
 
 let to_json ~quick grid_cells ramp_cells =
   let b = Buffer.create 4096 in

@@ -18,6 +18,8 @@ type cell = {
   p999_ns : int;
   queue_wait : float;  (** producer seconds blocked on full shard queues *)
   hist : Obs.Histogram.t;  (** the cell's latency histogram, ns *)
+  suspensions : int;
+      (** host-side: the simulator's effect suspensions over the run *)
 }
 
 val schedulers : string list

@@ -74,7 +74,7 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
     let looks_nonempty q ~proc:_ = MQ.looks_nonempty q
     let total_length = MQ.total_length
     let steals = MQ.steals
-    let steal_attempts = MQ.steals
+    let steal_attempts = MQ.steal_attempts
   end
 
   (* One shared slot, enqueue at the back, dequeue at the front: the
@@ -194,6 +194,44 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
     let push_yield t ~proc x = SQ.push_oldest (own t proc) x
     let push_new = push_local
 
+    (* Peek before probing: a victim whose queue looks empty is skipped
+       for free, as [Multi_queue.steal] skips an empty deque.  A probe
+       that goes ahead is re-validated by [steal_half]'s charged read and
+       CAS, and only such probes count as attempts. *)
+    let probe t s victim =
+      let vq = t.slots.(victim).q in
+      if not (SQ.looks_nonempty vq) then None
+      else begin
+        s.attempts <- s.attempts + 1;
+        match SQ.steal_half vq with
+        | [||] -> None
+        | batch ->
+            s.hits <- s.hits + 1;
+            s.last_victim <- victim;
+            (* keep the oldest, re-own the rest in the victim's order:
+               this proc is its own queue's single producer, so the SPMC
+               invariant holds *)
+            for i = 1 to Array.length batch - 1 do
+              SQ.push s.q batch.(i)
+            done;
+            Some batch.(0)
+      end
+
+    (* A full pass over the [live] victims in rotating order from [i],
+       probing only those [pred] admits; each slot is visited exactly
+       once, so an unfiltered pass probes the same victims in the same
+       order as the historical sweep.  A top-level function, so that an
+       idle proc's poll allocates no closures on a flat machine. *)
+    let rec sweep t s ~proc ~live pred k i =
+      if k = 0 then None
+      else
+        let victim = i mod live in
+        if victim <> proc && pred victim then
+          match probe t s victim with
+          | Some _ as hit -> hit
+          | None -> sweep t s ~proc ~live pred (k - 1) (i + 1)
+        else sweep t s ~proc ~live pred (k - 1) (i + 1)
+
     let steal t ~proc =
       let n = Array.length t.slots in
       (* elastic victim range: only probe procs actually in the pool *)
@@ -201,51 +239,21 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
       if live <= 1 then None
       else begin
         let s = t.slots.(proc) in
-        let probe victim =
-          s.attempts <- s.attempts + 1;
-          match SQ.steal_half t.slots.(victim).q with
-          | [||] -> None
-          | batch ->
-              s.hits <- s.hits + 1;
-              s.last_victim <- victim;
-              (* keep the oldest, re-own the rest in the victim's order:
-                 this proc is its own queue's single producer, so the
-                 SPMC invariant holds *)
-              for i = 1 to Array.length batch - 1 do
-                SQ.push s.q batch.(i)
-              done;
-              Some batch.(0)
-        in
-        (* A full pass over the victims in rotating order from [start],
-           probing only those [pred] admits; each slot is visited exactly
-           once, so an unfiltered pass probes the same victims in the same
-           order as the historical sweep. *)
-        let sweep_from start pred =
-          let rec go k i =
-            if k = 0 then None
-            else
-              let victim = i mod live in
-              if victim <> proc && pred victim then
-                match probe victim with
-                | Some _ as hit -> hit
-                | None -> go (k - 1) (i + 1)
-              else go (k - 1) (i + 1)
-          in
-          go live start
-        in
         (* the victim that last yielded work is likely still loaded (one
            proc fans out a phase's tasks): probe it first, then sweep the
            rest from a randomized start so a lone loaded queue is found
            in at most [live - 1] probes *)
         let last = s.last_victim in
         let again =
-          if last >= 0 && last < live && last <> proc then probe last else None
+          if last >= 0 && last < live && last <> proc then probe t s last
+          else None
         in
         match again with
         | Some _ as hit -> hit
         | None -> (
             let start = proc + 1 + (next_rand s mod (live - 1)) in
-            if P.Proc.nodes () <= 1 then sweep_from start (fun _ -> true)
+            if P.Proc.nodes () <= 1 then
+              sweep t s ~proc ~live (fun _ -> true) live start
             else
               (* node-aware victim order: exhaust same-node victims first —
                  those steals stay off the inter-node link — and only then
@@ -254,16 +262,23 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
                  it) is untouched. *)
               let my_node = P.Proc.node_of proc in
               match
-                sweep_from start (fun v -> P.Proc.node_of v = my_node)
+                sweep t s ~proc ~live
+                  (fun v -> P.Proc.node_of v = my_node)
+                  live start
               with
               | Some _ as hit -> hit
               | None ->
-                  sweep_from start (fun v -> P.Proc.node_of v <> my_node))
+                  sweep t s ~proc ~live
+                    (fun v -> P.Proc.node_of v <> my_node)
+                    live start)
       end
 
+    (* An idle proc's poll of its own empty queue costs no charged read
+       either: [pop] runs only when the peek sees an item. *)
     let take t ~proc =
       let proc = clamp_proc ~n:(Array.length t.slots) proc in
-      match SQ.pop t.slots.(proc).q with
+      let q = t.slots.(proc).q in
+      match if SQ.looks_nonempty q then SQ.pop q else None with
       | Some _ as v -> v
       | None -> steal t ~proc
 

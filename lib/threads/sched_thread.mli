@@ -58,8 +58,8 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) : sig
   (** Successful work-steals since the pool started. *)
 
   val steal_attempts : unit -> int
-  (** Steal probes (successful or not) since the pool started; equal to
-      {!steals} under policies that do not count failed probes. *)
+  (** Steal probes (successful or not) of victims that looked non-empty,
+      since the pool started; 0 under policies that never steal. *)
 
   val switches : unit -> int
   (** Thread dispatches since the pool started. *)

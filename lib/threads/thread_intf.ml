@@ -97,6 +97,7 @@ module type SCHEDULER = sig
   (** Successful steal operations so far. *)
 
   val steal_attempts : 'a t -> int
-  (** Steal probes (successful or not).  Policies that do not distinguish
-      probes from hits report {!steals}. *)
+  (** Steal probes, successful or not, that paid to look at a victim (a
+      lock or a charged read): a victim skipped because it looked empty
+      is not an attempt.  Policies that never steal report 0. *)
 end

@@ -52,18 +52,18 @@ let golden =
          p999=96468991 elapsed=8.063249500 tput=248.039 qwait=0.000000000" );
       ( (Ws, 1),
         "GOLDEN server sched=ws           procs=1  count=2000 \
-         sum=7254187718777 p50=3623878655 p95=6979321855 p99=7229317423 \
-         p999=7229317423 elapsed=15.097292938 tput=132.474 \
+         sum=7254187218777 p50=3623878655 p95=6979321855 p99=7229317173 \
+         p999=7229317173 elapsed=15.097292687 tput=132.474 \
          qwait=12.578521938" );
       ( (Ws, 4),
         "GOLDEN server sched=ws           procs=4  count=2000 \
-         sum=32209572729 p50=11010047 p95=50331647 p99=71303167 \
-         p999=96468991 elapsed=8.062592563 tput=248.059 \
+         sum=32237060848 p50=11534335 p95=50331647 p99=71303167 \
+         p999=96468991 elapsed=8.062570875 tput=248.060 \
          qwait=0.000000000" );
       ( (Ws, 16),
         "GOLDEN server sched=ws           procs=16 count=2000 \
-         sum=31580231155 p50=11010047 p95=50331647 p99=71303167 \
-         p999=96468991 elapsed=8.062648625 tput=248.057 \
+         sum=31578621236 p50=11010047 p95=50331647 p99=71303167 \
+         p999=92274687 elapsed=8.062722812 tput=248.055 \
          qwait=0.000000000" );
     ]
 
@@ -91,6 +91,25 @@ let test_ws_tail_beats_fifo () =
   if ws >= fifo then
     Alcotest.failf "ws p99 %d not below central fifo p99 %d at 16 procs" ws
       fifo
+
+(* Host cost of simulating the pinned ws@16 cell.  An idle ws proc peeks
+   at a queue before it pays a charged read of it, so an item that wakes
+   every poller no longer sets each of them sweeping every victim, one
+   simulator suspension per read: 82 suspensions per request, where
+   charging every probe took 262. *)
+let test_ws_suspension_budget () =
+  let cfg = Workloads.Server.default in
+  let c =
+    Report.Server_bench.run_cell ~machine:"sequent" ~config:cfg
+      ("ws", 16, cfg.Workloads.Server.rate)
+  in
+  let per_request =
+    float_of_int c.Report.Server_bench.suspensions
+    /. float_of_int cfg.Workloads.Server.requests
+  in
+  if per_request >= 150. then
+    Alcotest.failf "ws@16 took %d suspensions, %.0f per request (budget 150)"
+      c.Report.Server_bench.suspensions per_request
 
 (* ---------------- pure generators ---------------- *)
 
@@ -240,6 +259,11 @@ let () =
         [
           Alcotest.test_case "ws p99 < fifo p99 at 16 procs" `Quick
             test_ws_tail_beats_fifo;
+        ] );
+      ( "host cost",
+        [
+          Alcotest.test_case "ws@16 suspensions per request" `Quick
+            test_ws_suspension_budget;
         ] );
       ( "generators",
         [

@@ -563,6 +563,19 @@ let test_sched_ws_beats_fifo () =
         (ratio bench >= 1.0))
     [ "mm"; "allpairs" ]
 
+(* The distributed policy counts a steal attempt per victim it locks
+   because the victim's deque looked non-empty, so a lock that finds the
+   deque already drained is an attempt without a steal.  Counting steals
+   as attempts pinned the traced hit ratio at exactly 1. *)
+let test_sched_distributed_steal_attempts () =
+  let get name = Obs.Counters.get (G.Telemetry.counter name) in
+  ignore (GB.run_named ~sched:Mpthreads.Sched_policy.Distributed "fib" ~procs:16);
+  let steals = get "sched.steals" and attempts = get "sched.steal_attempts" in
+  checkb "fib@16 steals" true (steals > 0);
+  checkb
+    (Printf.sprintf "fib@16 steal attempts %d > steals %d" attempts steals)
+    true (attempts > steals)
+
 (* Every policy in the family completes every workload with the right
    result witness (virtual times differ by design). *)
 let test_sched_all_policies_correct () =
@@ -921,31 +934,42 @@ module N1024B = Workloads.Bench_suite.Make (N1024)
    coalescing must stay effective when the ready heap holds hundreds of
    procs.  Budgets are ~3-4x the measured values (mm 3.1k/3.7k, fib
    110k/101k suspensions) so model tweaks fit but an accidental return
-   to suspend-per-charge (~1 suspension per decision) fails loudly. *)
+   to suspend-per-charge (~1 suspension per decision) fails loudly.  The
+   ws rows guard the idle sweep: an idle proc peeks at a queue before it
+   pays a charged read of it (mm 32k/100k; 2.4M/37.7M when every probe
+   of every sweep was a charged read). *)
 let test_numa_large_p_suspension_budget () =
   List.iter
-    (fun (bench, procs, budget) ->
-      ignore (N1024B.run_named bench ~procs);
+    (fun (sched, bench, procs, budget) ->
+      ignore (N1024B.run_named ~sched bench ~procs);
+      let tag =
+        Printf.sprintf "%s %s@%d"
+          (Mpthreads.Sched_policy.to_string sched)
+          bench procs
+      in
       let susp = N1024.Machine.suspensions () in
       checkb
-        (Printf.sprintf "%s@%d suspensions %d under %d" bench procs susp
-           budget)
+        (Printf.sprintf "%s suspensions %d under %d" tag susp budget)
         true (susp < budget);
       checkb
-        (Printf.sprintf "%s@%d coalescing active" bench procs)
+        (Printf.sprintf "%s coalescing active" tag)
         true
         (N1024.Machine.coalesced_charges () > 0))
-    [
-      ("mm", 64, 20_000);
-      ("mm", 256, 30_000);
-      ("fib", 64, 400_000);
-      ("fib", 256, 400_000);
-    ]
+    Mpthreads.Sched_policy.
+      [
+        (Distributed, "mm", 64, 20_000);
+        (Distributed, "mm", 256, 30_000);
+        (Distributed, "fib", 64, 400_000);
+        (Distributed, "fib", 256, 400_000);
+        (Ws, "mm", 256, 120_000);
+        (Ws, "mm", 1024, 400_000);
+      ]
 
-(* Host-seconds guard on the quick sweep's heaviest cell: a 1024-proc
-   run must stay affordable (measured ~20-26s solo: every ws push is a
-   bus RMW that waits behind the running tasks' traffic; the budget
-   leaves room for slow CI hosts without letting it grow unbounded). *)
+(* Host-seconds guard on a 1024-proc ws cell: it must stay affordable
+   (measured ~2 s solo, since idle procs peek before they probe; every
+   ws push is still a bus RMW that waits behind the running tasks'
+   traffic; the budget leaves room for slow CI hosts without letting it
+   grow unbounded). *)
 let test_numa_1024_host_budget () =
   let t0 = Sys.time () in
   ignore
@@ -1136,6 +1160,8 @@ let () =
             test_sched_ws_beats_fifo;
           Alcotest.test_case "all policies correct" `Slow
             test_sched_all_policies_correct;
+          Alcotest.test_case "distributed counts failed steal attempts"
+            `Quick test_sched_distributed_steal_attempts;
         ] );
       ( "gc-models",
         [
