@@ -263,25 +263,31 @@ let sim_core_cmd =
     if json then begin
       Sections.write_sim_json rows "BENCH_sim.json";
       Format.fprintf fmt "@.wrote BENCH_sim.json@."
-    end
+    end;
+    Sections.refuse_unverified rows
   in
   Cmd.v
     (Cmd.info "sim_core"
        ~doc:
          "Host-time cost of the simulator per (machine, scheduler, GC model, \
           workload, procs) cell: scheduler decisions, effect-handler \
-          suspensions, charges coalesced by run-ahead")
+          suspensions, charges coalesced by run-ahead.  Exits 1, naming the \
+          cell, if a cell's witness does not match its reference")
     Term.(const run $ quick_arg $ json_arg $ jobs_arg)
 
 let sim_golden_cmd =
   let run sched gc jobs =
-    List.iter print_endline (Sections.golden_lines ~jobs ~sched ~gc)
+    let rows = Sections.golden_rows ~jobs ~sched ~gc in
+    List.iter (fun r -> print_endline (Sections.golden_line r)) rows;
+    Sections.refuse_unverified rows
   in
   Cmd.v
     (Cmd.info "sim_golden"
        ~doc:
          "One GOLDEN line per workload and proc count: the virtual-time \
-          values test/test_sim.ml pins, plus host-side cost counts")
+          values test/test_sim.ml pins, plus host-side cost counts.  Exits \
+          1, naming the cell, if a cell's witness does not match its \
+          reference")
     Term.(const run $ sched_arg $ gc_arg $ jobs_arg)
 
 let server_golden_cmd =

@@ -382,35 +382,53 @@ let write_sim_json rows path =
 
 (* Every workload at 1, 4 and 16 procs on the 16-proc Sequent, then mm,
    mst and seq at 16 procs on the two-node numa:2x8 machine (adding remote
-   bytes and invalidations).  Fields through [witness] are virtual time;
-   [susp]/[decisions] are host-side counts and [host] is noise. *)
-let golden_lines ~jobs ~sched ~gc =
+   bytes and invalidations). *)
+let golden_rows ~jobs ~sched ~gc =
   let cell (selector, bench, procs) =
     let config =
       Sim.Sim_config.of_machine_string_exn
         ~sched:(Mpthreads.Sched_policy.to_string sched) ~gc selector
     in
-    let s, host, _ = run_cell config (bench, procs) in
-    let head =
-      Printf.sprintf "GOLDEN %-8s sched=%-12s gcm=%-9s" bench s.sched
-        s.gc_model
-    in
-    let tail =
-      Printf.sprintf "witness=%d susp=%d decisions=%d host=%.3fs" s.checksum
-        s.suspensions s.decisions host
-    in
-    if selector = "sequent" then
-      Printf.sprintf "%s procs=%-2d makespan=%-12d gc=%-3d bus=%-12d %s" head
-        procs s.makespan_cycles s.gc_count s.bus_bytes tail
-    else
-      Printf.sprintf
-        "%s machine=%s procs=%-2d makespan=%-12d bus=%-12d remote=%-10d \
-         inval=%-7d %s"
-        head selector procs s.makespan_cycles s.bus_bytes s.remote_bytes
-        s.invalidations tail
+    let sample, host, counters = run_cell config (bench, procs) in
+    { selector; sample; host; counters }
   in
   Exec.Job_pool.map ~jobs cell
     (List.concat_map
        (fun b -> List.map (fun p -> ("sequent", b, p)) [ 1; 4; 16 ])
        Workloads.Bench_suite.names
     @ List.map (fun b -> ("numa:2x8", b, 16)) [ "mm"; "mst"; "seq" ])
+
+(* One GOLDEN line.  Fields through [witness] are virtual time;
+   [susp]/[decisions] are host-side counts and [host] is noise. *)
+let golden_line { selector; sample = s; host; _ } =
+  let head =
+    Printf.sprintf "GOLDEN %-8s sched=%-12s gcm=%-9s" s.bench s.sched
+      s.gc_model
+  in
+  let tail =
+    Printf.sprintf "witness=%d susp=%d decisions=%d host=%.3fs" s.checksum
+      s.suspensions s.decisions host
+  in
+  if selector = "sequent" then
+    Printf.sprintf "%s procs=%-2d makespan=%-12d gc=%-3d bus=%-12d %s" head
+      s.procs s.makespan_cycles s.gc_count s.bus_bytes tail
+  else
+    Printf.sprintf
+      "%s machine=%s procs=%-2d makespan=%-12d bus=%-12d remote=%-10d \
+       inval=%-7d %s"
+      head selector s.procs s.makespan_cycles s.bus_bytes s.remote_bytes
+      s.invalidations tail
+
+(* The artefact generators refuse a wrong result: every cell whose witness
+   does not match its reference is named on stderr, and the command exits
+   1. *)
+let refuse_unverified rows =
+  let bad = List.filter (fun r -> not r.sample.verified) rows in
+  List.iter
+    (fun { selector; sample = s; _ } ->
+      Printf.eprintf
+        "unverified cell: machine=%s sched=%s gc=%s bench=%s procs=%d \
+         witness=%d\n"
+        selector s.sched s.gc_model s.bench s.procs s.checksum)
+    bad;
+  if bad <> [] then exit 1

@@ -8,19 +8,17 @@
    - Invariants are checked with [fail]/[check] rather than [assert] so a
      counterexample names the violated property.
 
-   - Mutual-exclusion checks put a [C.Work.poll ()] inside the critical
-     section: the check variable is incremented, the poll suspends the
-     proc at a serialization point while it is "inside", and any second
-     entrant observes the overlap.  Without a visible point inside the
-     section the whole critical section would execute atomically and no
-     schedule could witness a broken lock. *)
+   - Bodies are written over the dscheck-shaped harness below: [par] runs
+     the two procs' sides and waits for both, and the final check follows.
+     A helper performs exactly the visible operations its caller asks for,
+     no more and in the same order, so a scenario explores exactly its own
+     interleavings.  A helper returns what it takes: an item handed back
+     through a ref that both procs write can be misattributed by an
+     interleaving. *)
 
 module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
   let fail fmt = Printf.ksprintf failwith fmt
   let check b fmt = if b then Printf.ksprintf ignore fmt else fail fmt
-
-  (* Wait until every proc but the root has been released. *)
-  let join () = C.Work.idle_until ~ready:(fun () -> C.Proc.live_procs () = 1)
 
   (* ---- lock algorithms over the instrumented primitives -------------- *)
 
@@ -61,22 +59,175 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
     let locked l f = Mp.Mp_intf.locked ~lock ~unlock l f
   end
 
+  (* ---- the harness ----------------------------------------------------- *)
+
+  (* Wait until every proc but the root has been released. *)
+  let join () = C.Work.idle_until ~ready:(fun () -> C.Proc.live_procs () = 1)
+
+  (* [spawned] on a second proc and [root] on this one; [root]'s result
+     once both are done.  The spawned side hands its results back through
+     a ref only it writes. *)
+  let par spawned root =
+    C.spawn spawned;
+    let r = root () in
+    join ();
+    r
+
+  (* [n] takes, whatever each returns; the items in the order taken. *)
+  let takes n take = List.filter_map Fun.id (List.init n (fun _ -> take ()))
+
+  (* Take until a take comes back empty and [again] — a queue's emptiness
+     hint, since a steal can come back empty with items left — says
+     nothing is left, at most 16 takes; the items in the order taken. *)
+  let drain ~again take =
+    let rec go budget =
+      if budget = 0 then []
+      else
+        match take () with
+        | Some v -> v :: go (budget - 1)
+        | None -> if again () then go (budget - 1) else []
+    in
+    go 16
+
+  (* Every element of [expected] (sorted) came out of [got] exactly once. *)
+  let exactly_once what got expected =
+    let got = List.sort compare got in
+    check
+      (List.length got = List.length (List.sort_uniq compare got))
+      "%s: element returned twice" what;
+    check (got = expected) "%s: lost or invented an element" what
+
+  (* An overlap-detecting critical section between [enter] and [leave],
+     with the flag it raises.  [body] (usually just [C.Work.poll]) holds a
+     visible point while the entrant is counted inside, so any second
+     entrant observes the overlap.  Without a visible point inside the
+     section the whole critical section would execute atomically and no
+     schedule could witness a broken lock. *)
+  let section enter body leave =
+    let inside = ref 0 in
+    let overlap = ref false in
+    ( (fun () ->
+        enter ();
+        incr inside;
+        if !inside > 1 then overlap := true;
+        body ();
+        decr inside;
+        leave ()),
+      overlap )
+
+  (* A scheduler policy's ready queue over 2 procs.  [drain] takes from
+     proc 0 while its emptiness hint says an item is left, then checks
+     that the hint agrees the queue is empty. *)
+  type policy = {
+    push : proc:int -> int -> unit;
+    take : proc:int -> int option;
+    drain : unit -> int list;
+    length : unit -> int;
+  }
+
+  let policy p =
+    let module Pol = Mpthreads.Sched_policy.Make (C) in
+    let (module S) = Pol.instance p in
+    let q = S.create ~procs:2 in
+    S.prepare q ~procs:2;
+    let take ~proc = S.take q ~proc in
+    let hint () = S.looks_nonempty q ~proc:0 in
+    let drain () =
+      let items = drain ~again:hint (fun () -> take ~proc:0) in
+      check (not (hint ())) "%s: emptiness hint stuck nonempty after the drain"
+        S.name;
+      items
+    in
+    {
+      push = (fun ~proc v -> S.push_local q ~proc v);
+      take;
+      drain;
+      length = (fun () -> S.total_length q);
+    }
+
+  (* A bounded queue behind a TTAS lock: [try_put] is one locked attempt;
+     [put] and [get] retry, idling between attempts, until there is room
+     or an item. *)
+  type bounded = {
+    try_put : int -> bool;
+    put : int -> unit;
+    get : unit -> int;
+  }
+
+  let bounded capacity =
+    let q = Queues.Bounded_queue.create ~capacity in
+    let l = T_ttas.mutex_lock () in
+    let try_put v =
+      T_ttas.locked l (fun () -> Queues.Bounded_queue.try_enq q v)
+    in
+    let rec put v =
+      if not (try_put v) then begin
+        C.Work.idle ();
+        put v
+      end
+    in
+    let rec get () =
+      match T_ttas.locked l (fun () -> Queues.Bounded_queue.deq_opt q) with
+      | Some v -> v
+      | None ->
+          C.Work.idle ();
+          get ()
+    in
+    { try_put; put; get }
+
+  (* The per-proc minor-heap collector ([minor_pp], the simulator's
+     newest) for 2 procs at unit costs.  A tiny [region] lets both the
+     independent-minor path and the promoted-words major trigger be
+     reached within the exploration bound. *)
+  let minor_pp ~region ~survival =
+    Sim.Gc_model.instance Sim.Gc_model.Minor_pp
+      {
+        Sim.Gc_model.procs = 2;
+        region_words = region;
+        survival;
+        cycles_per_word = 1.0;
+        fixed_cycles = 1;
+        minor_fixed_cycles = 1;
+        barrier_cycles = 1;
+      }
+
+  (* Proc-per-thread scheduler with NO internal serialization points: the
+     ready queue is a plain [Queue.t] mutated only between visible points
+     (slices are atomic), so the decisions explored are exactly those of
+     the package under test, not of the scheduler scaffolding.  Must be
+     instantiated inside the run body (fresh queue per schedule).  Its
+     [fork] is [C.spawn], so [par] forks a thread. *)
+  module Tiny () : Mpthreads.Thread_intf.TIMED_SCHED = struct
+    let ready : (unit -> unit) Queue.t = Queue.create ()
+    let fork f = C.spawn f
+    let id () = C.Proc.self ()
+    let yield () = C.Work.poll ()
+    let reschedule (k, _id) = Queue.push (fun () -> Mp.Engine.throw k ()) ready
+
+    let reschedule_thread (k, v, _id) =
+      Queue.push (fun () -> Mp.Engine.throw k v) ready
+
+    let dispatch () =
+      C.Work.idle_until ~ready:(fun () -> not (Queue.is_empty ready));
+      (Queue.pop ready) ();
+      assert false
+
+    let now () = C.Work.now ()
+    let at _t _f = failwith "Scenarios.Tiny.at: timers not supported"
+  end
+
+  (* The sync package over a fresh [Tiny] scheduler. *)
+  module Sync () = Mpsync.Sync.Make (C) (Tiny ())
+
+  (* ---- locks ----------------------------------------------------------- *)
+
   let mutex_scenario (module L : Mp.Mp_intf.LOCK) () =
     C.run (fun () ->
         let l = L.mutex_lock () in
-        let in_cs = ref 0 in
-        let overlap = ref false in
-        let crit () =
-          L.lock l;
-          incr in_cs;
-          if !in_cs > 1 then overlap := true;
-          C.Work.poll ();
-          decr in_cs;
-          L.unlock l
+        let crit, overlap =
+          section (fun () -> L.lock l) C.Work.poll (fun () -> L.unlock l)
         in
-        C.spawn crit;
-        crit ();
-        join ();
+        par crit crit;
         check (not !overlap) "mutual exclusion violated";
         check (L.try_lock l) "lock still held after both sections";
         L.unlock l)
@@ -94,16 +245,14 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
         let lb = L.mutex_lock () in
         let ca = ref 0 in
         let cb = ref 0 in
-        let work l c =
+        let work l c () =
           for _ = 1 to 3 do
             L.lock l;
             incr c;
             L.unlock l
           done
         in
-        C.spawn (fun () -> work lb cb);
-        work la ca;
-        join ();
+        par (work lb cb) (work la ca);
         check
           (!ca = 3 && !cb = 3)
           "disjoint locks: counters %d/%d, expected 3/3" !ca !cb;
@@ -117,23 +266,23 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
         let l = T_rw.create () in
         let writers = ref 0 in
         let readers = ref 0 in
-        let bad = ref None in
-        C.spawn (fun () ->
+        let clash b what = check (not b) "rw_spin: %s" what in
+        par
+          (fun () ->
             T_rw.write_lock l;
             incr writers;
-            if !writers > 1 then bad := Some "two writers"
-            else if !readers > 0 then bad := Some "writer beside reader";
+            clash (!writers > 1) "two writers";
+            clash (!readers > 0) "writer beside reader";
             C.Work.poll ();
             decr writers;
-            T_rw.write_unlock l);
-        T_rw.read_lock l;
-        incr readers;
-        if !writers > 0 then bad := Some "reader beside writer";
-        C.Work.poll ();
-        decr readers;
-        T_rw.read_unlock l;
-        join ();
-        match !bad with None -> () | Some what -> fail "rw_spin: %s" what)
+            T_rw.write_unlock l)
+          (fun () ->
+            T_rw.read_lock l;
+            incr readers;
+            clash (!writers > 0) "reader beside writer";
+            C.Work.poll ();
+            decr readers;
+            T_rw.read_unlock l))
 
   (* ---- queue family --------------------------------------------------- *)
 
@@ -145,30 +294,18 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
         let module SQ = Queues.Spmc_queue.Make (C.Prims) in
         let q = SQ.create () in
         let stolen = ref [] in
-        let popped = ref [] in
-        C.spawn (fun () ->
-            for _ = 1 to 2 do
-              Array.iter (fun v -> stolen := v :: !stolen) (SQ.steal_half q)
-            done);
-        SQ.push q 1;
-        SQ.push q 2;
-        SQ.push q 3;
-        (match SQ.pop q with Some v -> popped := v :: !popped | None -> ());
-        (match SQ.pop q with Some v -> popped := v :: !popped | None -> ());
-        join ();
-        let rec drain () =
-          match SQ.pop q with
-          | Some v ->
-              popped := v :: !popped;
-              drain ()
-          | None -> ()
+        let popped =
+          par
+            (fun () ->
+              for _ = 1 to 2 do
+                stolen := Array.to_list (SQ.steal_half q) @ !stolen
+              done)
+            (fun () ->
+              List.iter (SQ.push q) [ 1; 2; 3 ];
+              takes 2 (fun () -> SQ.pop q))
         in
-        drain ();
-        let got = List.sort compare (!stolen @ !popped) in
-        check
-          (List.length got = List.length (List.sort_uniq compare got))
-          "spmc_queue: element returned twice";
-        check (got = [ 1; 2; 3 ]) "spmc_queue: lost or invented an element")
+        let rest = drain ~again:(Fun.const false) (fun () -> SQ.pop q) in
+        exactly_once "spmc_queue" (!stolen @ popped @ rest) [ 1; 2; 3 ])
 
   (* Both ends of the owner's side against a thief: the owner pushes 1..4,
      pops down to its last element (newest first) and pushes 0 at the
@@ -182,42 +319,34 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
         let module SQ = Queues.Spmc_queue.Make (C.Prims) in
         let q = SQ.create () in
         let batches = ref [] in
-        let popped = ref [] in
-        C.spawn (fun () ->
-            for _ = 1 to 2 do
-              batches := Array.to_list (SQ.steal_half q) :: !batches
-            done);
-        for v = 1 to 4 do
-          SQ.push q v
-        done;
-        for _ = 1 to 3 do
-          match SQ.pop q with Some v -> popped := v :: !popped | None -> ()
-        done;
-        SQ.push_oldest q 0;
-        join ();
-        let rec drain () =
-          match SQ.pop q with
-          | Some v ->
-              popped := v :: !popped;
-              drain ()
-          | None -> ()
+        let popped =
+          par
+            (fun () ->
+              for _ = 1 to 2 do
+                batches := Array.to_list (SQ.steal_half q) :: !batches
+              done)
+            (fun () ->
+              List.iter (SQ.push q) [ 1; 2; 3; 4 ];
+              let popped = takes 3 (fun () -> SQ.pop q) in
+              SQ.push_oldest q 0;
+              popped)
         in
-        drain ();
+        let popped =
+          popped @ drain ~again:(Fun.const false) (fun () -> SQ.pop q)
+        in
         let rec ascending = function
           | a :: (b :: _ as tl) -> a < b && ascending tl
           | _ -> true
         in
-        let got = List.sort compare (List.concat !batches @ !popped) in
-        check
-          (List.length got = List.length (List.sort_uniq compare got))
-          "spmc owner ends: element returned twice";
-        check (got = [ 0; 1; 2; 3; 4 ])
-          "spmc owner ends: lost or invented an element";
+        exactly_once "spmc owner ends"
+          (List.concat !batches @ popped)
+          [ 0; 1; 2; 3; 4 ];
         check
           (List.for_all ascending !batches)
           "spmc owner ends: a steal did not return oldest-first";
-        (* [popped] is newest pop first *)
-        check (ascending !popped)
+        (* [popped] is in the order taken, so newest-first descends *)
+        check
+          (ascending (List.rev popped))
           "spmc owner ends: the owner did not pop newest-first")
 
   (* Pinned micropools: with 2 pools over 2 procs, an item pushed into
@@ -226,38 +355,30 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
      with their pool so a migrated take identifies itself. *)
   let micropool_affinity_scenario () =
     C.run (fun () ->
-        let module Pol = Mpthreads.Sched_policy.Make (C) in
-        let (module S) =
-          Pol.instance (Mpthreads.Sched_policy.Micropools 2)
-        in
-        let q = S.create ~procs:2 in
-        S.prepare q ~procs:2;
-        let bad = ref None in
+        let p = policy (Mpthreads.Sched_policy.Micropools 2) in
         let taken = ref 0 in
         let consume ~proc =
-          match S.take q ~proc with
-          | Some tag ->
+          Option.iter
+            (fun tag ->
               incr taken;
-              if tag <> proc mod 2 then bad := Some (proc, tag)
-          | None -> ()
+              check (tag = proc mod 2) "micropools: proc %d took pool-%d work"
+                proc tag)
+            (p.take ~proc)
         in
-        C.spawn (fun () ->
-            S.push_local q ~proc:1 1;
+        par
+          (fun () ->
+            p.push ~proc:1 1;
             consume ~proc:1;
-            consume ~proc:1);
-        S.push_local q ~proc:0 0;
-        S.push_local q ~proc:0 0;
-        consume ~proc:0;
-        join ();
+            consume ~proc:1)
+          (fun () ->
+            p.push ~proc:0 0;
+            p.push ~proc:0 0;
+            consume ~proc:0);
         (* drain each pool through its own pool index *)
         consume ~proc:0;
         consume ~proc:1;
-        (match !bad with
-        | Some (proc, tag) ->
-            fail "micropools: proc %d took pool-%d work" proc tag
-        | None -> ());
         check (!taken = 3) "micropools: %d of 3 items consumed" !taken;
-        check (S.total_length q = 0) "micropools: queue not drained")
+        check (p.length () = 0) "micropools: queue not drained")
 
   (* The spmc steal-half path through the [ws] policy itself (the policy's
      ready queues are the spmc queues; a thief's take steals half the
@@ -267,69 +388,46 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
      across both — every element must come out exactly once. *)
   let ws_steal_half_scenario () =
     C.run (fun () ->
-        let module Pol = Mpthreads.Sched_policy.Make (C) in
-        let (module S) = Pol.instance Mpthreads.Sched_policy.Ws in
-        let q = S.create ~procs:2 in
-        S.prepare q ~procs:2;
-        let got = ref [] in
-        let consume ~proc =
-          match S.take q ~proc with
-          | Some v -> got := v :: !got
-          | None -> ()
+        let p = policy Mpthreads.Sched_policy.Ws in
+        let owned = ref [] in
+        let stolen =
+          par
+            (fun () ->
+              p.push ~proc:1 10;
+              p.push ~proc:1 11;
+              C.Work.poll ();
+              p.push ~proc:1 12;
+              p.push ~proc:1 13;
+              owned := Option.to_list (p.take ~proc:1))
+            (fun () ->
+              C.Work.poll ();
+              (* thief: an empty local queue forces the steal-half sweep *)
+              takes 2 (fun () -> p.take ~proc:0))
         in
-        C.spawn (fun () ->
-            S.push_local q ~proc:1 10;
-            S.push_local q ~proc:1 11;
-            C.Work.poll ();
-            S.push_local q ~proc:1 12;
-            S.push_local q ~proc:1 13;
-            consume ~proc:1);
-        C.Work.poll ();
-        (* thief: an empty local queue forces the steal-half sweep *)
-        consume ~proc:0;
-        consume ~proc:0;
-        join ();
-        let rec drain budget =
-          if budget > 0 then
-            match S.take q ~proc:0 with
-            | Some v ->
-                got := v :: !got;
-                drain (budget - 1)
-            | None -> if S.looks_nonempty q ~proc:0 then drain (budget - 1)
-        in
-        drain 16;
-        check
-          (List.sort compare !got = [ 10; 11; 12; 13 ])
-          "ws steal-half: lost, duplicated or invented an element";
-        check
-          (not (S.looks_nonempty q ~proc:0))
-          "ws steal-half: emptiness hint stuck nonempty after the drain")
+        let rest = p.drain () in
+        exactly_once "ws steal-half"
+          (!owned @ stolen @ rest)
+          [ 10; 11; 12; 13 ])
 
   let multi_queue_scenario () =
     C.run (fun () ->
         let module MQ = Queues.Multi_queue.Make (T_tas) in
         let q = MQ.create ~procs:2 in
-        let got = ref [] in
-        C.spawn (fun () ->
-            MQ.push q ~proc:1 10;
-            MQ.push q ~proc:1 11;
-            match MQ.take q ~proc:1 with
-            | Some v -> got := v :: !got
-            | None -> ());
-        MQ.push q ~proc:0 20;
-        (match MQ.take q ~proc:0 with Some v -> got := v :: !got | None -> ());
-        join ();
-        let rec drain () =
-          match MQ.take q ~proc:0 with
-          | Some v ->
-              got := v :: !got;
-              drain ()
-          | None -> ()
+        let owned = ref [] in
+        let got =
+          par
+            (fun () ->
+              MQ.push q ~proc:1 10;
+              MQ.push q ~proc:1 11;
+              owned := Option.to_list (MQ.take q ~proc:1))
+            (fun () ->
+              MQ.push q ~proc:0 20;
+              Option.to_list (MQ.take q ~proc:0))
         in
-        drain ();
-        check
-          (List.sort compare !got = [ 10; 11; 20 ])
-          "multi_queue: lost, invented or duplicated an element")
+        let rest =
+          drain ~again:(Fun.const false) (fun () -> MQ.take q ~proc:0)
+        in
+        exactly_once "multi_queue" (!owned @ got @ rest) [ 10; 11; 20 ])
 
   (* Capacity 1 and two items keep the space exhaustively explorable while
      still forcing both retry paths: the producer blocks on a full queue
@@ -337,39 +435,13 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
      blocks on an empty one. *)
   let bounded_queue_scenario () =
     C.run (fun () ->
-        let module L = T_ttas in
-        let q = Queues.Bounded_queue.create ~capacity:1 in
-        let l = L.mutex_lock () in
-        let got = ref [] in
-        let push v =
-          let rec go () =
-            if not (L.locked l (fun () -> Queues.Bounded_queue.try_enq q v))
-            then begin
-              C.Work.idle ();
-              go ()
-            end
-          in
-          go ()
+        let q = bounded 1 in
+        let got =
+          par
+            (fun () -> List.iter q.put [ 1; 2 ])
+            (fun () -> List.init 2 (fun _ -> q.get ()))
         in
-        let pop () =
-          let rec go () =
-            match L.locked l (fun () -> Queues.Bounded_queue.deq_opt q) with
-            | Some v -> v
-            | None ->
-                C.Work.idle ();
-                go ()
-          in
-          go ()
-        in
-        C.spawn (fun () ->
-            push 1;
-            push 2);
-        got := pop () :: !got;
-        got := pop () :: !got;
-        join ();
-        check
-          (List.rev !got = [ 1; 2 ])
-          "bounded_queue: FIFO order or content violated")
+        check (got = [ 1; 2 ]) "bounded_queue: FIFO order or content violated")
 
   (* ---- the server pipeline -------------------------------------------- *)
 
@@ -393,76 +465,41 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
      bound 2 and shrink to a trace naming the lost ids. *)
   let server_pipeline_scenario ~broken () =
     C.run (fun () ->
-        let module L = T_ttas in
         let trace = [ 0; 1; 2; 3 ] in
         let poison = -1 in
-        let qs =
-          [|
-            Queues.Bounded_queue.create ~capacity:4;
-            Queues.Bounded_queue.create ~capacity:1;
-          |]
-        in
-        let locks = Array.map (fun _ -> L.mutex_lock ()) qs in
-        let replies = Array.map (fun _ -> ref []) qs in
-        let try_put s v =
-          L.locked locks.(s) (fun () -> Queues.Bounded_queue.try_enq qs.(s) v)
-        in
-        let put s v =
-          let rec go () =
-            if not (try_put s v) then begin
-              C.Work.idle ();
-              go ()
-            end
-          in
-          go ()
-        in
+        let qs = Array.map bounded [| 4; 1 |] in
         let route s v =
-          if broken then begin
-            if not (try_put s v) then begin
-              C.Work.poll ();
-              (* still full: the colliding request is silently dropped *)
-              if not (try_put s v) then ()
-            end
+          if not broken then qs.(s).put v
+          else if not (qs.(s).try_put v) then begin
+            C.Work.poll ();
+            (* still full: the colliding request is silently dropped *)
+            ignore (qs.(s).try_put v)
           end
-          else put s v
-        in
-        let take s =
-          let rec go () =
-            match
-              L.locked locks.(s) (fun () -> Queues.Bounded_queue.deq_opt qs.(s))
-            with
-            | Some v -> v
-            | None ->
-                C.Work.idle ();
-                go ()
-          in
-          go ()
         in
         let work s =
-          let rec loop () =
-            let v = take s in
-            if v <> poison then begin
-              replies.(s) := v :: !(replies.(s));
-              loop ()
-            end
+          let rec loop replies =
+            let v = qs.(s).get () in
+            if v = poison then List.rev replies else loop (v :: replies)
           in
-          loop ()
+          loop []
         in
-        C.spawn (fun () -> work 1);
-        List.iter (fun id -> route (id mod 2) id) trace;
-        Array.iteri (fun s _ -> put s poison) qs;
-        work 0;
-        join ();
-        Array.iteri
+        let replies1 = ref [] in
+        let replies0 =
+          par
+            (fun () -> replies1 := work 1)
+            (fun () ->
+              List.iter (fun id -> route (id mod 2) id) trace;
+              Array.iter (fun q -> q.put poison) qs;
+              work 0)
+        in
+        List.iteri
           (fun s got ->
             let expected = List.filter (fun id -> id mod 2 = s) trace in
             let render l = String.concat "," (List.map string_of_int l) in
-            check
-              (List.rev !got = expected)
-              "server: shard %d replied to [%s], expected [%s]" s
-              (render (List.rev !got))
+            check (got = expected)
+              "server: shard %d replied to [%s], expected [%s]" s (render got)
               (render expected))
-          replies)
+          [ replies0; !replies1 ])
 
   (* ---- hierarchical (NUMA) topology ----------------------------------- *)
 
@@ -485,23 +522,18 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
         C.run (fun () ->
             let l = C.Lock.mutex_lock () in
             let ln = C.Work.line () in
-            let in_cs = ref 0 in
-            let overlap = ref false in
             let writes = ref 0 in
-            let crit () =
-              C.Lock.lock l;
-              incr in_cs;
-              if !in_cs > 1 then overlap := true;
-              C.Work.read_line ln;
-              C.Work.poll ();
-              C.Work.write_line ln ~bytes:8;
-              incr writes;
-              decr in_cs;
-              C.Lock.unlock l
+            let crit, overlap =
+              section
+                (fun () -> C.Lock.lock l)
+                (fun () ->
+                  C.Work.read_line ln;
+                  C.Work.poll ();
+                  C.Work.write_line ln ~bytes:8;
+                  incr writes)
+                (fun () -> C.Lock.unlock l)
             in
-            C.spawn crit;
-            crit ();
-            join ();
+            par crit crit;
             check (C.Proc.nodes () = 2) "numa lock: topology not in effect";
             check (not !overlap) "numa lock: exclusion violated across nodes";
             check (!writes = 2) "numa lock: a node lost its line write"))
@@ -514,44 +546,26 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
   let numa_ws_steal_scenario =
     with_nodes 2 (fun () ->
         C.run (fun () ->
-            let module Pol = Mpthreads.Sched_policy.Make (C) in
-            let (module S) = Pol.instance Mpthreads.Sched_policy.Ws in
-            let q = S.create ~procs:2 in
-            S.prepare q ~procs:2;
-            let got = ref [] in
-            let consume ~proc =
-              match S.take q ~proc with
-              | Some v -> got := v :: !got
-              | None -> ()
-            in
+            let p = policy Mpthreads.Sched_policy.Ws in
+            let owned = ref [] in
             (* The ws deques are lock-free (no visible cell ops under the
                checker), so interleave at explicit poll points: every
                ordering of the two procs' pushes and takes is explored. *)
-            C.spawn (fun () ->
-                S.push_local q ~proc:1 10;
-                C.Work.poll ();
-                S.push_local q ~proc:1 11;
-                consume ~proc:1);
-            S.push_local q ~proc:0 20;
-            C.Work.poll ();
-            consume ~proc:0;
-            join ();
-            (* drain the remainder from node 0: remote steals *)
-            let rec drain budget =
-              if budget > 0 then
-                match S.take q ~proc:0 with
-                | Some v ->
-                    got := v :: !got;
-                    drain (budget - 1)
-                | None -> if S.looks_nonempty q ~proc:0 then drain (budget - 1)
+            let got =
+              par
+                (fun () ->
+                  p.push ~proc:1 10;
+                  C.Work.poll ();
+                  p.push ~proc:1 11;
+                  owned := Option.to_list (p.take ~proc:1))
+                (fun () ->
+                  p.push ~proc:0 20;
+                  C.Work.poll ();
+                  Option.to_list (p.take ~proc:0))
             in
-            drain 16;
-            check
-              (List.sort compare !got = [ 10; 11; 20 ])
-              "numa ws: lost, duplicated or invented an element";
-            check
-              (not (S.looks_nonempty q ~proc:0))
-              "numa ws: emptiness hint stuck nonempty on a drained queue"))
+            (* drain the remainder from node 0: remote steals *)
+            let rest = p.drain () in
+            exactly_once "numa ws" (!owned @ got @ rest) [ 10; 11; 20 ]))
 
   (* Sharer-set discipline with a REMOTE reader, checked directly on
      [line_sharers] under every interleaving: after a read the reader's
@@ -564,10 +578,7 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
     with_nodes 2 (fun () ->
         C.run (fun () ->
             let ln = C.Work.line () in
-            let bad = ref None in
-            let expect cond what =
-              if (not cond) && !bad = None then bad := Some what
-            in
+            let expect cond what = check cond "numa sharers: %s" what in
             let my_bit () = 1 lsl C.Proc.node_of (C.Proc.self ()) in
             let reader () =
               C.Work.read_line ln;
@@ -575,96 +586,55 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
               expect (s land my_bit () <> 0) "reader's node not a sharer";
               expect (s land lnot 3 = 0) "sharer outside the 2-node topology"
             in
-            C.spawn (fun () ->
+            par
+              (fun () ->
                 reader ();
                 C.Work.poll ();
                 C.Work.write_line ln ~bytes:8;
                 expect
                   (C.line_sharers ln = my_bit ())
-                  "write left a remote sharer valid");
-            reader ();
-            C.Work.poll ();
-            reader ();
-            join ();
-            (match !bad with
-            | Some what -> fail "numa sharers: %s" what
-            | None -> ());
+                  "write left a remote sharer valid")
+              (fun () ->
+                reader ();
+                C.Work.poll ();
+                reader ());
             check (C.Proc.nodes () = 2) "numa sharers: topology not in effect";
             let s = C.line_sharers ln in
             check (s <> 0) "numa sharers: line ended with no holder";
             check (s land lnot 3 = 0) "numa sharers: final set out of range"))
 
-  (* ---- a minimal scheduler for the thread-level packages -------------- *)
-
-  (* Proc-per-thread scheduler with NO internal serialization points: the
-     ready queue is a plain [Queue.t] mutated only between visible points
-     (slices are atomic), so the decisions explored are exactly those of
-     the package under test, not of the scheduler scaffolding.  Must be
-     instantiated inside the run body (fresh queue per schedule). *)
-  module Tiny () : Mpthreads.Thread_intf.TIMED_SCHED = struct
-    let ready : (unit -> unit) Queue.t = Queue.create ()
-    let fork f = C.spawn f
-    let id () = C.Proc.self ()
-    let yield () = C.Work.poll ()
-    let reschedule (k, _id) = Queue.push (fun () -> Mp.Engine.throw k ()) ready
-
-    let reschedule_thread (k, v, _id) =
-      Queue.push (fun () -> Mp.Engine.throw k v) ready
-
-    let dispatch () =
-      C.Work.idle_until ~ready:(fun () -> not (Queue.is_empty ready));
-      (Queue.pop ready) ();
-      assert false
-
-    let now () = C.Work.now ()
-    let at _t _f = failwith "Scenarios.Tiny.at: timers not supported"
-  end
-
   (* ---- sync constructs ------------------------------------------------ *)
 
   let sync_ivar_scenario () =
     C.run (fun () ->
-        let module TS = Tiny () in
-        let module Sy = Mpsync.Sync.Make (C) (TS) in
+        let module Sy = Sync () in
         let iv = Sy.Ivar.create () in
         let got = ref (-1) in
-        TS.fork (fun () -> got := Sy.Ivar.read iv);
-        Sy.Ivar.fill iv 42;
-        join ();
+        par (fun () -> got := Sy.Ivar.read iv) (fun () -> Sy.Ivar.fill iv 42);
         check (!got = 42) "ivar: reader saw %d, not 42" !got)
 
   let sync_mvar_scenario () =
     C.run (fun () ->
-        let module TS = Tiny () in
-        let module Sy = Mpsync.Sync.Make (C) (TS) in
+        let module Sy = Sync () in
         let mv = Sy.Mvar.create () in
-        let got = ref [] in
-        TS.fork (fun () ->
-            Sy.Mvar.put mv 1;
-            Sy.Mvar.put mv 2);
-        got := Sy.Mvar.take mv :: !got;
-        got := Sy.Mvar.take mv :: !got;
-        join ();
-        check (List.rev !got = [ 1; 2 ]) "mvar: takes out of order or lost")
+        let got =
+          par
+            (fun () -> List.iter (Sy.Mvar.put mv) [ 1; 2 ])
+            (fun () -> List.init 2 (fun _ -> Sy.Mvar.take mv))
+        in
+        check (got = [ 1; 2 ]) "mvar: takes out of order or lost")
 
   let sync_semaphore_scenario () =
     C.run (fun () ->
-        let module TS = Tiny () in
-        let module Sy = Mpsync.Sync.Make (C) (TS) in
+        let module Sy = Sync () in
         let sem = Sy.Semaphore.create 1 in
-        let in_cs = ref 0 in
-        let overlap = ref false in
-        let crit () =
-          Sy.Semaphore.acquire sem;
-          incr in_cs;
-          if !in_cs > 1 then overlap := true;
-          C.Work.poll ();
-          decr in_cs;
-          Sy.Semaphore.release sem
+        let crit, overlap =
+          section
+            (fun () -> Sy.Semaphore.acquire sem)
+            C.Work.poll
+            (fun () -> Sy.Semaphore.release sem)
         in
-        TS.fork crit;
-        crit ();
-        join ();
+        par crit crit;
         check (not !overlap) "semaphore: exclusion violated";
         check (Sy.Semaphore.value sem = 1) "semaphore: final value <> 1")
 
@@ -676,28 +646,28 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
      deadlock, and a broken mutex as a lost or reordered item. *)
   let threads_mutex_condition_scenario () =
     C.run (fun () ->
-        let module TS = Tiny () in
-        let module M3 = Mpthreads.M3_thread.Make (C) (TS) in
+        let module M3 = Mpthreads.M3_thread.Make (C) (Tiny ()) in
         let m = M3.Mutex.create () in
         let c = M3.Condition.create () in
         let items = Queue.create () in
-        let got = ref [] in
-        TS.fork (fun () ->
-            List.iter
-              (fun v ->
-                M3.Mutex.with_lock m (fun () ->
-                    Queue.push v items;
-                    M3.Condition.signal c))
-              [ 1; 2 ]);
-        for _ = 1 to 2 do
+        let consume () =
           M3.Mutex.with_lock m (fun () ->
               while Queue.is_empty items do
                 M3.Condition.wait m c
               done;
-              got := Queue.pop items :: !got)
-        done;
-        join ();
-        let got = List.rev !got in
+              Queue.pop items)
+        in
+        let got =
+          par
+            (fun () ->
+              List.iter
+                (fun v ->
+                  M3.Mutex.with_lock m (fun () ->
+                      Queue.push v items;
+                      M3.Condition.signal c))
+                [ 1; 2 ])
+            (fun () -> List.init 2 (fun _ -> consume ()))
+        in
         check (got = [ 1; 2 ]) "threads: consumer got %d items, expected [1; 2]"
           (List.length got))
 
@@ -705,38 +675,32 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
 
   let select_scenario () =
     C.run (fun () ->
-        let module TS = Tiny () in
-        let module Sel = Select.Make (C) (TS) (Queues.Fifo_queue) in
+        let module Sel = Select.Make (C) (Tiny ()) (Queues.Fifo_queue) in
         let c1 : int Sel.chan = Sel.chan () in
         let c2 : int Sel.chan = Sel.chan () in
-        let got = ref (-1) in
-        TS.fork (fun () -> Sel.send (c1, 7));
-        got := Sel.receive [ c2; c1 ];
-        join ();
-        check (!got = 7) "select: received %d, not 7" !got)
+        let got =
+          par (fun () -> Sel.send (c1, 7)) (fun () -> Sel.receive [ c2; c1 ])
+        in
+        check (got = 7) "select: received %d, not 7" got)
 
   let cml_rendezvous_scenario () =
     C.run (fun () ->
-        let module TS = Tiny () in
-        let module M = Cml.Make (C) (TS) in
+        let module M = Cml.Make (C) (Tiny ()) in
         let ch = M.channel () in
-        let got = ref (-1) in
-        M.spawn (fun () -> M.send ch 9);
-        got := M.recv ch;
-        join ();
-        check (!got = 9) "cml: received %d, not 9" !got)
+        let got = par (fun () -> M.send ch 9) (fun () -> M.recv ch) in
+        check (got = 9) "cml: received %d, not 9" got)
 
   let cml_choose_scenario () =
     C.run (fun () ->
-        let module TS = Tiny () in
-        let module M = Cml.Make (C) (TS) in
+        let module M = Cml.Make (C) (Tiny ()) in
         let a = M.channel () in
         let b = M.channel () in
-        let got = ref (-1) in
-        M.spawn (fun () -> M.send b 5);
-        got := M.select [ M.recv_evt a; M.recv_evt b ];
-        join ();
-        check (!got = 5) "cml: choice delivered %d, not 5" !got)
+        let got =
+          par
+            (fun () -> M.send b 5)
+            (fun () -> M.select [ M.recv_evt a; M.recv_evt b ])
+        in
+        check (got = 5) "cml: choice delivered %d, not 5" got)
 
   (* ---- proc-pool contract --------------------------------------------- *)
 
@@ -749,8 +713,7 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
         let exhausted = ref false in
         (try
            for _ = 1 to C.Proc.max_procs () do
-             C.spawn (fun () ->
-                 C.Work.idle_until ~ready:(fun () -> !release));
+             C.spawn (fun () -> C.Work.idle_until ~ready:(fun () -> !release));
              incr spawned
            done
          with Mp.Mp_intf.No_More_Procs -> exhausted := true);
@@ -765,30 +728,17 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
 
   (* ---- GC cost model accounting --------------------------------------- *)
 
-  (* Two procs drive a shared per-proc minor-heap cost model ([minor_pp],
-     the simulator's newest collector) under the platform lock — the way
-     the real machine serializes its GC bookkeeping — with tiny regions so
-     both the independent-minor path and the promoted-words major trigger
-     are reached within the exploration bound.  A mirror of the accounting
-     rules is kept in scenario state; on every explored schedule the model
-     and the mirror must agree (word conservation, minor/major counts, the
-     trigger raised exactly at the promotion budget). *)
+  (* Two procs drive a shared [minor_pp] model under the platform lock —
+     the way the real machine serializes its GC bookkeeping.  A mirror of
+     the accounting rules is kept in scenario state; on every explored
+     schedule the model and the mirror must agree (word conservation,
+     minor/major counts, the trigger raised exactly at the promotion
+     budget). *)
   let gc_minor_pp_scenario () =
     C.run (fun () ->
         let region = 16 in
         let survival = 0.5 in
-        let module M =
-          (val Sim.Gc_model.instance Sim.Gc_model.Minor_pp
-                 {
-                   Sim.Gc_model.procs = 2;
-                   region_words = region;
-                   survival;
-                   cycles_per_word = 1.0;
-                   fixed_cycles = 1;
-                   minor_fixed_cycles = 1;
-                   barrier_cycles = 1;
-                 })
-        in
+        let module M = (val minor_pp ~region ~survival) in
         let minor_region = max 1 (region / 2) in
         let l = C.Lock.mutex_lock () in
         let used = [| 0; 0 |] in
@@ -851,9 +801,9 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
           end;
           C.Lock.unlock l
         in
-        C.spawn (fun () -> List.iter (alloc 1) [ 3; 5; 7; 2 ]);
-        List.iter (alloc 0) [ 4; 6; 2; 5 ];
-        join ();
+        par
+          (fun () -> List.iter (alloc 1) [ 3; 5; 7; 2 ])
+          (fun () -> List.iter (alloc 0) [ 4; 6; 2; 5 ]);
         check
           (M.minor_collections () = !minors)
           "gc: %d minors ran, model counted %d" !minors
@@ -878,18 +828,7 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
   let gc_major_race_scenario () =
     C.run (fun () ->
         let region = 8 in
-        let module M =
-          (val Sim.Gc_model.instance Sim.Gc_model.Minor_pp
-                 {
-                   Sim.Gc_model.procs = 2;
-                   region_words = region;
-                   survival = 1.0;
-                   cycles_per_word = 1.0;
-                   fixed_cycles = 1;
-                   minor_fixed_cycles = 1;
-                   barrier_cycles = 1;
-                 })
-        in
+        let module M = (val minor_pp ~region ~survival:1.0) in
         let l = C.Lock.mutex_lock () in
         let majors = ref 0 in
         let alloc proc words =
@@ -916,9 +855,9 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
             C.Lock.unlock l
           end
         in
-        C.spawn (fun () -> List.iter (alloc 1) [ 2; 2; 2; 2 ]);
-        List.iter (alloc 0) [ 2; 2; 2; 2 ];
-        join ();
+        par
+          (fun () -> List.iter (alloc 1) [ 2; 2; 2; 2 ])
+          (fun () -> List.iter (alloc 0) [ 2; 2; 2; 2 ]);
         (* drain a trailing trigger so the final accounting is exact *)
         if !M.pending then begin
           let e = M.episode ~waiters:1 in
@@ -937,16 +876,6 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
           (M.region_used () < region)
           "gc race: %d promoted words left, trigger is %d" (M.region_used ())
           region)
-
-  (* ---- the full thread package (heavy) -------------------------------- *)
-
-  let threads_scenario ?sched () =
-    C.run (fun () ->
-        let module S = Mpthreads.Sched_thread.Make (C) in
-        let hits = ref 0 in
-        S.with_pool ~procs:2 ~quantum:1e6 ?sched (fun () ->
-            S.fork_join [ (fun () -> incr hits); (fun () -> incr hits) ]);
-        check (!hits = 2) "threads: fork_join lost a task")
 
   let all =
     [
@@ -984,16 +913,24 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
       ("gc_minor_pp_major_race", gc_major_race_scenario);
     ]
 
+  (* ---- the full thread package (heavy) -------------------------------- *)
+
   (* One pool scenario per scheduler policy: the whole family must survive
      bounded schedule exploration, not just the golden-pinned default. *)
   let heavy =
-    ("threads_pool", threads_scenario ?sched:None)
-    :: List.map
-         (fun p ->
-           ( "threads_pool_" ^ Mpthreads.Sched_policy.to_string p,
-             threads_scenario ~sched:p ))
-         Mpthreads.Sched_policy.
-           [ Fifo; Lifo; Distributed; Ws; Micropools 2 ]
+    List.map
+      (fun sched ->
+        ( "threads_pool_" ^ Mpthreads.Sched_policy.to_string sched,
+          fun () ->
+            C.run (fun () ->
+                let module S = Mpthreads.Sched_thread.Make (C) in
+                let hits = ref 0 in
+                S.with_pool ~procs:2 ~quantum:1e6 ~sched (fun () ->
+                    S.fork_join
+                      [ (fun () -> incr hits); (fun () -> incr hits) ]);
+                check (!hits = 2) "threads: fork_join lost a task") ))
+      Mpthreads.Sched_policy.[ Fifo; Lifo; Distributed; Ws; Micropools 2 ]
+
   let broken =
     [
       ("broken_tas", mutex_scenario (module Broken_tas));

@@ -7,9 +7,23 @@
     packages over a minimal proc-per-thread scheduler — and raises if an
     invariant that must hold on {e every} schedule is violated.  Shared by
     [test/test_check.ml] (exhaustive DFS per scenario) and
-    [mp_repro check] (the CI gate). *)
+    [mp_repro check] (the CI gate).
+
+    Bodies are written over a dscheck-shaped harness ({!par}, then the
+    final check) whose helpers perform exactly the visible operations a
+    scenario asks for, so each scenario explores only its own
+    interleavings. *)
 
 module Make (C : Mp_check.S with type Proc.proc_datum = int) : sig
+  val join : unit -> unit
+  (** Wait until every proc but the root has been released. *)
+
+  val par : (unit -> unit) -> (unit -> 'a) -> 'a
+  (** [par spawned root] runs [spawned] on a second proc and [root] on the
+      calling one, then {!join}s, and returns [root]'s result.  Its only
+      visible operations are the spawn and the join.  Call it inside
+      [run]; it raises [No_More_Procs] if the spawn finds no free proc. *)
+
   val all : (string * (unit -> unit)) list
   (** Small-state scenarios meant for exhaustive bound-2 DFS: the 8 mutex
       algorithms + the reader/writer spin lock, the shared queues (the
@@ -20,8 +34,9 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) : sig
       proc-pool contract. *)
 
   val heavy : (string * (unit -> unit)) list
-  (** Scenarios with large decision counts (the full [Sched_thread] package
-      over the checker) — explore with a low bound or a schedule cap. *)
+  (** The full [Sched_thread] package over the checker, one pool scenario
+      per scheduler policy ([threads_pool_<policy>]).  Decision counts
+      are large: explore with a low bound or a schedule cap. *)
 
   val broken : (string * (unit -> unit)) list
   (** Deliberately buggy clients (a racy test-and-set lock; a server

@@ -57,7 +57,6 @@ let counters_key =
       c)
 
 let suspensions () = (Domain.DLS.get counters_key).suspensions
-let reset_suspensions () = (Domain.DLS.get counters_key).suspensions <- 0
 
 let live_fibers () =
   Mutex.protect registry_m (fun () ->

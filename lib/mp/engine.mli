@@ -42,14 +42,13 @@ exception Abandon_failed of string
     else.  The string says which. *)
 
 val suspensions : unit -> int
-(** Number of {!suspend}s the calling domain has performed since its last
-    {!reset_suspensions} — a host-side cost counter (each suspension is one
-    effect-handler round-trip).  Virtual time is unaffected.  Each domain
-    counts its own in a domain-local cell, so the count is exact for a run
-    that stays on one domain (the simulator's) and covers only the calling
-    domain's share of a run on parallel domains. *)
-
-val reset_suspensions : unit -> unit
+(** Number of {!suspend}s the calling domain has performed since it
+    started — a host-side cost counter (each suspension is one
+    effect-handler round-trip); a run's count is the difference of two
+    readings.  Virtual time is unaffected.  Each domain counts its own in
+    a domain-local cell, so the count is exact for a run that stays on one
+    domain (the simulator's) and covers only the calling domain's share of
+    a run on parallel domains. *)
 
 val live_fibers : unit -> int
 (** Fibers started minus fibers ended, summed over every domain — a

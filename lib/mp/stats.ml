@@ -71,9 +71,6 @@ let total_alloc_words t =
 let total_lock_spins t =
   Array.fold_left (fun acc p -> acc + p.lock_spins) 0 t.per_proc
 
-let total_gc_wait t =
-  Array.fold_left (fun acc p -> acc +. p.gc_wait) 0. t.per_proc
-
 let total_queue_wait t =
   Array.fold_left (fun acc p -> acc +. p.queue_wait) 0. t.per_proc
 

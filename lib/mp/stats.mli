@@ -60,10 +60,6 @@ val bus_utilization : t -> float
 val total_alloc_words : t -> int
 val total_lock_spins : t -> int
 
-val total_gc_wait : t -> float
-(** Seconds procs spent stalled for collection, summed over procs:
-    barrier waits plus their own minor pauses. *)
-
 val total_queue_wait : t -> float
 (** Seconds procs spent blocked on bounded queues, summed over procs —
     the backpressure share of an open-loop server's tail. *)

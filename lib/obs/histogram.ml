@@ -137,21 +137,6 @@ let nonzero_buckets t =
   done;
   !out
 
-let to_json t =
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"count\":%d,\"sum\":%d,\"min\":%d,\"max\":%d,\"p50\":%d,\"p95\":%d,\"p99\":%d,\"p999\":%d,\"buckets\":["
-       (count t) (sum t) (min_value t) (max_value t) (quantile t 0.5)
-       (quantile t 0.95) (quantile t 0.99) (quantile t 0.999));
-  List.iteri
-    (fun i (lo, n) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "[%d,%d]" lo n))
-    (nonzero_buckets t);
-  Buffer.add_string b "]}";
-  Buffer.contents b
-
 (* Named registry, mirroring [Counters]: find-or-create under a mutex,
    handles kept for the hot path, [dump] sorted by name. *)
 
@@ -185,9 +170,3 @@ let dump r =
   Mutex.unlock r.registry_lock;
   List.map (fun e -> (e.name, e.hist)) es
   |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let reset_registry r =
-  Mutex.lock r.registry_lock;
-  let es = r.entries in
-  Mutex.unlock r.registry_lock;
-  List.iter (fun e -> reset e.hist) es

@@ -49,10 +49,6 @@ val nonzero_buckets : t -> (int * int) list
 (** [(bucket_lower_bound, count)] for every non-empty bucket, ascending —
     a deterministic digest of the full distribution. *)
 
-val to_json : t -> string
-(** One JSON object: count/sum/min/max, p50/p95/p99/p999, and the
-    [nonzero_buckets] list.  Deterministic. *)
-
 (** {2 Named registry}
 
     Mirrors {!Counters}: find-or-create under a mutex, resolve handles once,
@@ -65,4 +61,3 @@ val create_registry : unit -> registry
 val histogram : registry -> string -> t
 val find : registry -> string -> t option
 val dump : registry -> (string * t) list
-val reset_registry : registry -> unit

@@ -52,16 +52,3 @@ let pop_front_opt d =
 
 let pop_back_opt d =
   match pop_back d with x -> Some x | exception Queue_intf.Empty -> None
-
-module Fifo = struct
-  exception Empty = Queue_intf.Empty
-
-  type 'a queue = 'a t
-
-  let create = create
-  let enq = push_back
-  let deq = pop_front
-  let deq_opt = pop_front_opt
-  let length = length
-  let is_empty = is_empty
-end

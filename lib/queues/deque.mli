@@ -21,6 +21,3 @@ val pop_front_opt : 'a t -> 'a option
 val pop_back_opt : 'a t -> 'a option
 val length : 'a t -> int
 val is_empty : 'a t -> bool
-
-(** The deque as a FIFO [QUEUE] (enqueue back, dequeue front). *)
-module Fifo : Queue_intf.QUEUE_EXT with type 'a queue = 'a t

@@ -52,6 +52,10 @@ let expected_checksum bench =
       let t = Workloads.Hydro.create ~n:100 ~seed:42 in
       ignore (Workloads.Hydro.step_seq t);
       Workloads.Hydro.checksum t
+  | "fib" ->
+      (* the n that [Bench_suite.run_named] runs *)
+      let rec fib k = if k < 2 then k else fib (k - 1) + fib (k - 2) in
+      fib 24
   | _ -> 0 (* seq: verified by copies count below *)
 
 (* The JSONL sink of the enclosing [trace], if any. *)

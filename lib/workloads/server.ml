@@ -3,7 +3,7 @@
 
    A seeded arrival process (Poisson or bursty/MMPP) drives a CML-channel
    pipeline — accept → shard (hash over N bounded worker queues) → work
-   (configurable service-time distribution) → reply — built entirely on the
+   (exponential service demand) → reply — built entirely on the
    Cml/Sync/Sched_thread client layers, so one implementation runs on all
    four backends (uniproc/domains/sim/check).
 
@@ -23,18 +23,12 @@ type arrival =
           [rate / factor], toggling with probability [p_switch] per
           arrival; same mean offered load as [Poisson] at equal [rate] *)
 
-type service =
-  | Fixed  (** every request costs [service_mean_instrs] *)
-  | Exp  (** exponential with mean [service_mean_instrs] *)
-  | Pareto of { alpha : float }
-      (** heavy-tailed with mean [service_mean_instrs]; needs alpha > 1 *)
-
 type config = {
   requests : int;
   arrival : arrival;
   rate : float;  (** mean offered load, requests per (virtual) second *)
-  service : service;
   service_mean_instrs : int;
+      (** mean of the exponential per-request service demand *)
   shards : int;  (** worker pools; requests hash over them *)
   workers_per_shard : int;
   queue_cap : int;  (** bound of each shard queue (the backpressure) *)
@@ -48,7 +42,6 @@ let default =
     requests = 2000;
     arrival = Poisson;
     rate = 250.;
-    service = Exp;
     service_mean_instrs = 20_000;
     shards = 4;
     workers_per_shard = 1;
@@ -80,18 +73,8 @@ let uniform ~seed ~stream i =
 let shard_of cfg i = mix ((cfg.seed * 31) + 3 + (i * 104729)) mod cfg.shards
 
 let service_instrs cfg i =
-  let mean = float_of_int cfg.service_mean_instrs in
   let u = uniform ~seed:cfg.seed ~stream:2 i in
-  let x =
-    match cfg.service with
-    | Fixed -> mean
-    | Exp -> -.log u *. mean
-    | Pareto { alpha } ->
-        (* scale x_m chosen so the mean is [mean]: x_m = mean(α-1)/α *)
-        let xm = mean *. (alpha -. 1.) /. alpha in
-        xm /. (u ** (1. /. alpha))
-  in
-  let n = int_of_float x in
+  let n = int_of_float (-.log u *. float_of_int cfg.service_mean_instrs) in
   if n < 16 then 16 else if n > 5_000_000 then 5_000_000 else n
 
 (* Intended arrival instants, seconds from run start, ascending.  With a

@@ -16,15 +16,13 @@ type arrival =
           toggles between [rate*factor] and [rate/factor] with
           probability [p_switch] per arrival *)
 
-type service = Fixed | Exp | Pareto of { alpha : float }
-
 type config = {
   requests : int;
   arrival : arrival;
   rate : float;  (** mean offered load, requests per (virtual) second;
                      non-finite or ≤ 0 ⇒ one closed burst at t = 0 *)
-  service : service;
   service_mean_instrs : int;
+      (** mean of the exponential per-request service demand *)
   shards : int;
   workers_per_shard : int;
   queue_cap : int;

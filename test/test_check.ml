@@ -60,18 +60,14 @@ let test_deadlock_detected () =
   let body () =
     P.run (fun () ->
         let a = P.Lock.mutex_lock () and b = P.Lock.mutex_lock () in
-        P.spawn (fun () ->
-            P.Lock.lock a;
-            P.Work.poll ();
-            P.Lock.lock b;
-            P.Lock.unlock b;
-            P.Lock.unlock a);
-        P.Lock.lock b;
-        P.Work.poll ();
-        P.Lock.lock a;
-        P.Lock.unlock a;
-        P.Lock.unlock b;
-        P.Work.idle_until ~ready:(fun () -> P.Proc.live_procs () = 1))
+        let nested x y () =
+          P.Lock.lock x;
+          P.Work.poll ();
+          P.Lock.lock y;
+          P.Lock.unlock y;
+          P.Lock.unlock x
+        in
+        S.par (nested a b) (nested b a))
   in
   let r = P.Explore.dfs ~bound:2 ~max_schedules:30_000 body in
   match r.Mpcheck.Mp_check.failure with
@@ -83,9 +79,7 @@ let test_deadlock_detected () =
 (* A scenario's own failure on a spawned proc is what the report names. *)
 let test_spawned_failure_reported () =
   let body () =
-    P.run (fun () ->
-        P.spawn (fun () -> failwith "msg");
-        P.Work.idle_until ~ready:(fun () -> P.Proc.live_procs () = 1))
+    P.run (fun () -> S.par (fun () -> failwith "msg") ignore)
   in
   let r = P.Explore.dfs ~bound:2 ~max_schedules:30_000 body in
   match r.Mpcheck.Mp_check.failure with
@@ -142,7 +136,7 @@ let test_random_finds_broken_tas () =
 let test_fault_acquire () =
   let body () =
     P.run (fun () ->
-        match P.spawn (fun () -> ()) with
+        match S.par ignore ignore with
         | () -> failwith "expected No_More_Procs from fault injection"
         | exception Mp.Mp_intf.No_More_Procs -> ())
   in
@@ -199,9 +193,7 @@ let test_fault_shrink_replay () =
             end
           done
         in
-        P.spawn (fun () -> attempts lb);
-        attempts la;
-        P.Work.idle_until ~ready:(fun () -> P.Proc.live_procs () = 1);
+        S.par (fun () -> attempts lb) (fun () -> attempts la);
         if !hits < 8 then
           Printf.ksprintf failwith "faults ate %d of 8 acquisitions" (8 - !hits))
   in
@@ -293,7 +285,6 @@ let test_dpor_schedule_pins () =
       ("numa_remote_sharers", (4, 0));
       ("gc_minor_pp", (349, 0));
       ("gc_minor_pp_major_race", (4_598, 0));
-      ("threads_pool", (291, 42));
       ("threads_pool_fifo", (431, 90));
       ("threads_pool_lifo", (431, 90));
       ("threads_pool_distributed", (291, 42));
@@ -418,9 +409,7 @@ let prog_body (p0, p1) () =
             List.iter exec ops;
             P.Lock.unlock l
       in
-      P.spawn (fun () -> List.iter exec p1);
-      List.iter exec p0;
-      P.Work.idle_until ~ready:(fun () -> P.Proc.live_procs () = 1);
+      S.par (fun () -> List.iter exec p1) (fun () -> List.iter exec p0);
       if !overlap then failwith "unprotected critical sections overlapped")
 
 let qcheck_dpor_cross_check =

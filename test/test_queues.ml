@@ -125,11 +125,6 @@ let test_deque_growth () =
   check "front is newest" 100 (Deque.pop_front d);
   check "back is oldest" 1 (Deque.pop_back d)
 
-let test_deque_fifo_module () =
-  let q = Deque.Fifo.create () in
-  List.iter (Deque.Fifo.enq q) [ 1; 2; 3 ];
-  check_list "fifo view" [ 1; 2; 3 ] (drain Deque.Fifo.deq_opt q)
-
 (* ---------------- Bounded ---------------- *)
 
 let test_bounded_capacity () =
@@ -508,7 +503,6 @@ let () =
         [
           Alcotest.test_case "front/back" `Quick test_deque_front_back;
           Alcotest.test_case "growth" `Quick test_deque_growth;
-          Alcotest.test_case "fifo module" `Quick test_deque_fifo_module;
         ] );
       ( "bounded",
         [

@@ -217,6 +217,19 @@ let test_sweep_all_verified () =
   checkb "every checksum verified" true
     (List.for_all (fun x -> x.Report.Experiments.verified) s)
 
+(* fib's witness is fib 24, checked like every other workload's. *)
+let test_fib_cells_verified () =
+  List.iter
+    (fun procs ->
+      let s, _, _ =
+        Report.Experiments.run_cell (Sim.Sim_config.sequent ()) ("fib", procs)
+      in
+      check "fib witness" 46_368 s.Report.Experiments.checksum;
+      checkb
+        (Printf.sprintf "fib@%d verified" procs)
+        true s.Report.Experiments.verified)
+    [ 1; 4 ]
+
 let test_sweep_speedups_reasonable () =
   let s = Lazy.force samples in
   List.iter
@@ -398,6 +411,8 @@ let () =
           Alcotest.test_case "trace keeps ws samples" `Slow
             test_trace_keeps_samples;
           Alcotest.test_case "trace reaches numa cells" `Slow test_trace_numa;
+          Alcotest.test_case "fib cells verified" `Quick
+            test_fib_cells_verified;
         ] );
       ( "job_pool",
         [
