@@ -97,7 +97,7 @@ struct
   (* Ready procs, keyed (clock, id): the scheduler pops the minimum instead
      of scanning all procs.  Invariant: a proc is in the heap iff its state
      is [Ready _]. *)
-  let ready = Ready_heap.create ~ids:config.procs ~dummy:procs.(0)
+  let ready = Ready_heap.create ~ids:config.procs
   let current = ref 0
   let cur () = procs.(!current)
   let ic = Interconnect.create config
@@ -170,7 +170,7 @@ struct
   let set_ready p a =
     flush_run_ahead p;
     p.state <- Ready a;
-    Ready_heap.push ready ~clock:p.clock ~id:p.id p;
+    Ready_heap.push ready ~clock:p.clock ~id:p.id;
     check_heap ()
 
   let resume c = Engine.Resume (c, ())
@@ -441,7 +441,7 @@ struct
 
   let rec loop () =
     if not (Ready_heap.is_empty ready) then begin
-        let p = Ready_heap.pop_unchecked ready in
+        let p = procs.(Ready_heap.pop_unchecked ready) in
         check_heap ();
         if !gc_pending then begin
           (* Park ready procs at the barrier in min-clock order, exactly as

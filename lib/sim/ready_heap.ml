@@ -1,26 +1,27 @@
 exception Duplicate_id
 
-(* The (clock, id) key is packed into a single int, [clock * n + id]: with
-   0 <= id < n this preserves the lexicographic order as plain integer
-   comparison, so the sift loops touch one array instead of two.  The
-   packing bounds clocks at [max_int / n] cycles — at 16 procs that is
-   ~2^58 cycles, half a millennium of simulated time at 16 MHz.  [valid]
-   checks for the overflow symptom (a negative key). *)
-type 'a t = {
-  n : int; (* id universe and packing stride *)
-  keys : int array; (* slot -> clock * n + id *)
-  values : 'a array; (* slot -> payload; slots >= size hold junk *)
+(* A key is [clock lsl bits lor id]; with 0 <= id < 2^bits, integer order
+   is the lexicographic (clock, id) order, so the sift loops compare and
+   move single ints and an id comes back through [mask].  Only ints are
+   stored: every pointer store into a mutable block would go through the
+   write barrier ([caml_modify]). *)
+type t = {
+  bits : int; (* ⌈log2 ids⌉ *)
+  mask : int; (* (1 lsl bits) - 1 *)
+  keys : int array; (* slot -> key; slots >= size hold junk *)
   pos : int array; (* id -> slot, or -1 when absent *)
   mutable size : int;
   mutable ops : int;
 }
 
-let create ~ids ~dummy =
+let create ~ids =
   if ids <= 0 then invalid_arg "Ready_heap.create";
+  let rec width b = if 1 lsl b >= ids then b else width (b + 1) in
+  let bits = width 0 in
   {
-    n = ids;
+    bits;
+    mask = (1 lsl bits) - 1;
     keys = Array.make ids 0;
-    values = Array.make ids dummy;
     pos = Array.make ids (-1);
     size = 0;
     ops = 0;
@@ -29,18 +30,21 @@ let create ~ids ~dummy =
 let length t = t.size
 let is_empty t = t.size = 0
 let ops t = t.ops
+let max_clock t = max_int lsr t.bits
 let mem t ~id = t.pos.(id) >= 0
 
 (* Min order: earliest clock first, lowest id among equal clocks — exactly
    the order the O(P)-scan scheduler picked, so heap and scan dispatch
    identical sequences. *)
 
-let push t ~clock ~id v =
+let push t ~clock ~id =
+  if clock < 0 || clock > max_clock t then
+    invalid_arg "Ready_heap.push: clock past the packing bound";
   if t.pos.(id) >= 0 then raise Duplicate_id;
-  let k = (clock * t.n) + id in
+  let k = (clock lsl t.bits) lor id in
   t.size <- t.size + 1;
   t.ops <- t.ops + 1;
-  (* Sift the hole up: shift larger parents down, place (k, v) once. *)
+  (* Sift the hole up: shift larger parents down, place k once. *)
   let i = ref (t.size - 1) in
   let placed = ref false in
   while not !placed do
@@ -50,37 +54,35 @@ let push t ~clock ~id v =
       let pk = t.keys.(parent) in
       if pk > k then begin
         t.keys.(!i) <- pk;
-        t.values.(!i) <- t.values.(parent);
-        t.pos.(pk mod t.n) <- !i;
+        t.pos.(pk land t.mask) <- !i;
         i := parent
       end
       else placed := true
     end
   done;
   t.keys.(!i) <- k;
-  t.values.(!i) <- v;
   t.pos.(id) <- !i
 
 let min_key t =
-  if t.size = 0 then None else Some (t.keys.(0) / t.n, t.keys.(0) mod t.n)
+  if t.size = 0 then None
+  else Some (t.keys.(0) lsr t.bits, t.keys.(0) land t.mask)
 
 (* Allocation-free probe for the run-ahead fast path: would (clock, id)
    be dispatched ahead of every currently-ready proc? *)
 let precedes_min t ~clock ~id =
-  t.size = 0 || (clock * t.n) + id < t.keys.(0)
+  t.size = 0 || (clock lsl t.bits) lor id < t.keys.(0)
 
-(* Remove and return the minimum.  Undefined on an empty heap — callers
-   check [is_empty]; [pop] wraps this in an option. *)
+(* Remove the minimum and return its id.  Undefined on an empty heap —
+   callers check [is_empty]; [pop] wraps this in an option. *)
 let pop_unchecked t =
-  let v = t.values.(0) in
-  t.pos.(t.keys.(0) mod t.n) <- -1;
+  let id = t.keys.(0) land t.mask in
+  t.pos.(id) <- -1;
   let last = t.size - 1 in
   t.size <- last;
   t.ops <- t.ops + 1;
   if last > 0 then begin
     let k = t.keys.(last) in
-    let mv = t.values.(last) in
-    (* Sift the root hole down: shift smaller children up, place once. *)
+    (* Sift the root hole down: shift smaller children up, place k once. *)
     let i = ref 0 in
     let placed = ref false in
     while not !placed do
@@ -92,24 +94,22 @@ let pop_unchecked t =
         let ck = t.keys.(c) in
         if ck < k then begin
           t.keys.(!i) <- ck;
-          t.values.(!i) <- t.values.(c);
-          t.pos.(ck mod t.n) <- !i;
+          t.pos.(ck land t.mask) <- !i;
           i := c
         end
         else placed := true
       end
     done;
     t.keys.(!i) <- k;
-    t.values.(!i) <- mv;
-    t.pos.(k mod t.n) <- !i
+    t.pos.(k land t.mask) <- !i
   end;
-  v
+  id
 
 let pop t = if t.size = 0 then None else Some (pop_unchecked t)
 
 let clear t =
   for i = 0 to t.size - 1 do
-    t.pos.(t.keys.(i) mod t.n) <- -1
+    t.pos.(t.keys.(i) land t.mask) <- -1
   done;
   t.size <- 0;
   t.ops <- 0
@@ -120,8 +120,7 @@ let valid t =
     if t.keys.(i) < t.keys.((i - 1) / 2) then ok := false
   done;
   for i = 0 to t.size - 1 do
-    if t.keys.(i) < 0 then ok := false;
-    if t.pos.(t.keys.(i) mod t.n) <> i then ok := false
+    if t.pos.(t.keys.(i) land t.mask) <> i then ok := false
   done;
   let members = ref 0 in
   Array.iter (fun p -> if p >= 0 then incr members) t.pos;
