@@ -6,10 +6,10 @@
    schedule floor is not met — a scenario the budget skipped counts as
    missing it.  The self-tests run whatever the budget; they take
    milliseconds.  Exploration is race-directed (DPOR + sleep sets) by
-   default.  Three shapes:
+   default; test_check pins both explorers' bound-3 schedule counts and
+   the reduction between them.  Two shapes:
 
      mp_repro check --bound 3 --seconds 300              # every-PR gate
-     mp_repro check --bound 3 --json                     # BENCH_check.json
      mp_repro check --bound 4 --faults --mode both       # weekly deep run *)
 
 open Cmdliner
@@ -20,10 +20,7 @@ end) ()
 
 module S = Mpcheck.Scenarios.Make (P)
 
-let run bound mode runs seed with_faults seconds max_schedules max_steps dpor
-    json json_file =
-  (* one BENCH_check.json object per scenario *)
-  let rows = ref [] in
+let run bound mode runs seed with_faults seconds max_schedules max_steps dpor =
   let faults =
     if with_faults then
       {
@@ -43,7 +40,7 @@ let run bound mode runs seed with_faults seconds max_schedules max_steps dpor
     bound mode with_faults dpor seconds;
   Printf.printf "%-24s %10s %9s %8s %7s %s\n" "scenario" "schedules"
     "truncated" "pruned" "time" "result";
-  let run_scenario ~kind want_failure (name, body) =
+  let run_scenario want_failure (name, body) =
     let stop = if want_failure then fun () -> false else stop in
     if stop () then begin
       incr skipped;
@@ -88,57 +85,17 @@ let run bound mode runs seed with_faults seconds max_schedules max_steps dpor
       | Some f when not want_failure ->
           Format.printf "%a@." Mpcheck.Mp_check.pp_failure f
       | _ -> ());
-      (* the plain-DFS comparison pass: same bound, same caps, so the
-         reduction factor in BENCH_check.json is like-for-like *)
-      let reduction =
-        if json && dpor && (mode = "dfs" || mode = "both") && kind <> "heavy"
-        then
-          let r =
-            P.Explore.dfs ~bound ~max_schedules ~max_steps ~faults ~stop body
-          in
-          let n = r.Mpcheck.Mp_check.schedules in
-          Printf.sprintf ", \"dfs_schedules\": %d, \"reduction\": %.2f" n
-            (if schedules > 0 then float_of_int n /. float_of_int schedules
-             else 0.0)
-        else ""
-      in
-      rows :=
-        Printf.sprintf
-          "\n    { \"name\": %S, \"kind\": %S, \"schedules\": %d, \"pruned\": \
-           %d, \"truncated\": %d, \"capped\": %b%s, \"seconds\": %.4f, \
-           \"schedules_per_sec\": %.1f, \"ok\": %b }"
-          name kind schedules pruned truncated capped reduction dt
-          (if dt > 0.0 then float_of_int schedules /. dt else 0.0)
-          ok
-        :: !rows;
       if not ok then incr failures
     end
   in
-  List.iter (run_scenario ~kind:"corpus" false) S.all;
+  List.iter (run_scenario false) S.all;
   (* heavy scenarios: schedule-capped so the gate stays fast *)
-  List.iter
-    (run_scenario ~kind:"heavy" false)
-    (if bound >= 2 then S.heavy else []);
+  List.iter (run_scenario false) (if bound >= 2 then S.heavy else []);
   (* self-test: the broken lock must be caught *)
-  List.iter (run_scenario ~kind:"broken" true) S.broken;
+  List.iter (run_scenario true) S.broken;
   let dt = Unix.gettimeofday () -. t0 in
   Printf.printf "total: %.1fs, %d failure(s), %d skipped\n%!" dt !failures
     !skipped;
-  if json then begin
-    let oc = open_out json_file in
-    Printf.fprintf oc
-      "{\n  \"benchmark\": \"mp_check\",\n  \"bound\": %d,\n  \"mode\": %S,\n  \
-       \"dpor\": %b,\n  \"faults\": %b,\n  \"counters\": {%s\n  },\n  \
-       \"scenarios\": [%s\n  ]\n}\n"
-      bound mode dpor with_faults
-      (String.concat ","
-         (List.map
-            (fun (k, v) -> Printf.sprintf "\n    %S: %d" k v)
-            (Mpcheck.Check_intf.counters ())))
-      (String.concat "," (List.rev !rows));
-    close_out oc;
-    Printf.printf "wrote %s\n%!" json_file
-  end;
   if !failures + !skipped > 0 then exit 1
 
 let seed_conv =
@@ -182,8 +139,4 @@ let cmd =
                     ~doc:
                       "Plain CHESS DFS: expand every alternative at every \
                        decision." );
-              ])
-      $ flag [ "json" ]
-          "Write the JSON report (adds a plain-DFS comparison pass over the \
-           non-heavy corpus for the reduction factor)."
-      $ opt Arg.string "BENCH_check.json" [ "json-file" ] "JSON output path.")
+              ]))

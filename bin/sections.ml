@@ -58,7 +58,7 @@ let print_ablations fmt =
   Report.Render.section fmt
     "Ablations: run-queue discipline and concurrent GC (paper §7 future work)";
   (* sequential vs concurrent collection *)
-  let pgc16 = Sim.Sim_config.with_gc sequent16 (Sim.Gc_model.Par_stw 8) in
+  let pgc16 = { sequent16 with Sim.Sim_config.gc = Sim.Gc_model.Par_stw 8 } in
   let gc_rows =
     List.map
       (fun bench ->

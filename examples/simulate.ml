@@ -20,7 +20,7 @@ let () =
   Printf.printf "collections          : %d (%.3f s, all procs stalled)\n"
     stats.Mp.Stats.gc_count stats.Mp.Stats.gc_time;
   Printf.printf "bus traffic          : %.1f MB/s (%.0f%% utilized)\n"
-    (Sequent.Machine.bus_mb_per_sec ())
+    (Mp.Stats.bus_mb_per_sec stats)
     (100. *. Mp.Stats.bus_utilization stats);
   Printf.printf "mean idle fraction   : %.1f%%\n"
     (100. *. Mp.Stats.idle_fraction stats);

@@ -1,7 +1,7 @@
 (** What the exploration platform ({!Mp_check}) and the DPOR driver
     ({!Dpor}) share: fault-injection configuration, visible-operation
-    descriptors, the two ways a run ends without failing ({!Truncated},
-    {!Sleep_blocked}) and the [check.*] counters.
+    descriptors and the two ways a run ends without failing ({!Truncated},
+    {!Sleep_blocked}).
 
     Faults model the legal-but-rare behaviours of a real platform that the
     deterministic backends never produce on their own: a [try_lock] that
@@ -86,15 +86,3 @@ exception Sleep_blocked
 (** A run was aborted because every enabled choice was in the sleep set:
     the schedule is a commuted permutation of one already explored.
     Counted as a prune, never reported as a failure. *)
-
-(* ---- check.* telemetry --------------------------------------------- *)
-
-(* One process-wide registry shared by every checker instance (instances
-   are generative; the exploration counters are not). *)
-let counters_registry = Obs.Counters.create ()
-let c_schedules = Obs.Counters.counter counters_registry "check.schedules_explored"
-let c_prunes = Obs.Counters.counter counters_registry "check.sleepset_prunes"
-let c_frontier = Obs.Counters.counter counters_registry "check.frontier_peak"
-let c_replays = Obs.Counters.counter counters_registry "check.replays"
-
-let counters () = Obs.Counters.dump counters_registry

@@ -203,7 +203,7 @@ let explore runner ~bound ~max_schedules ~stop =
   let frontier : item Queue.t = Queue.create () in
   Queue.add { prefix = [||]; split = 0; alt = -1; sleep0 = 0 } frontier;
   let schedules = ref 0 and pruned = ref 0 and truncs = ref 0 in
-  let capped = ref false and peak = ref 1 in
+  let capped = ref false in
   let failure = ref None in
   let run it =
     let err, steps =
@@ -302,14 +302,8 @@ let explore runner ~bound ~max_schedules ~stop =
     (not (Queue.is_empty frontier)) && Option.is_none !failure && not !capped
   do
     if stop () || !schedules + !pruned >= max_schedules then capped := true
-    else begin
-      run (Queue.pop frontier);
-      peak := max !peak (Queue.length frontier)
-    end
+    else run (Queue.pop frontier)
   done;
-  Obs.Counters.add Check_intf.c_schedules !schedules;
-  Obs.Counters.add Check_intf.c_prunes !pruned;
-  Obs.Counters.max_gauge Check_intf.c_frontier !peak;
   {
     r_schedules = !schedules;
     r_pruned = !pruned;

@@ -777,7 +777,6 @@ struct
         !attempts < budget
         && begin
              incr attempts;
-             Obs.Counters.incr Check_intf.c_replays;
              let err, ds =
                run_one
                  ~policy:(forced_policy (Array.of_list sched))
@@ -817,7 +816,6 @@ struct
         done
       end;
       (* canonical replay of the minimum for its error and trace *)
-      Obs.Counters.incr Check_intf.c_replays;
       let err, ds =
         run_one
           ~policy:(forced_policy (Array.of_list !current))
@@ -886,7 +884,6 @@ struct
             end
             else begin
               incr schedules;
-              Obs.Counters.incr Check_intf.c_schedules;
               let forced_len = if alt < 0 then 0 else split + 1 in
               let err, ds =
                 run_one ~policy:(policy_of base split alt) ~faults ~max_steps
@@ -948,7 +945,6 @@ struct
              choices.(Sched_seed.bounded state (Array.length choices))
            in
            incr n;
-           Obs.Counters.incr Check_intf.c_schedules;
            let err, ds = run_one ~policy ~faults ~max_steps body in
            match err with
            | None -> ()
@@ -978,7 +974,6 @@ struct
 
     let replay ~schedule ?(max_steps = 10_000) ?(faults = Check_intf.no_faults)
         body =
-      Obs.Counters.incr Check_intf.c_replays;
       let err, ds =
         run_one
           ~policy:(forced_policy (Array.of_list schedule))

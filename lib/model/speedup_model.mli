@@ -35,7 +35,7 @@ type topology = {
       (** cross-node traffic / link bandwidth once >1 node is active *)
 }
 (** Hierarchical-machine refinement of the bus bound, mirroring
-    {!Sim.Sim_config.machine}'s Numa shape.  Procs fill nodes in
+    {!Sim.Sim_config.machine}'s node/link shape.  Procs fill nodes in
     contiguous blocks, so [p] procs occupy [ceil(p / procs_per_node)]
     nodes: the traffic bound becomes [bus_seconds] divided by the active
     node count (each node has a private bus), and as soon as a second

@@ -16,7 +16,7 @@ module Make
     mutable state : slot_state;
     mutable inbox : Engine.action option;
     mutable domain : unit Domain.t option;
-    stats : Stats.proc_stats;
+    mutable stats : Stats.proc_stats;
     mutable acquires : int;
         (* lock acquisitions of the current delivery, folded into
            [lock.acquires] when it ends: the registry cell is shared by
@@ -292,31 +292,21 @@ module Make
         Fun.protect ~finally:teardown root_service_loop;
         Mp_intf.outcome ~platform:name ~escaped:(Atomic.get escaped) !result)
 
+  (* Whole per-proc records: [stats] hands out copies, so a later run
+     cannot change a returned value, and [reset_stats] gives every slot a
+     fresh one. *)
   let stats () =
-    let t = Stats.zero ~platform:name ~procs:max_procs in
-    Array.iteri
-      (fun i s ->
-        t.per_proc.(i).busy <- s.stats.busy;
-        t.per_proc.(i).idle <- s.stats.idle;
-        t.per_proc.(i).gc_wait <- s.stats.gc_wait;
-        t.per_proc.(i).queue_wait <- s.stats.queue_wait;
-        t.per_proc.(i).lock_spins <- s.stats.lock_spins;
-        t.per_proc.(i).alloc_words <- s.stats.alloc_words)
-      slots;
-    { t with elapsed = !last_elapsed; gc_count = !last_gc_count }
+    {
+      (Stats.zero ~platform:name ~procs:max_procs) with
+      elapsed = !last_elapsed;
+      gc_count = !last_gc_count;
+      per_proc = Array.map (fun s -> { s.stats with busy = s.stats.busy }) slots;
+    }
 
   let reset_stats () =
     last_elapsed := 0.;
     last_gc_count := 0;
-    Array.iter
-      (fun s ->
-        s.stats.busy <- 0.;
-        s.stats.idle <- 0.;
-        s.stats.gc_wait <- 0.;
-        s.stats.queue_wait <- 0.;
-        s.stats.lock_spins <- 0;
-        s.stats.alloc_words <- 0)
-      slots
+    Array.iter (fun s -> s.stats <- Stats.make_proc_stats ()) slots
 end
 
 module Int

@@ -350,12 +350,6 @@ module type TELEMETRY = sig
   val counter : string -> Obs.Counters.counter
   (** Find-or-create in [counters]; resolve once, keep the handle. *)
 
-  val histograms : Obs.Histogram.registry
-  (** This platform's latency-histogram registry, alongside [counters]. *)
-
-  val histogram : string -> Obs.Histogram.t
-  (** Find-or-create in [histograms]; resolve once, keep the handle. *)
-
   val enable_memory : ?capacity:int -> unit -> unit
   (** Start recording into per-stream in-memory rings. *)
 
@@ -381,8 +375,6 @@ end) : TELEMETRY = struct
   let emit e = Obs.Telemetry.emit handle e
   let counters = Obs.Telemetry.counters handle
   let counter name = Obs.Counters.counter counters name
-  let histograms = Obs.Telemetry.histograms handle
-  let histogram name = Obs.Histogram.histogram histograms name
   let enable_memory ?capacity () = Obs.Telemetry.enable_memory ?capacity handle
   let attach_sink s = Obs.Telemetry.attach_sink handle s
   let disable () = Obs.Telemetry.disable handle

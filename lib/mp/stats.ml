@@ -65,6 +65,9 @@ let gc_fraction t =
 
 let bus_utilization t = if t.elapsed = 0. then 0. else t.bus_busy /. t.elapsed
 
+let bus_mb_per_sec t =
+  if t.elapsed <= 0. then 0. else float_of_int t.bus_bytes /. 1.0e6 /. t.elapsed
+
 let total_alloc_words t =
   Array.fold_left (fun acc p -> acc + p.alloc_words) 0 t.per_proc
 

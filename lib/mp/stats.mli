@@ -57,6 +57,9 @@ val gc_fraction : t -> float
 val bus_utilization : t -> float
 (** bus_busy / elapsed. *)
 
+val bus_mb_per_sec : t -> float
+(** Mean bus traffic in MB/s: bus_bytes / elapsed (E5). *)
+
 val total_alloc_words : t -> int
 val total_lock_spins : t -> int
 

@@ -136,37 +136,3 @@ let nonzero_buckets t =
     if n > 0 then out := (fst (bounds_of i), n) :: !out
   done;
   !out
-
-(* Named registry, mirroring [Counters]: find-or-create under a mutex,
-   handles kept for the hot path, [dump] sorted by name. *)
-
-type entry = { name : string; hist : t }
-type registry = { mutable entries : entry list; registry_lock : Mutex.t }
-
-let create_registry () = { entries = []; registry_lock = Mutex.create () }
-
-let histogram r name =
-  Mutex.lock r.registry_lock;
-  let e =
-    match List.find_opt (fun e -> e.name = name) r.entries with
-    | Some e -> e
-    | None ->
-        let e = { name; hist = create () } in
-        r.entries <- e :: r.entries;
-        e
-  in
-  Mutex.unlock r.registry_lock;
-  e.hist
-
-let find r name =
-  Mutex.lock r.registry_lock;
-  let e = List.find_opt (fun e -> e.name = name) r.entries in
-  Mutex.unlock r.registry_lock;
-  Option.map (fun e -> e.hist) e
-
-let dump r =
-  Mutex.lock r.registry_lock;
-  let es = r.entries in
-  Mutex.unlock r.registry_lock;
-  List.map (fun e -> (e.name, e.hist)) es
-  |> List.sort (fun (a, _) (b, _) -> compare a b)

@@ -11,8 +11,8 @@
 
     Cells are [Atomic], so concurrent recorders on the domains backend are
     safe; [merge] is a pointwise sum and hence associative and commutative,
-    which keeps [Job_pool] fan-out deterministic: per-cell histograms merged
-    in index order give bit-identical results for any [--jobs]. *)
+    so a merged histogram does not depend on the order its parts are
+    added in. *)
 
 type t
 
@@ -48,16 +48,3 @@ val reset : t -> unit
 val nonzero_buckets : t -> (int * int) list
 (** [(bucket_lower_bound, count)] for every non-empty bucket, ascending —
     a deterministic digest of the full distribution. *)
-
-(** {2 Named registry}
-
-    Mirrors {!Counters}: find-or-create under a mutex, resolve handles once,
-    [dump] sorted by name.  Each platform owns one (see
-    [Mp_intf.TELEMETRY]). *)
-
-type registry
-
-val create_registry : unit -> registry
-val histogram : registry -> string -> t
-val find : registry -> string -> t option
-val dump : registry -> (string * t) list

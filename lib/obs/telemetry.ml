@@ -3,7 +3,6 @@ type t = {
   stream_of : unit -> int;
   now_ts : unit -> int;
   counters : Counters.t;
-  histograms : Histogram.registry;
   mutable on : bool;
   mutable rings : Event.t Ring.t array; (* [||] unless a memory sink is up *)
   mutable sink : Sink.t option;
@@ -16,7 +15,6 @@ let create ?(streams = 1) ~stream_of ~now_ts () =
     stream_of;
     now_ts;
     counters = Counters.create ();
-    histograms = Histogram.create_registry ();
     on = false;
     rings = [||];
     sink = None;
@@ -25,7 +23,6 @@ let create ?(streams = 1) ~stream_of ~now_ts () =
 let enabled t = t.on
 let ts t = t.now_ts ()
 let counters t = t.counters
-let histograms t = t.histograms
 
 let enable_memory ?(capacity = 4096) t =
   if Array.length t.rings = 0 then

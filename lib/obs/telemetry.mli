@@ -28,10 +28,6 @@ val ts : t -> int
 val counters : t -> Counters.t
 (** The registry is live even while event emission is disabled. *)
 
-val histograms : t -> Histogram.registry
-(** Always-on like the counters: histogram recording never depends on the
-    event stream being enabled. *)
-
 val enable_memory : ?capacity:int -> t -> unit
 (** Allocate one ring of [capacity] (default 4096) per stream — idempotent,
     existing rings and their contents survive — and start emitting. *)

@@ -119,21 +119,21 @@ let run_cell (config : Sim.Sim_config.t) (bench, procs) =
       gc_minor = P.Machine.gc_minor_collections ();
       gc_major = P.Machine.gc_major_collections ();
       idle = Mp.Stats.idle_fraction st;
-      bus_mb = P.Machine.bus_mb_per_sec ();
+      bus_mb = Mp.Stats.bus_mb_per_sec st;
       bus_util = Mp.Stats.bus_utilization st;
       spins = Mp.Stats.total_lock_spins st;
       alloc_words = Mp.Stats.total_alloc_words st;
       checksum;
       verified = checksum = expected;
       makespan_cycles = P.Machine.makespan_cycles ();
-      bus_bytes = P.Machine.bus_bytes ();
+      bus_bytes = st.Mp.Stats.bus_bytes;
       remote_bytes = P.Machine.remote_bytes ();
       invalidations = P.Machine.invalidations ();
       gc_cycles = P.Machine.gc_cycles ();
-      decisions = P.Machine.sched_decisions ();
-      suspensions = P.Machine.suspensions ();
+      decisions = st.Mp.Stats.sched_decisions;
+      suspensions = st.Mp.Stats.suspensions;
       coalesced = P.Machine.coalesced_charges ();
-      heap_ops = P.Machine.heap_ops ();
+      heap_ops = st.Mp.Stats.heap_ops;
     },
     host_seconds,
     Obs.Counters.dump P.Telemetry.counters )

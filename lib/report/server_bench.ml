@@ -65,7 +65,7 @@ let run_cell ~machine ~config (sched, procs, rate) =
     p999_ns = r.Workloads.Server.p999;
     queue_wait = r.Workloads.Server.queue_wait;
     hist = r.Workloads.Server.hist;
-    suspensions = M.Machine.suspensions ();
+    suspensions = (M.stats ()).Mp.Stats.suspensions;
   }
 
 let golden_line c =

@@ -1,8 +1,8 @@
 (* The simulated machine's memory interconnect: one FCFS bus per node and,
    on a hierarchical machine, one FCFS link shared by every node, plus the
    cache-line sharer sets that route a write either onto the local bus or
-   across the link.  Under [Flat_bus] there is one node, every sharer set
-   is a subset of [{0}] and the link is unreachable. *)
+   across the link.  On a one-node machine every sharer set is a subset of
+   [{0}] and the link is unreachable. *)
 
 type t = {
   n_nodes : int;
@@ -21,18 +21,12 @@ type t = {
 
 let create (c : Sim_config.t) =
   let n_nodes = Sim_config.nodes c in
-  let link_latency, link_bytes_per_cycle =
-    match c.machine with
-    | Flat_bus -> (0, c.bus_bytes_per_cycle)
-    | Numa { link_latency_cycles; link_bytes_per_cycle; _ } ->
-        (link_latency_cycles, link_bytes_per_cycle)
-  in
   {
     n_nodes;
     per_node = Sim_config.procs_per_node c;
     bus_bytes_per_cycle = c.bus_bytes_per_cycle;
-    link_latency;
-    link_bytes_per_cycle;
+    link_latency = c.machine.link_latency_cycles;
+    link_bytes_per_cycle = c.machine.link_bytes_per_cycle;
     bus_free_at = Array.make n_nodes 0;
     bus_busy = Array.make n_nodes 0;
     link_free_at = 0;

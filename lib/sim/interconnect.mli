@@ -1,5 +1,5 @@
 (** The simulated machine's memory interconnect: one FCFS bus per node,
-    one FCFS link shared by every node ({!Sim_config.Numa}), and the
+    one FCFS link shared by every node ({!Sim_config.machine}), and the
     cache-line sharer sets that route a write onto the local bus or across
     the link.  All transfer pricing of the simulator happens here, in
     {!transact}. *)
@@ -10,7 +10,7 @@ val create : Sim_config.t -> t
 val reset : t -> unit
 
 val nodes : t -> int
-(** 1 under {!Sim_config.Flat_bus}. *)
+(** 1 on the Sequent and SGI presets. *)
 
 val node_of : t -> int -> int
 (** Node of a proc: contiguous blocks of {!Sim_config.procs_per_node}. *)

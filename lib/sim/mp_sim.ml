@@ -566,9 +566,7 @@ struct
       end
       else begin
         l.held <- true;
-        incr lock_acquires_ct;
-        if tracing () then
-          emit (Obs.Event.Lock_acquired { proc = p.id; clock = p.clock });
+        note_acquired p 0;
         true
       end
 
@@ -731,19 +729,7 @@ struct
   end
 
   let reset () =
-    Array.iteri
-      (fun i p ->
-        let f = fresh_proc i in
-        p.clock <- f.clock;
-        p.state <- Free;
-        p.datum <- D.initial;
-        p.busy <- 0;
-        p.idle <- 0;
-        p.gc_wait <- 0;
-        p.spins <- 0;
-        p.alloc_words <- 0;
-        p.ran_ahead <- 0)
-      procs;
+    Array.iteri (fun i _ -> procs.(i) <- fresh_proc i) procs;
     Array.fill Work.queue_wait_secs 0 config.procs 0.;
     Ready_heap.clear ready;
     Interconnect.reset ic;
@@ -768,7 +754,6 @@ struct
     set "sim.idle_parks" !idle_parks_ct;
     set "sim.idle_polls" !idle_polls_ct;
     set "gc.collections" (gc_collections ());
-    set "gc.cycles" (gc_pause_cycles ());
     set "gc.minor_count" (GcM.minor_collections ());
     set "gc.major_count" (GcM.major_collections ());
     set "gc.pause_cycles" (gc_pause_cycles ());
@@ -827,28 +812,13 @@ struct
   module Machine = struct
     let config = config
     let makespan_cycles () = !max_clock
-    let sched_decisions () = !sched_decisions_ct
-    let suspensions () = Engine.suspensions () - !susp_at_start
-    let heap_ops () = Ready_heap.ops ready
     let coalesced_charges () = !coalesced_ct
-    let gc_model () = Gc_model.to_string config.gc
     let gc_cycles () = gc_pause_cycles ()
-    let gc_collections () = gc_collections ()
     let gc_minor_collections () = GcM.minor_collections ()
     let gc_major_collections () = GcM.major_collections ()
-    let bus_bytes () = Interconnect.bytes ic
     let remote_bytes () = Interconnect.remote_bytes ic
     let invalidations () = Interconnect.invalidations ic
     let bus_busy_cycles () = Interconnect.bus_busy_cycles ic
-    let elapsed_seconds () = Sim_config.cycles_to_seconds config !max_clock
-
-    let gc_excluded_seconds () =
-      Sim_config.cycles_to_seconds config (!max_clock - gc_pause_cycles ())
-
-    let bus_mb_per_sec () =
-      let secs = elapsed_seconds () in
-      if secs <= 0. then 0.
-      else float_of_int (Interconnect.bytes ic) /. 1.0e6 /. secs
   end
 end
 

@@ -28,36 +28,21 @@ end)
 (D : Mp.Mp_intf.DATUM) : sig
   include Mp.Mp_intf.PLATFORM with type Proc.proc_datum = D.t
 
-  (** Simulator-specific introspection. *)
+  (** Simulator-specific introspection: the machine and the exact counts
+      of the last [run] that {!Mp.Stats.t} has no field for. *)
   module Machine : sig
     val config : Sim_config.t
 
     val makespan_cycles : unit -> int
     (** Largest virtual clock reached in the last [run]. *)
 
-    val sched_decisions : unit -> int
-    (** Host-side: procs dispatched by the event loop in the last [run]. *)
-
-    val suspensions : unit -> int
-    (** Host-side: effect-handler suspensions since the last [run] started
-        (process-wide; meaningful when one platform runs at a time). *)
-
-    val heap_ops : unit -> int
-    (** Host-side: ready-heap pushes + pops in the last [run]. *)
-
     val coalesced_charges : unit -> int
     (** Host-side: charging operations absorbed inline by the run-ahead
         fast path (each would have been one suspension + one dispatch). *)
 
-    val gc_model : unit -> string
-    (** Name of the configured GC cost model ({!Sim.Gc_model.to_string}). *)
-
     val gc_cycles : unit -> int
     (** Total pause cycles: stop-the-world durations plus per-proc minor
         pauses (equal to the old total under the default [stw] model). *)
-
-    val gc_collections : unit -> int
-    (** Minor + major collections. *)
 
     val gc_minor_collections : unit -> int
     (** Proc-local minor collections (0 under [stw]/[par_stw]). *)
@@ -65,26 +50,14 @@ end)
     val gc_major_collections : unit -> int
     (** Stop-the-world collections. *)
 
-    val bus_bytes : unit -> int
-    (** All bus traffic, node-local and remote. *)
-
     val remote_bytes : unit -> int
-    (** Traffic that crossed the inter-node link (0 under [Flat_bus]). *)
+    (** Traffic that crossed the inter-node link (0 on one node). *)
 
     val invalidations : unit -> int
     (** Remote cached copies invalidated by lock/queue-word RMWs. *)
 
     val bus_busy_cycles : unit -> int
     (** Busy cycles summed over the node buses. *)
-
-    val elapsed_seconds : unit -> float
-
-    val gc_excluded_seconds : unit -> float
-    (** Makespan minus total (serial) collection time: the paper's
-        "if garbage collection time were omitted" ablation (E6). *)
-
-    val bus_mb_per_sec : unit -> float
-    (** Mean bus traffic of the last run in MB/s (E5). *)
   end
 end
 

@@ -1,18 +1,18 @@
-(* Interconnect topology.  [Flat_bus] is the legacy single-FCFS-bus model
-   (one bus shared by every proc); [Numa] groups the procs into [nodes]
-   equal nodes, each with its own local bus of [bus_bytes_per_cycle]
-   bandwidth, joined by one inter-node link.  A transfer that must leave
-   its node (a write to a line cached on another node) crosses the local
-   bus first and then the link, paying [link_latency_cycles] plus the
-   bytes at [link_bytes_per_cycle]; the link is FCFS and shared by all
-   nodes, which is what makes cross-node contention collapse at large P. *)
-type machine =
-  | Flat_bus
-  | Numa of {
-      nodes : int;
-      link_latency_cycles : int;
-      link_bytes_per_cycle : float;
-    }
+(* Interconnect topology: the procs are grouped into [nodes] equal nodes,
+   each with its own local bus of [bus_bytes_per_cycle] bandwidth, joined
+   by one inter-node link.  A transfer that must leave its node (a write to
+   a line cached on another node) crosses the local bus first and then the
+   link, paying [link_latency_cycles] plus the bytes at
+   [link_bytes_per_cycle]; the link is FCFS and shared by all nodes, which
+   is what makes cross-node contention collapse at large P.  One node is
+   the single FCFS bus shared by every proc, and its link is unreachable. *)
+type machine = {
+  nodes : int;
+  link_latency_cycles : int;
+  link_bytes_per_cycle : float;
+}
+
+let flat_bus = { nodes = 1; link_latency_cycles = 0; link_bytes_per_cycle = 0. }
 
 type t = {
   name : string;
@@ -51,7 +51,7 @@ let sequent ?(procs = 16) ?(sched = "distributed") () =
     cpi = 4.5;
     word_bytes = 4;
     bus_bytes_per_cycle = 25.0e6 /. 16.0e6;
-    machine = Flat_bus;
+    machine = flat_bus;
     alloc_cycles_per_word = 2.0;
     try_lock_cycles = 500;
     unlock_cycles = 236;
@@ -81,7 +81,7 @@ let sgi ?(procs = 8) ?(sched = "distributed") () =
     cpi = 1.2;
     word_bytes = 4;
     bus_bytes_per_cycle = 30.0e6 /. 33.0e6;
-    machine = Flat_bus;
+    machine = flat_bus;
     alloc_cycles_per_word = 1.0;
     try_lock_cycles = 130;
     unlock_cycles = 68;
@@ -115,12 +115,11 @@ let numa ?(nodes = 4) ?(procs_per_node = 16) ?(sched = "distributed") () =
     base with
     name = Printf.sprintf "numa:%dx%d" nodes procs_per_node;
     machine =
-      Numa
-        {
-          nodes;
-          link_latency_cycles = 120;
-          link_bytes_per_cycle = 2.0 *. base.bus_bytes_per_cycle;
-        };
+      {
+        nodes;
+        link_latency_cycles = 120;
+        link_bytes_per_cycle = 2.0 *. base.bus_bytes_per_cycle;
+      };
   }
 
 let machine_names = [ "sequent"; "sgi"; "numa:<nodes>x<procs>"; "numa1024" ]
@@ -166,22 +165,13 @@ let of_machine_string_exn ?sched ?gc s =
   | Ok c -> c
   | Error msg -> invalid_arg msg
 
-let nodes c = match c.machine with Flat_bus -> 1 | Numa n -> max 1 n.nodes
+let nodes c = c.machine.nodes
 
 (* Procs are grouped into nodes by contiguous index blocks, so a pool that
    acquires procs 0..k-1 stays on as few nodes as possible. *)
 let procs_per_node c =
   let n = nodes c in
   (c.procs + n - 1) / n
-
-let node_of c id = if nodes c = 1 then 0 else id / procs_per_node c
-
-(* GC model selection follows the same scheme as [sched]: the selector is
-   a plain config field, the machine name is untouched (sweeps label their
-   samples with the model separately).  [with_gc c Gc_model.default] is
-   [c] itself, so default-model configs hit the same caches and goldens as
-   before the selector existed. *)
-let with_gc c gc = { c with gc }
 
 let cycles_to_seconds c n = float_of_int n /. (c.mhz *. 1.0e6)
 let seconds_to_cycles c s = int_of_float (s *. c.mhz *. 1.0e6)

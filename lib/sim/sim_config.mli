@@ -12,23 +12,22 @@
        the paper found that "main-memory contention problems swamped all
        other effects".}} *)
 
-(** Interconnect topology.  {!Flat_bus} is the legacy model: one FCFS bus
-    shared by every proc (the Sequent/SGI shape; all goldens are pinned
-    under it).  {!Numa} groups the [procs] into [nodes] contiguous,
-    equal-sized nodes: each node has a private local bus of
+(** Interconnect topology: the [procs] are grouped into [nodes]
+    contiguous, equal-sized nodes.  Each node has a private local bus of
     [bus_bytes_per_cycle] bandwidth, and the nodes share one FCFS
     inter-node link.  Node-local traffic (allocation, uncontended lock
     words) only touches the local bus; a write to a word cached on another
     node crosses the local bus and then the link, paying
     [link_latency_cycles] plus the transfer at [link_bytes_per_cycle], and
-    invalidates the remote copies (counted under ["cache.invalidations"]). *)
-type machine =
-  | Flat_bus
-  | Numa of {
-      nodes : int;
-      link_latency_cycles : int;
-      link_bytes_per_cycle : float;
-    }
+    invalidates the remote copies (counted under ["cache.invalidations"]).
+    One node is the flat bus: a single FCFS bus shared by every proc, whose
+    link is never reached (the Sequent/SGI shape; all goldens are pinned
+    under it). *)
+type machine = {
+  nodes : int;
+  link_latency_cycles : int;
+  link_bytes_per_cycle : float;
+}
 
 type t = {
   name : string;
@@ -37,8 +36,8 @@ type t = {
   cpi : float;  (** cycles per abstract workload instruction *)
   word_bytes : int;
   bus_bytes_per_cycle : float;
-      (** usable shared-bus bandwidth (per node under {!Numa}) *)
-  machine : machine;  (** interconnect topology; {!Flat_bus} in the presets *)
+      (** usable shared-bus bandwidth (per node) *)
+  machine : machine;  (** interconnect topology; one node in the presets *)
   alloc_cycles_per_word : float;  (** CPU cost of heap allocation *)
   try_lock_cycles : int;  (** one test-and-set attempt *)
   unlock_cycles : int;
@@ -109,19 +108,11 @@ val of_machine_string : ?sched:string -> ?gc:Gc_model.t -> string -> (t, string)
 val of_machine_string_exn : ?sched:string -> ?gc:Gc_model.t -> string -> t
 
 val nodes : t -> int
-(** Number of nodes (1 under {!Flat_bus}). *)
+(** Number of nodes (1 in the Sequent and SGI presets). *)
 
 val procs_per_node : t -> int
-
-val node_of : t -> int -> int
-(** Node of a proc index: procs are grouped into contiguous blocks of
-    {!procs_per_node}, so a pool acquiring procs [0..k-1] spans as few
-    nodes as possible. *)
-
-val with_gc : t -> Gc_model.t -> t
-(** Same machine under a different GC cost model.  The machine [name] is
-    unchanged (same scheme as [sched]); [with_gc c Gc_model.default] is
-    [c] itself, so goldens pinned under the default model are unaffected. *)
+(** Procs are grouped into contiguous blocks of this size, so a pool
+    acquiring procs [0..k-1] spans as few nodes as possible. *)
 
 val cycles_to_seconds : t -> int -> float
 val seconds_to_cycles : t -> float -> int

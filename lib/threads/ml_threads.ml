@@ -6,14 +6,33 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) (S : Thread_intf.SCHED) = struct
 
   let next = Atomic.make 1
 
+  (* A forked thread adopts its handle under its scheduler id when it
+     starts (as [M3_thread] adopts its alert state), so [self ()] inside it
+     returns what [fork] returned; it gives the id up when it returns or
+     exits.  A thread this package did not fork (a pool's root) is named
+     by its scheduler id. *)
+  let handles_lock = P.Lock.mutex_lock ()
+  let handles : (int, thread) Hashtbl.t = Hashtbl.create 64
+  let with_handles f = P.Lock.locked handles_lock (fun () -> f handles)
+  let retire () = with_handles (fun h -> Hashtbl.remove h (S.id ()))
+
   let fork f =
     let handle = Atomic.fetch_and_add next 1 in
-    S.fork f;
+    S.fork (fun () ->
+        with_handles (fun h -> Hashtbl.replace h (S.id ()) handle);
+        f ();
+        retire ());
     handle
 
-  let exit () = S.dispatch ()
+  let exit () =
+    retire ();
+    S.dispatch ()
+
   let yield = S.yield
-  let self () = S.id ()
+
+  let self () =
+    let tid = S.id () in
+    with_handles (fun h -> Option.value (Hashtbl.find_opt h tid) ~default:tid)
   let equal (a : thread) b = a = b
   let id (t : thread) = t
 

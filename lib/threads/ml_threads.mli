@@ -17,7 +17,10 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) (S : Thread_intf.SCHED) : sig
   (** Terminate the calling thread immediately.  Never returns. *)
 
   val yield : unit -> unit
+
   val self : unit -> thread
+  (** Inside a forked thread, the handle [fork] returned for it. *)
+
   val equal : thread -> thread -> bool
   val id : thread -> int
 

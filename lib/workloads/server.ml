@@ -169,11 +169,11 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
 
   let poison = { id = -1; arrival = 0. }
 
-  (* Latency histograms go through the platform's registry so they sit
-     alongside the counters in every telemetry dump; [Histogram.add] is
-     commutative, so concurrent recording on the domains backend still
-     yields a deterministic digest of a given latency multiset. *)
-  let hist = P.Telemetry.histogram "server.latency_ns"
+  (* One latency histogram per instance, reset at each run's start and
+     returned in the result; [Histogram.add] is commutative, so concurrent
+     recording on the domains backend still yields a deterministic digest
+     of a given latency multiset. *)
+  let hist = Obs.Histogram.create ()
 
   let run ~procs ?quantum ?sched cfg =
     if cfg.requests <= 0 then invalid_arg "Server.run: requests <= 0";

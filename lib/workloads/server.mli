@@ -61,6 +61,6 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) : sig
     config -> result
   (** One pipeline run under [procs] procs.  Deterministic on the
       simulator for a fixed (config, sched, procs, machine) cell.  The
-      latency histogram is registered as ["server.latency_ns"] in the
-      platform's telemetry registry and reset at each run's start. *)
+      result's latency histogram belongs to this instance and is reset at
+      each run's start. *)
 end

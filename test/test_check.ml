@@ -246,71 +246,96 @@ let test_dpor_equivalence () =
       checkb (name ^ ": DPOR not capped") false b.Mpcheck.Mp_check.capped)
     (S.all @ S.broken)
 
-(* Exact DPOR schedule and prune counts at bound 3 for every corpus and
-   heavy scenario (the same figures [mp_repro check --bound 3] prints).
-   Any change to the sequence of platform operations a park or wake
-   performs moves one of these numbers. *)
+(* Exact schedule and prune counts at bound 3 for every corpus and heavy
+   scenario, race-directed (DPOR + sleep sets) and plain CHESS DFS (the
+   same figures [mp_repro check --bound 3] and [--no-dpor] print; plain
+   DFS stops at the 20,000-schedule cap on threads_mutex_condition).  Any
+   change to the sequence of platform operations a park or wake performs
+   moves one of these numbers.  (name, (dpor schedules, dpor prunes, plain
+   DFS schedules)) *)
+let dpor_pins =
+  [
+    ("lock_tas", (13, 0, 15));
+    ("lock_ttas", (34, 0, 40));
+    ("lock_backoff", (27, 0, 33));
+    ("lock_ticket", (23, 0, 44));
+    ("lock_clh", (28, 0, 59));
+    ("lock_anderson", (30, 0, 76));
+    ("lock_mcs", (74, 0, 149));
+    ("lock_hwpool", (31, 0, 35));
+    ("lock_rw_spin", (27, 0, 34));
+    ("lock_tas_disjoint", (7, 6, 154));
+    ("lock_ticket_disjoint", (13, 12, 1_027));
+    ("lock_mcs_disjoint", (19, 18, 3_268));
+    ("queue_spmc", (265, 0, 664));
+    ("queue_spmc_owner_ends", (672, 0, 1_759));
+    ("sched_micropool_affinity", (7, 0, 598));
+    ("sched_ws_steal_half", (4, 0, 4));
+    ("queue_multi", (5, 4, 75));
+    ("queue_bounded", (44, 0, 46));
+    ("server_pipeline", (185, 0, 317));
+    ("sync_ivar", (4, 0, 4));
+    ("sync_mvar", (24, 0, 46));
+    ("sync_semaphore", (26, 0, 35));
+    ("threads_mutex_condition", (898, 251, 20_000));
+    ("select_rendezvous", (13, 0, 20));
+    ("cml_rendezvous", (11, 0, 12));
+    ("cml_choose", (11, 0, 12));
+    ("proc_pool", (2, 0, 2));
+    ("numa_lock_invalidation", (6, 0, 8));
+    ("numa_ws_steal", (4, 0, 4));
+    ("numa_remote_sharers", (4, 0, 4));
+    ("gc_minor_pp", (349, 0, 617));
+    ("gc_minor_pp_major_race", (4_598, 0, 7_677));
+    ("threads_pool_fifo", (431, 90, 8_595));
+    ("threads_pool_lifo", (431, 90, 8_595));
+    ("threads_pool_distributed", (291, 42, 19_051));
+    ("threads_pool_ws", (12, 0, 12));
+    ("threads_pool_micropools:2", (52, 20, 897));
+  ]
+
 let test_dpor_schedule_pins () =
-  let pins =
-    [
-      ("lock_tas", (13, 0));
-      ("lock_ttas", (34, 0));
-      ("lock_backoff", (27, 0));
-      ("lock_ticket", (23, 0));
-      ("lock_clh", (28, 0));
-      ("lock_anderson", (30, 0));
-      ("lock_mcs", (74, 0));
-      ("lock_hwpool", (31, 0));
-      ("lock_rw_spin", (27, 0));
-      ("lock_tas_disjoint", (7, 6));
-      ("lock_ticket_disjoint", (13, 12));
-      ("lock_mcs_disjoint", (19, 18));
-      ("queue_spmc", (265, 0));
-      ("queue_spmc_owner_ends", (672, 0));
-      ("sched_micropool_affinity", (7, 0));
-      ("sched_ws_steal_half", (4, 0));
-      ("queue_multi", (5, 4));
-      ("queue_bounded", (44, 0));
-      ("server_pipeline", (185, 0));
-      ("sync_ivar", (4, 0));
-      ("sync_mvar", (24, 0));
-      ("sync_semaphore", (26, 0));
-      ("threads_mutex_condition", (898, 251));
-      ("select_rendezvous", (13, 0));
-      ("cml_rendezvous", (11, 0));
-      ("cml_choose", (11, 0));
-      ("proc_pool", (2, 0));
-      ("numa_lock_invalidation", (6, 0));
-      ("numa_ws_steal", (4, 0));
-      ("numa_remote_sharers", (4, 0));
-      ("gc_minor_pp", (349, 0));
-      ("gc_minor_pp_major_race", (4_598, 0));
-      ("threads_pool_fifo", (431, 90));
-      ("threads_pool_lifo", (431, 90));
-      ("threads_pool_distributed", (291, 42));
-      ("threads_pool_ws", (12, 0));
-      ("threads_pool_micropools:2", (52, 20));
-    ]
-  in
   let corpus = S.all @ S.heavy in
-  checki "one pin per scenario" (List.length corpus) (List.length pins);
+  checki "one pin per scenario" (List.length corpus) (List.length dpor_pins);
   List.iter
     (fun (name, body) ->
-      let want_schedules, want_pruned =
-        match List.assoc_opt name pins with
+      let want_schedules, want_pruned, want_plain =
+        match List.assoc_opt name dpor_pins with
         | Some w -> w
         | None -> Alcotest.failf "%s: no pinned count" name
       in
-      let r =
-        P.Explore.dfs ~bound:3 ~max_schedules:20_000 ~max_steps:20_000
-          ~dpor:true body
+      let explore dpor =
+        P.Explore.dfs ~bound:3 ~max_schedules:20_000 ~max_steps:20_000 ~dpor
+          body
       in
+      let r = explore true in
       checkb (name ^ ": no failure") true (r.Mpcheck.Mp_check.failure = None);
       checki (name ^ ": schedules at bound 3") want_schedules
         r.Mpcheck.Mp_check.schedules;
       checki (name ^ ": pruned at bound 3") want_pruned
-        r.Mpcheck.Mp_check.pruned)
+        r.Mpcheck.Mp_check.pruned;
+      checki (name ^ ": plain DFS schedules at bound 3") want_plain
+        (explore false).Mpcheck.Mp_check.schedules)
     corpus
+
+(* DPOR's headline reduction, read off the pinned table (which the case
+   above checks against both explorers): race-directed exploration visits
+   at least 10x fewer schedules than plain DFS on at least three lock
+   scenarios, and sleep sets prune somewhere in the corpus. *)
+let test_dpor_reduction () =
+  let tenfold =
+    List.filter
+      (fun (name, (dpor, _, plain)) ->
+        String.starts_with ~prefix:"lock_" name && plain >= 10 * dpor)
+      dpor_pins
+  in
+  checkb
+    (Printf.sprintf "10x fewer schedules on 3 lock scenarios (%s)"
+       (String.concat ", " (List.map fst tenfold)))
+    true
+    (List.length tenfold >= 3);
+  checkb "sleep sets prune" true
+    (List.exists (fun (_, (_, pruned, _)) -> pruned > 0) dpor_pins)
 
 (* A run the explorer stops early — a sleep-set prune, a failure — leaves
    procs suspended mid-run; the checker ends their fibers, so the engine's
@@ -492,6 +517,8 @@ let () =
           Alcotest.test_case "stopped runs end their fibers" `Quick
             test_stopped_runs_end_fibers;
           QCheck_alcotest.to_alcotest qcheck_dpor_cross_check;
+          Alcotest.test_case "reduction at least 10x on three lock scenarios"
+            `Quick test_dpor_reduction;
         ] );
       ( "procs3",
         [

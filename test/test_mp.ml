@@ -684,6 +684,118 @@ end) ()
 
 module Conf_check = Conformance (Check2)
 
+(* ---------------- host words per operation ---------------- *)
+
+(* Minor-heap words one operation of each layer allocates on a real
+   backend: [Gc.minor_words] over 1000 operations, the operations of the
+   benchmark's per-layer probes.  Unlike host nanoseconds these are exact,
+   and the same on the uniprocessor and on one-proc domains, so each is
+   held to a ceiling: a layer that starts allocating more fails here.
+   The yield row has a partner thread queued, as the probe does, but the
+   default policy hands the proc straight back to the yielder, so it is
+   the cost of one yield, not of a round trip through the partner. *)
+module Words (P : Mp_intf.PLATFORM_INT) = struct
+  module Sched = Mpthreads.Sched_thread.Make (P)
+  module Sy = Mpsync.Sync.Make (P) (Sched)
+  module Chan = Cml.Make (P) (Sched)
+
+  let ops = 1000
+
+  (* Words per call of [op] in the steady state (after one warm-up batch,
+     which pays any one-time growth), net of the probe's own cost. *)
+  let per_op op =
+    let batch () =
+      for _ = 1 to ops do
+        op ()
+      done
+    in
+    let words f =
+      let before = Gc.minor_words () in
+      f ();
+      Gc.minor_words () -. before
+    in
+    batch ();
+    let probe = words ignore in
+    (words batch -. probe) /. float_of_int ops
+
+  let in_pool f = P.run (fun () -> Sched.with_pool ~procs:1 f)
+
+  (* the other side of a two-thread operation, until [stop] is set *)
+  let with_partner partner f =
+    in_pool (fun () ->
+        let stop = ref false in
+        Sched.fork (fun () -> partner stop);
+        let r = f () in
+        stop := true;
+        r)
+
+  (* (operation, ceiling, measured words per op) *)
+  let measured () =
+    let l = P.Lock.mutex_lock () in
+    let ch = Chan.channel () in
+    [
+      ( "suspend/resume",
+        20.,
+        P.run (fun () ->
+            per_op (fun () -> Engine.suspend (fun c -> Engine.Resume (c, ())))) );
+      ( "callcc + throw",
+        66.,
+        P.run (fun () ->
+            per_op (fun () -> ignore (P.Kont.callcc (fun k -> P.Kont.throw k 1))))
+      );
+      ( "fork_join of one child",
+        154.,
+        in_pool (fun () -> per_op (fun () -> Sched.fork_join [ ignore ])) );
+      ( "yield",
+        88.,
+        with_partner
+          (fun stop ->
+            while not !stop do
+              Sched.yield ()
+            done)
+          (fun () -> per_op Sched.yield) );
+      ( "lock/unlock",
+        0.,
+        P.run (fun () ->
+            per_op (fun () ->
+                P.Lock.lock l;
+                P.Lock.unlock l)) );
+      ( "semaphore release + acquire",
+        82.,
+        in_pool (fun () ->
+            let s = Sy.Semaphore.create 0 in
+            per_op (fun () ->
+                Sy.Semaphore.release s;
+                Sy.Semaphore.acquire s)) );
+      ( "CML send/recv",
+        344.5,
+        with_partner
+          (fun stop ->
+            while not !stop do
+              Chan.send ch ()
+            done)
+          (fun () ->
+            let w = per_op (fun () -> Chan.recv ch) in
+            (* release the partner from its last send *)
+            ignore (Chan.recv_poll ch);
+            w) );
+    ]
+
+  let test () =
+    List.iter
+      (fun (op, ceiling, w) ->
+        if w > ceiling then
+          Alcotest.failf "%s on %s: %.3f words per op, ceiling %.1f" op P.name w
+            ceiling)
+      (measured ())
+end
+
+module Words_uni = Words (Mp_uniproc.Int ())
+
+module Words_dom = Words (Mp_domains.Int (struct
+  let max_procs = 1
+end) ())
+
 let () =
   Alcotest.run "mp"
     [
@@ -741,4 +853,9 @@ let () =
       ("conformance:domains", Conf_dom.suite);
       ("conformance:sim", Conf_sim.suite);
       ("conformance:check", Conf_check.suite);
+      ( "words per op",
+        [
+          Alcotest.test_case "uniproc" `Quick Words_uni.test;
+          Alcotest.test_case "one-proc domains" `Quick Words_dom.test;
+        ] );
     ]

@@ -119,11 +119,11 @@ let test_gc_triggers_on_region () =
   ignore
     (P.run (fun () ->
          P.Work.alloc ~words:(cfg.Sim.Sim_config.gc_region_words + 1_000)));
-  checkb "collection happened" true (P.Machine.gc_collections () >= 1)
+  checkb "collection happened" true ((P.stats ()).Mp.Stats.gc_count >= 1)
 
 let test_gc_none_under_region () =
   ignore (P.run (fun () -> P.Work.alloc ~words:10_000));
-  check "no collection" 0 (P.Machine.gc_collections ())
+  check "no collection" 0 (P.stats ()).Mp.Stats.gc_count
 
 let test_gc_cost_model () =
   ignore
@@ -160,8 +160,9 @@ let test_gc_excluded_seconds () =
   ignore
     (P.run (fun () ->
          P.Work.alloc ~words:(cfg.Sim.Sim_config.gc_region_words + 10)));
-  let total = P.Machine.elapsed_seconds () in
-  let no_gc = P.Machine.gc_excluded_seconds () in
+  let st = P.stats () in
+  let total = st.Mp.Stats.elapsed in
+  let no_gc = total -. st.Mp.Stats.gc_time in
   checkb "exclusion removes gc time" true
     (no_gc < total
     && Float.abs (total -. no_gc -. cycles (P.Machine.gc_cycles ())) < 1e-9)
@@ -536,12 +537,13 @@ let golden_case bench rows () =
     (fun (procs, makespan, gc, bus, witness, susp, decisions) ->
       let tag s = Printf.sprintf "%s@%d %s" bench procs s in
       let w = GB.run_named bench ~procs in
+      let st = G.stats () in
       check (tag "witness") witness w;
       check (tag "makespan") makespan (G.Machine.makespan_cycles ());
-      check (tag "collections") gc (G.Machine.gc_collections ());
-      check (tag "bus bytes") bus (G.Machine.bus_bytes ());
-      check (tag "suspensions") susp (G.Machine.suspensions ());
-      check (tag "decisions") decisions (G.Machine.sched_decisions ());
+      check (tag "collections") gc st.Mp.Stats.gc_count;
+      check (tag "bus bytes") bus st.Mp.Stats.bus_bytes;
+      check (tag "suspensions") susp st.Mp.Stats.suspensions;
+      check (tag "decisions") decisions st.Mp.Stats.sched_decisions;
       let s, _, _ =
         Report.Experiments.run_cell
           (Sim.Sim_config.sequent ~procs:16 ())
@@ -583,14 +585,14 @@ let test_run_ahead_equivalence () =
     (fun (bench, procs) ->
       let wf = GB.run_named bench ~procs in
       let mf = G.Machine.makespan_cycles () in
-      let gf = G.Machine.gc_collections () in
-      let bf = G.Machine.bus_bytes () in
+      let sf = G.stats () in
       let ws = NoRaB.run_named bench ~procs in
+      let sn = NoRa.stats () in
       let tag s = Printf.sprintf "%s@%d %s" bench procs s in
       check (tag "witness") ws wf;
       check (tag "makespan") (NoRa.Machine.makespan_cycles ()) mf;
-      check (tag "collections") (NoRa.Machine.gc_collections ()) gf;
-      check (tag "bus bytes") (NoRa.Machine.bus_bytes ()) bf)
+      check (tag "collections") sn.Mp.Stats.gc_count sf.Mp.Stats.gc_count;
+      check (tag "bus bytes") sn.Mp.Stats.bus_bytes sf.Mp.Stats.bus_bytes)
     [ ("abisort", 4); ("mst", 4); ("seq", 16) ]
 
 (* The same oracle at the proc counts the quiescence-epoch coalescing does
@@ -601,14 +603,14 @@ let test_run_ahead_equivalence_2_8 () =
     (fun (bench, procs) ->
       let wf = GB.run_named bench ~procs in
       let mf = G.Machine.makespan_cycles () in
-      let gf = G.Machine.gc_collections () in
-      let bf = G.Machine.bus_bytes () in
+      let sf = G.stats () in
       let ws = NoRaB.run_named bench ~procs in
+      let sn = NoRa.stats () in
       let tag s = Printf.sprintf "%s@%d %s" bench procs s in
       check (tag "witness") ws wf;
       check (tag "makespan") (NoRa.Machine.makespan_cycles ()) mf;
-      check (tag "collections") (NoRa.Machine.gc_collections ()) gf;
-      check (tag "bus bytes") (NoRa.Machine.bus_bytes ()) bf)
+      check (tag "collections") sn.Mp.Stats.gc_count sf.Mp.Stats.gc_count;
+      check (tag "bus bytes") sn.Mp.Stats.bus_bytes sf.Mp.Stats.bus_bytes)
     (List.concat_map
        (fun bench -> [ (bench, 2); (bench, 8) ])
        [ "allpairs"; "mst"; "abisort"; "simple"; "mm"; "seq" ])
@@ -633,8 +635,8 @@ let test_horizon_debug_matches_golden () =
       let w = HDbgB.run_named bench ~procs in
       check (tag "witness") witness w;
       check (tag "makespan") makespan (HDbg.Machine.makespan_cycles ());
-      check (tag "collections") gc (HDbg.Machine.gc_collections ());
-      check (tag "bus bytes") bus (HDbg.Machine.bus_bytes ()))
+      check (tag "collections") gc (HDbg.stats ()).Mp.Stats.gc_count;
+      check (tag "bus bytes") bus (HDbg.stats ()).Mp.Stats.bus_bytes)
     [ ("mst", 4); ("simple", 16); ("mm", 16) ]
 
 (* ---------------- scheduler policy family ---------------- *)
@@ -732,16 +734,18 @@ let test_sched_all_policies_correct () =
 module GStw =
   Sim.Mp_sim.Int (struct
       let config =
-        Sim.Sim_config.with_gc
-          (Sim.Sim_config.sequent ~procs:16 ())
-          (Sim.Gc_model.of_string_exn "stw")
+        {
+          (Sim.Sim_config.sequent ~procs:16 ()) with
+          gc = Sim.Gc_model.of_string_exn "stw";
+        }
     end)
     ()
 
 module GStwB = Workloads.Bench_suite.Make (GStw)
 
 let test_gc_stw_identity () =
-  Alcotest.(check string) "model name" "stw" (GStw.Machine.gc_model ());
+  Alcotest.(check string) "model name" "stw"
+    (Sim.Gc_model.to_string GStw.Machine.config.Sim.Sim_config.gc);
   List.iter
     (fun (bench, procs) ->
       let _, makespan, gc, bus, witness, _, _ = golden_at bench procs in
@@ -749,8 +753,8 @@ let test_gc_stw_identity () =
       let w = GStwB.run_named bench ~procs in
       check (tag "witness") witness w;
       check (tag "makespan") makespan (GStw.Machine.makespan_cycles ());
-      check (tag "collections") gc (GStw.Machine.gc_collections ());
-      check (tag "bus bytes") bus (GStw.Machine.bus_bytes ());
+      check (tag "collections") gc (GStw.stats ()).Mp.Stats.gc_count;
+      check (tag "bus bytes") bus (GStw.stats ()).Mp.Stats.bus_bytes;
       check (tag "no proc-local minors") 0
         (GStw.Machine.gc_minor_collections ()))
     [ ("mm", 16); ("allpairs", 4); ("mst", 1) ]
@@ -762,9 +766,10 @@ let test_gc_stw_identity () =
 module ParStw =
   Sim.Mp_sim.Int (struct
       let config =
-        Sim.Sim_config.with_gc
-          (Sim.Sim_config.sequent ~procs:16 ())
-          (Sim.Gc_model.Par_stw 0)
+        {
+          (Sim.Sim_config.sequent ~procs:16 ()) with
+          gc = Sim.Gc_model.Par_stw 0;
+        }
     end)
     ()
 
@@ -774,10 +779,8 @@ module ParStwNoRa =
   Sim.Mp_sim.Int (struct
       let config =
         {
-          (Sim.Sim_config.with_gc
-             (Sim.Sim_config.sequent ~procs:16 ())
-             (Sim.Gc_model.Par_stw 0))
-          with
+          (Sim.Sim_config.sequent ~procs:16 ()) with
+          gc = Sim.Gc_model.Par_stw 0;
           run_ahead = false;
         }
     end)
@@ -788,9 +791,10 @@ module ParStwNoRaB = Workloads.Bench_suite.Make (ParStwNoRa)
 module MinorPp =
   Sim.Mp_sim.Int (struct
       let config =
-        Sim.Sim_config.with_gc
-          (Sim.Sim_config.sequent ~procs:16 ())
-          Sim.Gc_model.Minor_pp
+        {
+          (Sim.Sim_config.sequent ~procs:16 ()) with
+          gc = Sim.Gc_model.Minor_pp;
+        }
     end)
     ()
 
@@ -800,10 +804,8 @@ module MinorPpNoRa =
   Sim.Mp_sim.Int (struct
       let config =
         {
-          (Sim.Sim_config.with_gc
-             (Sim.Sim_config.sequent ~procs:16 ())
-             Sim.Gc_model.Minor_pp)
-          with
+          (Sim.Sim_config.sequent ~procs:16 ()) with
+          gc = Sim.Gc_model.Minor_pp;
           run_ahead = false;
         }
     end)
@@ -818,16 +820,16 @@ let test_gc_par_stw_run_ahead_equivalence () =
     (fun (bench, procs) ->
       let wf = ParStwB.run_named bench ~procs in
       let mf = ParStw.Machine.makespan_cycles () in
-      let gf = ParStw.Machine.gc_collections () in
+      let sf = ParStw.stats () in
       let pf = ParStw.Machine.gc_cycles () in
-      let bf = ParStw.Machine.bus_bytes () in
       let ws = ParStwNoRaB.run_named bench ~procs in
+      let sn = ParStwNoRa.stats () in
       let tag s = Printf.sprintf "par_stw %s@%d %s" bench procs s in
       check (tag "witness") ws wf;
       check (tag "makespan") (ParStwNoRa.Machine.makespan_cycles ()) mf;
-      check (tag "collections") (ParStwNoRa.Machine.gc_collections ()) gf;
+      check (tag "collections") sn.Mp.Stats.gc_count sf.Mp.Stats.gc_count;
       check (tag "pause cycles") (ParStwNoRa.Machine.gc_cycles ()) pf;
-      check (tag "bus bytes") (ParStwNoRa.Machine.bus_bytes ()) bf)
+      check (tag "bus bytes") sn.Mp.Stats.bus_bytes sf.Mp.Stats.bus_bytes)
     (List.concat_map (fun b -> [ (b, 2); (b, 8) ]) gc_twin_benches)
 
 let test_gc_minor_pp_run_ahead_equivalence () =
@@ -835,18 +837,18 @@ let test_gc_minor_pp_run_ahead_equivalence () =
     (fun (bench, procs) ->
       let wf = MinorPpB.run_named bench ~procs in
       let mf = MinorPp.Machine.makespan_cycles () in
-      let gf = MinorPp.Machine.gc_collections () in
+      let sf = MinorPp.stats () in
       let minf = MinorPp.Machine.gc_minor_collections () in
       let pf = MinorPp.Machine.gc_cycles () in
-      let bf = MinorPp.Machine.bus_bytes () in
       let ws = MinorPpNoRaB.run_named bench ~procs in
+      let sn = MinorPpNoRa.stats () in
       let tag s = Printf.sprintf "minor_pp %s@%d %s" bench procs s in
       check (tag "witness") ws wf;
       check (tag "makespan") (MinorPpNoRa.Machine.makespan_cycles ()) mf;
-      check (tag "collections") (MinorPpNoRa.Machine.gc_collections ()) gf;
+      check (tag "collections") sn.Mp.Stats.gc_count sf.Mp.Stats.gc_count;
       check (tag "minors") (MinorPpNoRa.Machine.gc_minor_collections ()) minf;
       check (tag "pause cycles") (MinorPpNoRa.Machine.gc_cycles ()) pf;
-      check (tag "bus bytes") (MinorPpNoRa.Machine.bus_bytes ()) bf)
+      check (tag "bus bytes") sn.Mp.Stats.bus_bytes sf.Mp.Stats.bus_bytes)
     (List.concat_map (fun b -> [ (b, 2); (b, 8) ]) gc_twin_benches)
 
 (* The headline exhibit at test scale: per-proc minor heaps strictly
@@ -952,7 +954,7 @@ let prop_minor_pp_invariants =
 
 (* ---------------- hierarchical (NUMA) machines ---------------- *)
 
-(* A one-node Numa machine is arithmetically the flat bus: every sharer
+(* A one-node [numa] preset is arithmetically the flat bus: every sharer
    set stays local, so the golden table must hold bit-for-bit and no
    remote traffic or invalidations may appear. *)
 module Numa1 =
@@ -967,7 +969,7 @@ let test_numa_one_node_is_flat () =
   let w = Numa1B.run_named "mm" ~procs:16 in
   check "witness" (-2429353301021976480) w;
   check "golden makespan" 4229267 (Numa1.Machine.makespan_cycles ());
-  check "golden bus bytes" 4089544 (Numa1.Machine.bus_bytes ());
+  check "golden bus bytes" 4089544 (Numa1.stats ()).Mp.Stats.bus_bytes;
   check "no remote traffic" 0 (Numa1.Machine.remote_bytes ());
   check "no invalidations" 0 (Numa1.Machine.invalidations ())
 
@@ -999,14 +1001,15 @@ let test_numa_run_ahead_equivalence () =
     (fun (bench, procs) ->
       let wf = N2x8B.run_named bench ~procs in
       let mf = N2x8.Machine.makespan_cycles () in
-      let bf = N2x8.Machine.bus_bytes () in
+      let sf = N2x8.stats () in
       let rf = N2x8.Machine.remote_bytes () in
       let inf = N2x8.Machine.invalidations () in
       let ws = N2x8NoRaB.run_named bench ~procs in
+      let sn = N2x8NoRa.stats () in
       let tag s = Printf.sprintf "%s@%d %s" bench procs s in
       check (tag "witness") ws wf;
       check (tag "makespan") (N2x8NoRa.Machine.makespan_cycles ()) mf;
-      check (tag "bus bytes") (N2x8NoRa.Machine.bus_bytes ()) bf;
+      check (tag "bus bytes") sn.Mp.Stats.bus_bytes sf.Mp.Stats.bus_bytes;
       check (tag "remote bytes") (N2x8NoRa.Machine.remote_bytes ()) rf;
       check (tag "invalidations") (N2x8NoRa.Machine.invalidations ()) inf)
     [ ("mm", 16); ("mst", 16); ("seq", 16) ]
@@ -1030,7 +1033,7 @@ let test_numa_golden () =
       let w = N2x8B.run_named bench ~procs:16 in
       check (tag "witness") witness w;
       check (tag "makespan") makespan (N2x8.Machine.makespan_cycles ());
-      check (tag "bus bytes") bus (N2x8.Machine.bus_bytes ());
+      check (tag "bus bytes") bus (N2x8.stats ()).Mp.Stats.bus_bytes;
       check (tag "remote bytes") remote (N2x8.Machine.remote_bytes ());
       check (tag "invalidations") invals (N2x8.Machine.invalidations ()))
     numa_golden
@@ -1073,7 +1076,7 @@ let test_numa_large_p_suspension_budget () =
           (Mpthreads.Sched_policy.to_string sched)
           bench procs
       in
-      let susp = N1024.Machine.suspensions () in
+      let susp = (N1024.stats ()).Mp.Stats.suspensions in
       checkb
         (Printf.sprintf "%s suspensions %d under %d" tag susp budget)
         true (susp < budget);
@@ -1115,10 +1118,11 @@ let test_numa_1024_host_budget () =
    scheduler spent ~8800 suspensions here. *)
 let test_suspension_budget () =
   ignore (GB.run_named "mm" ~procs:1);
-  let fast = G.Machine.suspensions () in
-  let decisions = G.Machine.sched_decisions () in
+  let st = G.stats () in
+  let fast = st.Mp.Stats.suspensions in
+  let decisions = st.Mp.Stats.sched_decisions in
   ignore (NoRaB.run_named "mm" ~procs:1);
-  let slow = NoRa.Machine.suspensions () in
+  let slow = (NoRa.stats ()).Mp.Stats.suspensions in
   checkb
     (Printf.sprintf "fast path under budget (%d suspensions)" fast)
     true (fast < 1_000);
@@ -1127,7 +1131,7 @@ let test_suspension_budget () =
     true (2 * fast <= slow);
   checkb "decisions collapsed too" true (decisions < 1_000);
   checkb "coalesced charges recorded" true (G.Machine.coalesced_charges () > 0);
-  checkb "heap ops counted" true (G.Machine.heap_ops () >= 2 * decisions)
+  checkb "heap ops counted" true (st.Mp.Stats.heap_ops >= 2 * decisions)
 
 let qt = Testkit.to_alcotest
 

@@ -594,6 +594,48 @@ let test_ml_condition () =
   in
   check "condition woke the waiter" 1 v
 
+(* A thread's fork handle is the value [self ()] returns inside it: in a
+   second pool (where scheduler ids start over) as in the first, and on
+   both procs (two pinned pools split the children between them; the root
+   waits on a condition, since a yield would put it back at the head of
+   its own pool). *)
+let test_ml_fork_handle_is_self () =
+  let pool () =
+    D.run (fun () ->
+        S.with_pool ~procs:2 ~sched:(Mpthreads.Sched_policy.Micropools 2)
+          (fun () ->
+            let n = 4 in
+            let m = Ml.mutex () and c = Ml.condition () in
+            let seen = Array.make n None and finished = ref 0 in
+            let handles =
+              Array.init n (fun i ->
+                  Ml.fork (fun () ->
+                      let me = (Ml.self (), D.Proc.self ()) in
+                      Ml.with_mutex m (fun () ->
+                          seen.(i) <- Some me;
+                          incr finished);
+                      Ml.signal c))
+            in
+            Ml.acquire m;
+            while !finished < n do
+              Ml.wait (c, m)
+            done;
+            Ml.release m;
+            Array.map2 (fun h s -> (h, Option.get s)) handles seen))
+  in
+  List.iter
+    (fun children ->
+      Array.iter
+        (fun (h, (me, _)) ->
+          checkb
+            (Printf.sprintf "fork handle %d = self %d" (Ml.id h) (Ml.id me))
+            true (Ml.equal h me))
+        children;
+      check_list "children ran on both procs" [ 0; 1 ]
+        (List.sort_uniq compare
+           (Array.to_list (Array.map (fun (_, (_, p)) -> p) children))))
+    [ pool (); pool () ]
+
 (* ---------------- M3 threads ---------------- *)
 
 module M3 = Mpthreads.M3_thread.Make (D) (S)
@@ -850,6 +892,8 @@ let () =
           Alcotest.test_case "try_acquire" `Quick test_ml_mutex_try;
           Alcotest.test_case "mutex excludes" `Quick test_ml_mutex_excludes;
           Alcotest.test_case "condition" `Quick test_ml_condition;
+          Alcotest.test_case "fork handle is the child's self" `Quick
+            test_ml_fork_handle_is_self;
         ] );
       ( "m3",
         [
