@@ -33,7 +33,9 @@ type t = {
           measure the cost of running the simulation, not simulated time. *)
   suspensions : int;
       (** host-side: effect-handler suspensions performed during the run *)
-  heap_ops : int;  (** host-side: ready-heap pushes + pops during the run *)
+  heap_ops : int;
+      (** host-side: ready-heap pushes, pops and in-place re-keys (one per
+          failed idle poll) during the run *)
   per_proc : proc_stats array;
 }
 

@@ -36,7 +36,7 @@ type sample = {
   decisions : int;  (** scheduler decisions (host-side, deterministic) *)
   suspensions : int;  (** effect-handler suspensions (likewise) *)
   coalesced : int;  (** charges absorbed by run-ahead (likewise) *)
-  heap_ops : int;  (** ready-heap operations (likewise) *)
+  heap_ops : int;  (** ready-heap pushes, pops and re-keys (likewise) *)
 }
 
 val default_procs : int list

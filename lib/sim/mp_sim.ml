@@ -4,12 +4,15 @@ open Mp
    the current proc; return control to the simulation loop. *)
 type Engine.action += A_yield
 
-(* A parked idle poller ([Work.idle_until]): the fiber suspended once and
-   the scheduler services its per-quantum readiness checks and idle charges
-   directly, resuming the continuation only when the predicate holds.  The
-   predicate is evaluated at exactly the (clock, id) positions where the
-   always-suspend machine would have dispatched the polling fiber, so every
-   shared-state read happens at its reference position. *)
+(* A parked idle poller ([Work.idle_until]): the fiber suspended once, and
+   the loop services its per-quantum readiness checks and idle charges in
+   place, without taking the proc out of the ready heap: it evaluates the
+   predicate whenever the poller is the heap minimum and no GC is pending,
+   and either pops it and resumes the continuation or re-keys it one
+   quantum later.  The predicate is evaluated at exactly the (clock, id)
+   positions where the always-suspend machine would have dispatched the
+   polling fiber, so every shared-state read happens at its reference
+   position. *)
 type Engine.action += A_poll of (unit -> bool) * unit Engine.cont
 
 module Make
@@ -23,16 +26,15 @@ struct
 
   module Kont = Engine
 
-  type pstate =
-    | Free
-    | Ready of Engine.action
-    | Current
-    | Gc_waiting of Engine.action
+  type pstate = Free | Ready | Current | Gc_waiting
 
   type sproc = {
     id : int;
     mutable clock : int;
     mutable state : pstate;
+    mutable pending : Engine.action;
+        (* what the next dispatch does; meaningful while [Ready] or
+           [Gc_waiting] *)
     mutable datum : D.t;
     mutable busy : int;
     mutable idle : int;
@@ -83,6 +85,7 @@ struct
       id;
       clock = 0;
       state = Free;
+      pending = Engine.Stop;
       datum = D.initial;
       busy = 0;
       idle = 0;
@@ -94,9 +97,9 @@ struct
 
   let procs = Array.init config.procs fresh_proc
 
-  (* Ready procs, keyed (clock, id): the scheduler pops the minimum instead
+  (* Ready procs, keyed (clock, id): the scheduler takes the minimum instead
      of scanning all procs.  Invariant: a proc is in the heap iff its state
-     is [Ready _]. *)
+     is [Ready]. *)
   let ready = Ready_heap.create ~ids:config.procs
   let current = ref 0
   let cur () = procs.(!current)
@@ -169,7 +172,8 @@ struct
 
   let set_ready p a =
     flush_run_ahead p;
-    p.state <- Ready a;
+    p.pending <- a;
+    p.state <- Ready;
     Ready_heap.push ready ~clock:p.clock ~id:p.id;
     check_heap ()
 
@@ -334,12 +338,12 @@ struct
     let gc_start =
       Array.fold_left
         (fun acc p ->
-          match p.state with Gc_waiting _ -> max acc p.clock | _ -> acc)
+          if p.state = Gc_waiting then max acc p.clock else acc)
         0 procs
     in
     let waiters =
       Array.fold_left
-        (fun acc p -> match p.state with Gc_waiting _ -> acc + 1 | _ -> acc)
+        (fun acc p -> if p.state = Gc_waiting then acc + 1 else acc)
         0 procs
     in
     let ep = GcM.episode ~waiters in
@@ -359,12 +363,11 @@ struct
        the released procs is by id, as with the scan. *)
     Array.iter
       (fun p ->
-        match p.state with
-        | Gc_waiting pending ->
-            p.gc_wait <- p.gc_wait + (finish - p.clock);
-            p.clock <- finish;
-            set_ready p pending
-        | Free | Ready _ | Current -> ())
+        if p.state = Gc_waiting then begin
+          p.gc_wait <- p.gc_wait + (finish - p.clock);
+          p.clock <- finish;
+          set_ready p p.pending
+        end)
       procs;
     observe_clock finish;
     if tracing () then
@@ -376,30 +379,35 @@ struct
     incr sched_decisions_ct;
     if tracing () then emit (Obs.Event.Dispatch { proc = p.id; clock = p.clock })
 
-  (* Service a parked poller popped at its wake key.  Each round is one
-     reference-machine dispatch: evaluate the predicate at the current
-     (clock, id) position, and either resume the fiber or charge one idle
-     quantum.  After a charge, keep going exactly when the scheduler would
-     re-pop this proc next anyway (no GC pending, its key still precedes
-     the heap minimum); otherwise re-queue and let the next pop continue —
-     either way no effect-handler suspension is taken. *)
-  let rec poll_dispatch p rdy k =
+  (* Take [p], the heap minimum, out of the ready set into [state]. *)
+  let take p state =
+    ignore (Ready_heap.pop_unchecked ready);
+    check_heap ();
+    p.state <- state
+
+  (* One idle poll of [p], a parked poller at the heap minimum: the
+     reference machine's dispatch of the polling fiber at this (clock, id)
+     position.  If the predicate holds, [p] leaves the heap and its fiber
+     resumes; otherwise [p] is charged one idle quantum and re-keyed in
+     place, so the loop polls it again exactly when the scheduler would
+     pick it next — no pop, no push, no allocation and no effect-handler
+     suspension. *)
+  let poll p rdy k =
     note_dispatch p;
     incr idle_polls_ct;
     let r = rdy () in
     (* The equivalence argument needs a pure predicate: a second evaluation
        at the same position must agree. *)
     if config.debug then assert (rdy () = r);
-    if r then run_proc p (resume k)
+    if r then begin
+      take p Current;
+      run_proc p (resume k)
+    end
     else begin
       advance p (p.clock + config.idle_quantum_cycles) ~idle:true;
       incr coalesced_ct;
-      if !gc_pending || not (Ready_heap.precedes_min ready ~clock:p.clock ~id:p.id)
-      then set_ready p (A_poll (rdy, k))
-      else begin
-        check_heap ();
-        poll_dispatch p rdy k
-      end
+      Ready_heap.rekey_min ready ~clock:p.clock;
+      check_heap ()
     end
 
   (* The scheduler side of a lock episode: resume the fiber once
@@ -418,48 +426,42 @@ struct
         else set_ready p (A_unlock (l, k))
     | (Test_pending _ | Probe_pending _), _ -> set_ready p (A_lock (l, stop, kont))
 
-  let dispatch p = function
-    | A_poll (rdy, k) -> poll_dispatch p rdy k
-    | a -> (
-        note_dispatch p;
-        match a with
-        | A_work (ops, k) -> (
-            match work_run p ops with
-            | None -> run_proc p (resume k)
-            | Some rest -> set_ready p (A_work (rest, k)))
-        | A_lock (l, Test_pending n, kont) ->
-            lock_continue p l (lock_test p l n) kont
-        | A_lock (l, Probe_pending n, kont) ->
-            lock_continue p l (lock_probe p l n) kont
-        | A_unlock (l, k) ->
-            l.held <- false;
-            run_proc p (resume k)
-        | a -> run_proc p a)
+  let dispatch p a =
+    take p Current;
+    note_dispatch p;
+    match a with
+    | A_work (ops, k) -> (
+        match work_run p ops with
+        | None -> run_proc p (resume k)
+        | Some rest -> set_ready p (A_work (rest, k)))
+    | A_lock (l, Test_pending n, kont) ->
+        lock_continue p l (lock_test p l n) kont
+    | A_lock (l, Probe_pending n, kont) ->
+        lock_continue p l (lock_probe p l n) kont
+    | A_unlock (l, k) ->
+        l.held <- false;
+        run_proc p (resume k)
+    | a -> run_proc p a
 
-  let any_gc_waiting () =
-    Array.exists (fun p -> match p.state with Gc_waiting _ -> true | _ -> false) procs
+  let any_gc_waiting () = Array.exists (fun p -> p.state = Gc_waiting) procs
 
   let rec loop () =
     if not (Ready_heap.is_empty ready) then begin
-        let p = procs.(Ready_heap.pop_unchecked ready) in
-        check_heap ();
-        if !gc_pending then begin
-          (* Park ready procs at the barrier in min-clock order, exactly as
-             the scan did, until none remain and the collection can run. *)
-          (match p.state with
-          | Ready a -> p.state <- Gc_waiting a
-          | Free | Current | Gc_waiting _ -> assert false);
-          loop ()
-        end
-        else begin
-          let a = match p.state with Ready a -> a | _ -> assert false in
-          p.state <- Current;
-          current := p.id;
-          dispatch p a;
-          (if tracing () && p.state = Free then
-             emit (Obs.Event.Freed { proc = p.id; clock = p.clock }));
-          loop ()
-        end
+      let p = procs.(Ready_heap.peek_unchecked ready) in
+      assert (p.state = Ready);
+      if !gc_pending then
+        (* Park ready procs at the barrier in min-clock order, exactly as
+           the scan did, until none remain and the collection can run. *)
+        take p Gc_waiting
+      else begin
+        current := p.id;
+        (match p.pending with
+        | A_poll (rdy, k) -> poll p rdy k
+        | a -> dispatch p a);
+        if tracing () && p.state = Free then
+          emit (Obs.Event.Freed { proc = p.id; clock = p.clock })
+      end;
+      loop ()
     end
     else if any_gc_waiting () then begin
       (* Barrier complete: every non-free proc is parked at a clean
@@ -697,8 +699,8 @@ struct
     let set_poll_hook f = poll_hook := f
     let idle () = charge_idle config.idle_quantum_cycles
 
-    (* Fast path: park once and let the scheduler service the per-quantum
-       checks ([poll_dispatch]).  The park charges the first quantum, so
+    (* Fast path: park once and let the loop service the per-quantum
+       checks in place ([poll]).  The park charges the first quantum, so
        the first check happens one quantum after the call — exactly where
        the reference polling loop evaluates it. *)
     let idle_until ~ready =

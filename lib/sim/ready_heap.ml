@@ -37,9 +37,12 @@ let mem t ~id = t.pos.(id) >= 0
    the order the O(P)-scan scheduler picked, so heap and scan dispatch
    identical sequences. *)
 
-let push t ~clock ~id =
+let[@inline] check_clock t fn clock =
   if clock < 0 || clock > max_clock t then
-    invalid_arg "Ready_heap.push: clock past the packing bound";
+    invalid_arg (fn ^ ": clock past the packing bound")
+
+let push t ~clock ~id =
+  check_clock t "Ready_heap.push" clock;
   if t.pos.(id) >= 0 then raise Duplicate_id;
   let k = (clock lsl t.bits) lor id in
   t.size <- t.size + 1;
@@ -72,6 +75,29 @@ let min_key t =
 let precedes_min t ~clock ~id =
   t.size = 0 || (clock lsl t.bits) lor id < t.keys.(0)
 
+(* Place key [k] at the root hole of a heap of [n] slots: shift smaller
+   children up, place k once. *)
+let sift_down t k n =
+  let i = ref 0 in
+  let placed = ref false in
+  while not !placed do
+    let l = (2 * !i) + 1 in
+    if l >= n then placed := true
+    else begin
+      let r = l + 1 in
+      let c = if r < n && t.keys.(r) < t.keys.(l) then r else l in
+      let ck = t.keys.(c) in
+      if ck < k then begin
+        t.keys.(!i) <- ck;
+        t.pos.(ck land t.mask) <- !i;
+        i := c
+      end
+      else placed := true
+    end
+  done;
+  t.keys.(!i) <- k;
+  t.pos.(k land t.mask) <- !i
+
 (* Remove the minimum and return its id.  Undefined on an empty heap —
    callers check [is_empty]; [pop] wraps this in an option. *)
 let pop_unchecked t =
@@ -80,30 +106,18 @@ let pop_unchecked t =
   let last = t.size - 1 in
   t.size <- last;
   t.ops <- t.ops + 1;
-  if last > 0 then begin
-    let k = t.keys.(last) in
-    (* Sift the root hole down: shift smaller children up, place k once. *)
-    let i = ref 0 in
-    let placed = ref false in
-    while not !placed do
-      let l = (2 * !i) + 1 in
-      if l >= last then placed := true
-      else begin
-        let r = l + 1 in
-        let c = if r < last && t.keys.(r) < t.keys.(l) then r else l in
-        let ck = t.keys.(c) in
-        if ck < k then begin
-          t.keys.(!i) <- ck;
-          t.pos.(ck land t.mask) <- !i;
-          i := c
-        end
-        else placed := true
-      end
-    done;
-    t.keys.(!i) <- k;
-    t.pos.(k land t.mask) <- !i
-  end;
+  if last > 0 then sift_down t t.keys.(last) last;
   id
+
+let peek_unchecked t = t.keys.(0) land t.mask
+
+(* The minimum keeps its id and takes a new clock; one sift-down restores
+   the order, whether the clock moved later or earlier. *)
+let rekey_min t ~clock =
+  check_clock t "Ready_heap.rekey_min" clock;
+  if t.size = 0 then invalid_arg "Ready_heap.rekey_min: empty heap";
+  t.ops <- t.ops + 1;
+  sift_down t ((clock lsl t.bits) lor (t.keys.(0) land t.mask)) t.size
 
 let pop t = if t.size = 0 then None else Some (pop_unchecked t)
 

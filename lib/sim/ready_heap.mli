@@ -10,9 +10,9 @@
 
     A key is one int, [clock lsl bits lor id] with [bits = ⌈log2 ids⌉], and
     the heap stores nothing else: callers map ids to their own records, and
-    no push or {!pop_unchecked} allocates or stores a pointer.  The packing
-    bounds clocks at {!max_clock}: 2^52 cycles at 1024 ids, about nine
-    years of simulated time at 16 MHz. *)
+    no push, {!pop_unchecked} or {!rekey_min} allocates or stores a
+    pointer.  The packing bounds clocks at {!max_clock}: 2^52 cycles at
+    1024 ids, about nine years of simulated time at 16 MHz. *)
 
 type t
 
@@ -35,8 +35,17 @@ val pop : t -> int option
 
 val pop_unchecked : t -> int
 (** {!pop} without the option wrapper (and without its allocation).
-    Undefined on an empty heap — guard with {!is_empty}.  This is the
-    scheduler's per-dispatch call. *)
+    Undefined on an empty heap — guard with {!is_empty}. *)
+
+val peek_unchecked : t -> int
+(** The id with the minimum key, left in place: the scheduler's
+    per-decision call.  Undefined on an empty heap, like {!pop_unchecked}. *)
+
+val rekey_min : t -> clock:int -> unit
+(** Move the minimum's id to a new clock in place, by one sift-down: how
+    the scheduler services a failed idle poll.  Raises [Invalid_argument]
+    on an empty heap, or, as {!push}, for a clock outside
+    [0 .. max_clock t]. *)
 
 val min_key : t -> (int * int) option
 (** The minimum key, without removing it. *)
@@ -52,8 +61,8 @@ val length : t -> int
 val is_empty : t -> bool
 
 val ops : t -> int
-(** Pushes + pops since creation or the last {!clear} (host-side cost
-    counter). *)
+(** Pushes, pops and re-keys since creation or the last {!clear}
+    (host-side cost counter). *)
 
 val clear : t -> unit
 

@@ -686,14 +686,16 @@ module Conf_check = Conformance (Check2)
 
 (* ---------------- host words per operation ---------------- *)
 
-(* Minor-heap words one operation of each layer allocates on a real
-   backend: [Gc.minor_words] over 1000 operations, the operations of the
+(* Minor-heap words one operation of each layer allocates on a backend:
+   [Gc.minor_words] over 1000 operations, the operations of the
    benchmark's per-layer probes.  Unlike host nanoseconds these are exact,
-   and the same on the uniprocessor and on one-proc domains, so each is
-   held to a ceiling: a layer that starts allocating more fails here.
-   The yield row has a partner thread queued, as the probe does, but the
-   default policy hands the proc straight back to the yielder, so it is
-   the cost of one yield, not of a round trip through the partner. *)
+   so each is held to a per-backend ceiling: a layer that starts
+   allocating more fails here.  The uniprocessor and one-proc domains
+   measure the same words; the one-proc simulator adds the host cost of
+   its own scheduling to some rows.  The yield row has
+   a partner thread queued, as the probe does, but the default policy
+   hands the proc straight back to the yielder, so it is the cost of one
+   yield, not of a round trip through the partner. *)
 module Words (P : Mp_intf.PLATFORM_INT) = struct
   module Sched = Mpthreads.Sched_thread.Make (P)
   module Sy = Mpsync.Sync.Make (P) (Sched)
@@ -729,25 +731,21 @@ module Words (P : Mp_intf.PLATFORM_INT) = struct
         stop := true;
         r)
 
-  (* (operation, ceiling, measured words per op) *)
+  (* (operation, measured words per op) *)
   let measured () =
     let l = P.Lock.mutex_lock () in
     let ch = Chan.channel () in
     [
       ( "suspend/resume",
-        20.,
         P.run (fun () ->
             per_op (fun () -> Engine.suspend (fun c -> Engine.Resume (c, ())))) );
       ( "callcc + throw",
-        66.,
         P.run (fun () ->
             per_op (fun () -> ignore (P.Kont.callcc (fun k -> P.Kont.throw k 1))))
       );
       ( "fork_join of one child",
-        154.,
         in_pool (fun () -> per_op (fun () -> Sched.fork_join [ ignore ])) );
       ( "yield",
-        88.,
         with_partner
           (fun stop ->
             while not !stop do
@@ -755,20 +753,17 @@ module Words (P : Mp_intf.PLATFORM_INT) = struct
             done)
           (fun () -> per_op Sched.yield) );
       ( "lock/unlock",
-        0.,
         P.run (fun () ->
             per_op (fun () ->
                 P.Lock.lock l;
                 P.Lock.unlock l)) );
       ( "semaphore release + acquire",
-        82.,
         in_pool (fun () ->
             let s = Sy.Semaphore.create 0 in
             per_op (fun () ->
                 Sy.Semaphore.release s;
                 Sy.Semaphore.acquire s)) );
       ( "CML send/recv",
-        344.5,
         with_partner
           (fun stop ->
             while not !stop do
@@ -781,9 +776,11 @@ module Words (P : Mp_intf.PLATFORM_INT) = struct
             w) );
     ]
 
-  let test () =
+  (* [ceilings]: (operation, words per op) for this backend *)
+  let test ceilings () =
     List.iter
-      (fun (op, ceiling, w) ->
+      (fun (op, w) ->
+        let ceiling = List.assoc op ceilings in
         if w > ceiling then
           Alcotest.failf "%s on %s: %.3f words per op, ceiling %.1f" op P.name w
             ceiling)
@@ -795,6 +792,32 @@ module Words_uni = Words (Mp_uniproc.Int ())
 module Words_dom = Words (Mp_domains.Int (struct
   let max_procs = 1
 end) ())
+
+module Words_sim = Words (Sim.Mp_sim.Int (struct
+  let config = Sim.Sim_config.sequent ~procs:1 ()
+end) ())
+
+let real_ceilings =
+  [
+    ("suspend/resume", 20.);
+    ("callcc + throw", 66.);
+    ("fork_join of one child", 154.);
+    ("yield", 88.);
+    ("lock/unlock", 0.);
+    ("semaphore release + acquire", 82.);
+    ("CML send/recv", 344.5);
+  ]
+
+let sim_ceilings =
+  [
+    ("suspend/resume", 20.);
+    ("callcc + throw", 66.);
+    ("fork_join of one child", 247.);
+    ("yield", 118.);
+    ("lock/unlock", 0.);
+    ("semaphore release + acquire", 82.);
+    ("CML send/recv", 377.5);
+  ]
 
 let () =
   Alcotest.run "mp"
@@ -855,7 +878,10 @@ let () =
       ("conformance:check", Conf_check.suite);
       ( "words per op",
         [
-          Alcotest.test_case "uniproc" `Quick Words_uni.test;
-          Alcotest.test_case "one-proc domains" `Quick Words_dom.test;
+          Alcotest.test_case "uniproc" `Quick (Words_uni.test real_ceilings);
+          Alcotest.test_case "one-proc domains" `Quick
+            (Words_dom.test real_ceilings);
+          Alcotest.test_case "one-proc simulated Sequent" `Quick
+            (Words_sim.test sim_ceilings);
         ] );
     ]

@@ -335,14 +335,24 @@ let test_ready_heap_clock_bound () =
     [ bound + 1; max_int; -1 ];
   checkb "rejected pushes leave it valid" true (Sim.Ready_heap.valid h);
   checkb "rejected id absent" false (Sim.Ready_heap.mem h ~id:7);
+  List.iter
+    (fun clock ->
+      checkb
+        (Printf.sprintf "re-key to %d rejected" clock)
+        true
+        (match Sim.Ready_heap.rekey_min h ~clock with
+        | () -> false
+        | exception Invalid_argument _ -> true))
+    [ bound + 1; max_int ];
   checkb "bound key orders last" true
     (Sim.Ready_heap.min_key h = Some (bound - 1, 15));
   Alcotest.(check (list int))
     "pop order at the bound" [ 15; 0 ]
     (List.init 2 (fun _ -> Option.get (Sim.Ready_heap.pop h)))
 
-(* The scheduler's per-dispatch pattern (pop the minimum, re-key it) on
-   a Sequent-sized heap: no minor word per push or pop. *)
+(* The scheduler's per-dispatch patterns on a Sequent-sized heap — pop
+   the minimum and push it back, or re-key it in place as a failed idle
+   poll does: no minor word per push, pop or re-key. *)
 let test_ready_heap_no_alloc () =
   let h = Sim.Ready_heap.create ~ids:16 in
   for id = 0 to 15 do
@@ -358,11 +368,16 @@ let test_ready_heap_no_alloc () =
     words (fun () ->
         for i = 1 to 10_000 do
           let id = Sim.Ready_heap.pop_unchecked h in
-          Sim.Ready_heap.push h ~clock:(i + (id * 37 mod 101)) ~id
+          Sim.Ready_heap.push h ~clock:(i + (id * 37 mod 101)) ~id;
+          (* the minimum is at most the key just pushed (<= i + 100), so
+             this moves it later *)
+          let m = Sim.Ready_heap.peek_unchecked h in
+          Sim.Ready_heap.rekey_min h ~clock:(i + 101 + (m * 13 mod 17))
         done)
   in
-  check "10k pushes and pops" 0 (int_of_float (used -. probe));
-  check "ops" 20_016 (Sim.Ready_heap.ops h)
+  check "10k pushes, pops and re-keys" 0 (int_of_float (used -. probe));
+  check "ops" 30_016 (Sim.Ready_heap.ops h);
+  checkb "valid" true (Sim.Ready_heap.valid h)
 
 let prop_ready_heap_sorts =
   QCheck.Test.make ~name:"ready heap pops in (clock, id) lexicographic order"
@@ -382,8 +397,14 @@ let prop_ready_heap_sorts =
 
 (* Random operation sequences against a sorted (clock, id) list, over id
    universes at and around the powers of two, with clocks from tied small
-   values up to (and one past) the packing bound. *)
-type heap_op = Push of int * int | Pop | Precedes of int * int | Min_key
+   values up to (and one past) the packing bound.  [Rekey c] moves the
+   minimum to the later of [c] and its own clock. *)
+type heap_op =
+  | Push of int * int
+  | Pop
+  | Rekey of int
+  | Precedes of int * int
+  | Min_key
 
 let heap_ops_arb =
   let open QCheck.Gen in
@@ -404,6 +425,8 @@ let heap_ops_arb =
           (4, map2 (fun c i -> Push (c, i)) clock id);
           (1, map (fun i -> Push (bound + 1, i)) id);
           (3, return Pop);
+          (3, map (fun c -> Rekey c) clock);
+          (1, return (Rekey (bound + 1)));
           (2, map2 (fun c i -> Precedes (c, i)) clock id);
           (1, return Min_key);
         ]
@@ -413,6 +436,7 @@ let heap_ops_arb =
   let show = function
     | Push (c, i) -> Printf.sprintf "push %d %d" c i
     | Pop -> "pop"
+    | Rekey c -> Printf.sprintf "rekey %d" c
     | Precedes (c, i) -> Printf.sprintf "precedes %d %d" c i
     | Min_key -> "min_key"
   in
@@ -445,6 +469,21 @@ let prop_ready_heap_model =
                 let want = Option.map snd (min_of ()) in
                 if want <> None then model := List.tl !model;
                 Sim.Ready_heap.pop h = want
+            | Rekey c -> (
+                match !model with
+                | [] -> (
+                    match Sim.Ready_heap.rekey_min h ~clock:c with
+                    | () -> false
+                    | exception Invalid_argument _ -> true)
+                | (m, id) :: rest -> (
+                    let clock = max c m in
+                    Sim.Ready_heap.peek_unchecked h = id
+                    &&
+                    match Sim.Ready_heap.rekey_min h ~clock with
+                    | () ->
+                        model := List.merge compare [ (clock, id) ] rest;
+                        clock <= bound
+                    | exception Invalid_argument _ -> clock > bound))
             | Precedes (clock, id) ->
                 Sim.Ready_heap.precedes_min h ~clock ~id
                 = (match min_of () with None -> true | Some m -> (clock, id) < m)
@@ -1110,6 +1149,30 @@ let test_numa_1024_host_budget () =
     (Printf.sprintf "ws mm@1024 host seconds %.1f under 60" host)
     true (host < 60.)
 
+(* ---------------- idle polls ---------------- *)
+
+module GS = Mpthreads.Sched_thread.Make (G)
+
+(* A failed idle poll re-keys the poller in the ready heap and charges it
+   one quantum: no allocation.  Fifteen pool procs poll while the root
+   charges 100 x 100k cycles; the words left over are the pool's setup and
+   the root's own charges, well under one word per poll. *)
+let test_idle_poll_no_alloc () =
+  let before = Gc.minor_words () in
+  ignore
+    (G.run (fun () ->
+         GS.with_pool ~procs:16 (fun () ->
+             for _ = 1 to 100 do
+               G.Work.charge 100_000
+             done)));
+  let words = Gc.minor_words () -. before in
+  let polls = Obs.Counters.get (G.Telemetry.counter "sim.idle_polls") in
+  check "idle polls" 75_525 polls;
+  let per_poll = words /. float_of_int polls in
+  checkb
+    (Printf.sprintf "%.3f minor words per idle poll, under 0.5" per_poll)
+    true (per_poll < 0.5)
+
 (* ---------------- sim-core host cost budget ---------------- *)
 
 (* Smoke check that the run-ahead fast path stays effective: on a fixed
@@ -1235,6 +1298,8 @@ let () =
           Alcotest.test_case "acquire charges" `Quick test_proc_acquire_charges;
           Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
           Alcotest.test_case "idle accounting" `Quick test_idle_accounting;
+          Alcotest.test_case "an idle poll allocates nothing" `Quick
+            test_idle_poll_no_alloc;
         ] );
       ( "trace",
         [
