@@ -470,6 +470,11 @@ struct
                Check_intf.Global)
           (W_pred ready)
 
+    (* A blocked waiter re-evaluates its predicate at every step, so the
+       simulator's wake hints are no-ops here, not serialization points:
+       they add no schedules to the exploration. *)
+    let wake_idle () = ()
+    let idle_deadline _ = ()
     let now () = float_of_int !nsteps *. 0.001
 
     (* Accounting only — not a scheduling point, so it adds no schedules

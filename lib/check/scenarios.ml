@@ -412,7 +412,7 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
   let multi_queue_scenario () =
     C.run (fun () ->
         let module MQ = Queues.Multi_queue.Make (T_tas) in
-        let q = MQ.create ~procs:2 in
+        let q = MQ.create ~procs:2 () in
         let owned = ref [] in
         let got =
           par

@@ -279,7 +279,34 @@ module type WORK = sig
       then go () in go ()].  [ready] must be free of side effects and of
       charges: the simulator may evaluate it from scheduler context,
       outside the calling fiber, servicing the per-quantum checks without
-      a suspension per quantum (quiescence-epoch coalescing). *)
+      a suspension per quantum (quiescence-epoch coalescing).
+
+      The wake contract: once [ready] has returned [false], it turns true
+      only through a write followed by {!wake_idle} (in the same
+      charge-free step, with no charge between them), through the acquire
+      or release of a proc, or at the deadline last declared with
+      {!idle_deadline}.  The simulator relies on it: after a failed poll
+      the poller sleeps, and only those events make it poll again.  A
+      write that turns a predicate true without the hint leaves the
+      poller asleep (a [debug] machine asserts that no skipped poll would
+      have succeeded). *)
+
+  val wake_idle : unit -> unit
+  (** Charge-free hint, issued right after a write that can turn some
+      {!idle_until} predicate true (a run-queue fill, a timer set, a pool's
+      finish).  On the simulator it re-keys every sleeping poller at its
+      first quantum boundary after the caller's current position; a no-op
+      on every other backend.  Never charges and never suspends, so it may
+      run inside a [Lock.locked] section. *)
+
+  val idle_deadline : float -> unit
+  (** Declare the earliest time, in {!now}'s units, at which an
+      {!idle_until} predicate can turn true without a hinted write
+      ([infinity]: none) — a thread package's earliest pending timer.
+      Each declaration replaces the last; declare again whenever that time
+      changes.  Charge-free; a no-op except on the simulator, whose
+      sleeping pollers then wait in its ready set at the first quantum
+      boundary at or past it. *)
 
   val now : unit -> float
   (** Seconds: virtual time on the simulator, wall clock otherwise. *)
@@ -313,6 +340,8 @@ module Free_work () = struct
   let write_line _ ~bytes:_ = ()
   let poll () = !hook ()
   let set_poll_hook f = hook := f
+  let wake_idle () = ()
+  let idle_deadline _ = ()
   let now () = Unix.gettimeofday ()
 end
 

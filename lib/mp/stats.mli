@@ -28,14 +28,19 @@ type t = {
   bus_busy : float;  (** seconds the shared memory bus was occupied *)
   bus_bytes : int;  (** total bytes transferred over the bus *)
   sched_decisions : int;
-      (** {e host-side}: scheduler dispatches performed during the run (0 on
-          real backends).  Unlike every field above, this and the two below
-          measure the cost of running the simulation, not simulated time. *)
+      (** {e host-side}: scheduler decisions the simulator's loop actually
+          made during the run — dispatches and idle polls it ran, not the
+          polls a sleeping poller skipped (0 on real backends).  Unlike
+          every field above, this and the two below measure the cost of
+          running the simulation, not simulated time. *)
   suspensions : int;
-      (** host-side: effect-handler suspensions performed during the run *)
+      (** host-side: effect-handler suspensions performed during the run;
+          busy procs run ahead past sleeping pollers without one *)
   heap_ops : int;
-      (** host-side: ready-heap pushes, pops and in-place re-keys (one per
-          failed idle poll) during the run *)
+      (** host-side: ready-heap pushes, pops, re-keys (one per failed idle
+          poll that keeps its poller in the heap) and decreases (a wake
+          that brings a sleeper forward from its timer deadline) during
+          the run *)
   per_proc : proc_stats array;
 }
 

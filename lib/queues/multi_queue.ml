@@ -12,9 +12,10 @@ module Make (L : Mp.Mp_intf.LOCK) = struct
            emptiness hint be O(1) instead of an O(procs) deque scan.  Kept
            atomic so concurrent sections under different slot locks
            (domains backend) cannot lose updates. *)
+    wake : unit -> unit;
   }
 
-  let create ~procs =
+  let create ?(wake = ignore) ~procs () =
     if procs <= 0 then invalid_arg "Multi_queue.create";
     {
       slots =
@@ -24,6 +25,7 @@ module Make (L : Mp.Mp_intf.LOCK) = struct
       steal_count = 0;
       steal_attempts = 0;
       items = Atomic.make 0;
+      wake;
     }
 
   let procs t = Array.length t.slots
@@ -32,25 +34,27 @@ module Make (L : Mp.Mp_intf.LOCK) = struct
      platform may fuse acquire/section/release into one episode. *)
   let protected slot f = L.locked slot.lock f
 
+  (* A push's hint runs inside the section, at the write: the unlock after
+     it is a charge, and a poller woken only after that charge could skip
+     a poll that would have seen the item. *)
   let push t ~proc x =
     let slot = t.slots.(proc) in
     protected slot (fun () ->
         Deque.push_front slot.deque x;
-        Atomic.incr t.items)
+        Atomic.incr t.items;
+        t.wake ())
 
   let push_back t ~proc x =
     let slot = t.slots.(proc) in
     protected slot (fun () ->
         Deque.push_back slot.deque x;
-        Atomic.incr t.items)
+        Atomic.incr t.items;
+        t.wake ())
 
   let push_global t x =
     let proc = t.rotor mod procs t in
     t.rotor <- t.rotor + 1;
-    let slot = t.slots.(proc) in
-    protected slot (fun () ->
-        Deque.push_back slot.deque x;
-        Atomic.incr t.items)
+    push_back t ~proc x
 
   (* Peek the (racy) length before taking the lock: an empty-looking deque
      is skipped without paying for a lock round-trip.  A stale non-zero

@@ -9,7 +9,11 @@
 module Make (L : Mp.Mp_intf.LOCK) : sig
   type 'a t
 
-  val create : procs:int -> 'a t
+  val create : ?wake:(unit -> unit) -> procs:int -> unit -> 'a t
+  (** [wake] (default [ignore]) runs inside the slot lock's section after
+      every push, right after the item lands: the platform's charge-free
+      [Work.wake_idle] hint for procs idling on {!looks_nonempty} or
+      {!looks_nonempty_local}. *)
 
   val procs : 'a t -> int
 

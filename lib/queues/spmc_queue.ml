@@ -56,13 +56,15 @@ module Make (A : Mp.Mp_intf.PRIMS) = struct
     window : window A.cell;
     buf : buffer A.cell;
     occupied : int Atomic.t;
+    wake : unit -> unit;
   }
 
-  let create ?(occupied = Atomic.make 0) () =
+  let create ?(occupied = Atomic.make 0) ?(wake = ignore) () =
     {
       window = A.make { head = 0; tail = 0 };
       buf = A.make (buffer_make 4);
       occupied;
+      wake;
     }
 
   let size t =
@@ -91,12 +93,17 @@ module Make (A : Mp.Mp_intf.PRIMS) = struct
 
   (* Replace the snapshot [w] by [w'].  Only a CAS that fills the empty
      queue or takes its last element touches the shared [occupied]
-     count. *)
+     count, and only a fill — the owner's push or push_oldest, or a thief
+     re-owning a stolen batch — issues the [wake] hint, in the same
+     charge-free step as the CAS that published the item. *)
   let claim t w w' =
     let ok = A.compare_and_set t.window w w' in
     if ok then begin
       let was = w.tail - w.head and now = w'.tail - w'.head in
-      if was = 0 && now > 0 then Atomic.incr t.occupied
+      if was = 0 && now > 0 then begin
+        Atomic.incr t.occupied;
+        t.wake ()
+      end
       else if was > 0 && now = 0 then Atomic.decr t.occupied
     end;
     ok

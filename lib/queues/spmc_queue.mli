@@ -25,12 +25,15 @@
 module Make (A : Mp.Mp_intf.PRIMS) : sig
   type 'a t
 
-  val create : ?occupied:int Atomic.t -> unit -> 'a t
+  val create :
+    ?occupied:int Atomic.t -> ?wake:(unit -> unit) -> unit -> 'a t
   (** [occupied], shared by a group of queues, counts the group's
       non-empty queues: the CAS that fills this queue increments it and
       the CAS that takes its last element decrements it.  It is a plain
       host-side atomic, never charged and never a serialization point.
-      Defaults to a counter private to this queue. *)
+      Defaults to a counter private to this queue.  [wake] (default
+      [ignore]) runs right after each fill, with no charge between: the
+      platform's [Work.wake_idle] hint for procs idling on [occupied]. *)
 
   val push : 'a t -> 'a -> unit
   (** Owner only: add at the newest end. *)
@@ -64,8 +67,9 @@ end
 
 type 'a t
 
-val create : ?occupied:int Atomic.t -> unit -> 'a t
-(** [occupied] counts the non-empty queues of a group (see {!Make}). *)
+val create : ?occupied:int Atomic.t -> ?wake:(unit -> unit) -> unit -> 'a t
+(** [occupied] counts the non-empty queues of a group, and [wake] runs
+    after each fill (see {!Make}). *)
 
 val push : 'a t -> 'a -> unit
 (** Owner only: add at the newest end. *)

@@ -4,15 +4,18 @@ open Mp
    the current proc; return control to the simulation loop. *)
 type Engine.action += A_yield
 
-(* A parked idle poller ([Work.idle_until]): the fiber suspended once, and
-   the loop services its per-quantum readiness checks and idle charges in
-   place, without taking the proc out of the ready heap: it evaluates the
-   predicate whenever the poller is the heap minimum and no GC is pending,
-   and either pops it and resumes the continuation or re-keys it one
-   quantum later.  The predicate is evaluated at exactly the (clock, id)
-   positions where the always-suspend machine would have dispatched the
-   polling fiber, so every shared-state read happens at its reference
-   position. *)
+(* A parked idle poller ([Work.idle_until]): the fiber suspended once,
+   and the loop services its per-quantum readiness checks and idle charges
+   without resuming it.  The park's first poll always runs.  After a failed
+   poll the poller sleeps: it leaves the ready heap, or waits in it at its
+   first poll at or past the declared timer deadline, and a wake hint
+   ([Work.wake_idle], a proc's acquire or release, a GC trigger) re-keys
+   it at its first poll after the writer's position.  When it reaches the
+   heap minimum it books the polls it skipped as failed idle quanta, then
+   polls for real.  Every real poll reads shared state at exactly the
+   (clock, id) position where the always-suspend machine would have
+   dispatched the polling fiber, and by the wake contract every skipped
+   poll would have failed. *)
 type Engine.action += A_poll of (unit -> bool) * unit Engine.cont
 
 module Make
@@ -44,6 +47,12 @@ struct
     mutable ran_ahead : int;
         (* cycles accumulated inline (run-ahead fast path) since the last
            real suspension; flushed to the trace when the proc suspends *)
+    mutable wake_at : int;
+        (* a parked poller polls for real at its first poll with
+           [clock >= wake_at]; the polls before it are skipped.  At most
+           [clock] unless the proc sleeps; [max_int] while it sleeps with
+           neither a hint nor a deadline *)
+    mutable slot : int;  (* index in [sleepers], or -1 *)
   }
 
   (* Lock representation, lifted out of [module Lock] so the scheduler's
@@ -93,16 +102,32 @@ struct
       spins = 0;
       alloc_words = 0;
       ran_ahead = 0;
+      wake_at = 0;
+      slot = -1;
     }
 
   let procs = Array.init config.procs fresh_proc
 
   (* Ready procs, keyed (clock, id): the scheduler takes the minimum instead
      of scanning all procs.  Invariant: a proc is in the heap iff its state
-     is [Ready]. *)
+     is [Ready], except a sleeper with no wake key ([wake_at = max_int]),
+     which is [Ready] but out of it.  A sleeper in the heap is keyed at
+     [wake_at] (at [clock] on a [debug] machine, which keeps every poll). *)
   let ready = Ready_heap.create ~ids:config.procs
   let current = ref 0
   let cur () = procs.(!current)
+
+  (* Sleeping pollers, in no order: the ids in [0 .. n_sleepers - 1],
+     each proc's index in its [slot].  A proc joins after a failed real
+     poll and leaves at its next real poll or at a wake hint, so a hint
+     costs O(sleepers), not O(procs). *)
+  let sleepers = Array.make config.procs 0
+  let n_sleepers = ref 0
+
+  (* The deadline last declared through [Work.idle_deadline], in
+     [Work.now]'s seconds. *)
+  let deadline = ref infinity
+  let quantum = config.idle_quantum_cycles
   let ic = Interconnect.create config
 
   (* GC cost model: all region accounting (admission, trigger, episode
@@ -180,6 +205,85 @@ struct
   let resume c = Engine.Resume (c, ())
 
   (* ------------------------------------------------------------------ *)
+  (* Sleeping pollers.                                                   *)
+  (* ------------------------------------------------------------------ *)
+
+  (* [s]'s first poll, among [s.clock + k * quantum] (k >= 0), whose key
+     follows [(clock, id)]: the first a write at that position can reach
+     in the reference machine, which dispatches in (clock, id) order. *)
+  let first_poll_after s ~clock ~id =
+    let limit = if s.id > id then clock else clock + 1 in
+    if s.clock >= limit then s.clock
+    else s.clock + ((limit - s.clock + quantum - 1) / quantum * quantum)
+
+  (* [Work.now ()] at clock [c] is at or past [d]: the predicate's
+     [d <= now ()], in [Sim_config.cycles_to_seconds]' own arithmetic.
+     Returns a bool so that no float is boxed. *)
+  let reached c d = float_of_int c /. (config.mhz *. 1.0e6) >= d
+
+  (* [s]'s first poll at or past the declared deadline, so its
+     predicate's timer test first holds there; [max_int] when there is
+     none, or it lies past the heap's packing bound.  The search starts at
+     the last poll before the truncated target: no earlier poll reaches
+     the deadline, so the first that does is the one it finds.  Allocates
+     nothing, like every sleep and wake path. *)
+  let deadline_poll s =
+    let d = !deadline in
+    let target = d *. config.mhz *. 1.0e6 in
+    if reached s.clock d then s.clock
+    else if not (target < float_of_int (Ready_heap.max_clock ready - quantum))
+    then max_int
+    else begin
+      let k = max 0 (int_of_float target - s.clock - 1) / quantum in
+      let c = ref (s.clock + (k * quantum)) in
+      while not (reached !c d) do
+        c := !c + quantum
+      done;
+      !c
+    end
+
+  (* [p], the heap minimum, just failed a real poll and was charged its
+     quantum: it sleeps until its deadline poll or a wake hint. *)
+  let sleep p =
+    p.wake_at <- deadline_poll p;
+    p.slot <- !n_sleepers;
+    sleepers.(!n_sleepers) <- p.id;
+    incr n_sleepers;
+    if config.debug then Ready_heap.rekey_min ready ~clock:p.clock
+    else if p.wake_at < max_int then Ready_heap.rekey_min ready ~clock:p.wake_at
+    else ignore (Ready_heap.pop_unchecked ready)
+
+  let unsleep p =
+    let last = !n_sleepers - 1 in
+    let moved = sleepers.(last) in
+    sleepers.(p.slot) <- moved;
+    procs.(moved).slot <- p.slot;
+    n_sleepers := last;
+    p.slot <- -1
+
+  (* The wake hint of a write at [(clock, id)]: every sleeper polls for
+     real at its first poll after it, or earlier if it was due anyway.
+     Charge-free; the writer is the current proc, whose key precedes the
+     whole heap, so every new key does too. *)
+  let wake_sleepers ~clock ~id =
+    for i = 0 to !n_sleepers - 1 do
+      let s = procs.(sleepers.(i)) in
+      let k = first_poll_after s ~clock ~id in
+      if k < s.wake_at then begin
+        if not config.debug then
+          if s.wake_at = max_int then Ready_heap.push ready ~clock:k ~id:s.id
+          else Ready_heap.decrease ready ~clock:k ~id:s.id;
+        s.wake_at <- k
+      end;
+      s.slot <- -1
+    done;
+    n_sleepers := 0;
+    check_heap ()
+
+  (* A write at [p]'s position, such as a proc freed there. *)
+  let wake_from p = wake_sleepers ~clock:p.clock ~id:p.id
+
+  (* ------------------------------------------------------------------ *)
   (* The cost function.                                                  *)
   (* ------------------------------------------------------------------ *)
 
@@ -239,6 +343,7 @@ struct
      procs keep running, which is the whole point of per-proc minor
      heaps. *)
   let alloc_slice p words =
+    let clock = p.clock in
     let inline =
       apply
         ~admit:(GcM.admit ~proc:p.id ~words)
@@ -247,7 +352,12 @@ struct
         ~bytes:(words * config.word_bytes) ~route:0 ~idle:false
     in
     p.alloc_words <- p.alloc_words + words;
+    let was_pending = !gc_pending in
     let pause, collected = GcM.alloc ~proc:p.id ~words in
+    (* A trigger parks every poller at the barrier, where the reference
+       machine's heap holds it: at its first poll after this slice's
+       dispatch, the position before the slice's charge. *)
+    if !gc_pending && not was_pending then wake_sleepers ~clock ~id:p.id;
     if pause > 0 then begin
       if tracing () then
         emit
@@ -330,7 +440,9 @@ struct
   (* Run one proc from its pending action until it yields back. *)
   let run_proc p action =
     match Engine.trampoline ~on_exn action with
-    | Engine.Stop -> p.state <- Free
+    | Engine.Stop ->
+        p.state <- Free;
+        wake_from p
     | A_yield -> ()
     | _ -> raise Engine.Unhandled_action
 
@@ -385,29 +497,87 @@ struct
     check_heap ();
     p.state <- state
 
+  (* One failed idle quantum of a poller: the reference machine's
+     re-queue after a poll that saw nothing. *)
+  let idle_quantum p =
+    advance p (p.clock + quantum) ~idle:true;
+    incr coalesced_ct
+
+  (* A sleeper reached the heap minimum at its wake key: book the polls
+     it skipped, each a failed idle quantum, without running them. *)
+  let catch_up p =
+    let skipped = (p.wake_at - p.clock) / quantum in
+    idle_polls_ct := !idle_polls_ct + skipped;
+    coalesced_ct := !coalesced_ct + skipped;
+    advance p p.wake_at ~idle:true
+
+  (* Every proc that is not free sleeps with nothing left to wake it: no
+     hint can come, since no proc runs.  Their fibers are ended, and the
+     run raises [Deadlock] naming them. *)
+  let deadlock () =
+    let stuck = List.filter (fun p -> p.state <> Free) (Array.to_list procs) in
+    List.iter
+      (fun p ->
+        (match p.pending with A_poll (_, k) -> Engine.discard k | _ -> ());
+        p.pending <- Engine.Stop;
+        p.state <- Free;
+        p.slot <- -1)
+      stuck;
+    n_sleepers := 0;
+    while not (Ready_heap.is_empty ready) do
+      ignore (Ready_heap.pop_unchecked ready)
+    done;
+    if !escaped = None then
+      escaped :=
+        Some
+          (Mp_intf.Deadlock
+             (Printf.sprintf
+                "%s: procs %s sleep in Work.idle_until with no hinted write \
+                 or deadline left to wake them"
+                name
+                (String.concat ", "
+                   (List.map (fun p -> string_of_int p.id) stuck))))
+
   (* One idle poll of [p], a parked poller at the heap minimum: the
      reference machine's dispatch of the polling fiber at this (clock, id)
      position.  If the predicate holds, [p] leaves the heap and its fiber
-     resumes; otherwise [p] is charged one idle quantum and re-keyed in
-     place, so the loop polls it again exactly when the scheduler would
-     pick it next — no pop, no push, no allocation and no effect-handler
-     suspension. *)
+     resumes; otherwise [p] is charged one idle quantum and sleeps — no
+     push, no allocation and no effect-handler suspension.  A [debug]
+     machine keeps polling a sleeper every quantum, and each poll the
+     sleep rule skips must fail. *)
   let poll p rdy k =
     note_dispatch p;
     incr idle_polls_ct;
     let r = rdy () in
-    (* The equivalence argument needs a pure predicate: a second evaluation
-       at the same position must agree. *)
-    if config.debug then assert (rdy () = r);
-    if r then begin
-      take p Current;
-      run_proc p (resume k)
+    if p.clock < p.wake_at then begin
+      if r then
+        failwith
+          (Printf.sprintf
+             "%s: proc %d's idle predicate turned true at clock %d with no \
+              wake hint (Work.wake_idle) or declared deadline"
+             name p.id p.clock);
+      idle_quantum p;
+      Ready_heap.rekey_min ready ~clock:p.clock;
+      check_heap ();
+      if
+        p.wake_at = max_int
+        && Array.for_all (fun q -> q.state = Free || q.wake_at = max_int) procs
+      then deadlock ()
     end
     else begin
-      advance p (p.clock + config.idle_quantum_cycles) ~idle:true;
-      incr coalesced_ct;
-      Ready_heap.rekey_min ready ~clock:p.clock;
-      check_heap ()
+      (* The equivalence argument needs a pure predicate: a second
+         evaluation at the same position must agree. *)
+      if config.debug then assert (rdy () = r);
+      if p.slot >= 0 then unsleep p;
+      if r then begin
+        take p Current;
+        run_proc p (resume k)
+      end
+      else begin
+        idle_quantum p;
+        sleep p;
+        check_heap ()
+      end
     end
 
   (* The scheduler side of a lock episode: resume the fiber once
@@ -449,6 +619,7 @@ struct
     if not (Ready_heap.is_empty ready) then begin
       let p = procs.(Ready_heap.peek_unchecked ready) in
       assert (p.state = Ready);
+      if p.clock < p.wake_at && not config.debug then catch_up p;
       if !gc_pending then
         (* Park ready procs at the barrier in min-clock order, exactly as
            the scan did, until none remain and the collection can run. *)
@@ -470,6 +641,7 @@ struct
       run_gc ();
       loop ()
     end
+    else if !n_sleepers > 0 then deadlock ()
     (* else: all procs free — simulation over *)
 
   (* ------------------------------------------------------------------ *)
@@ -511,6 +683,8 @@ struct
             match free with
             | Some q ->
                 q.datum <- datum;
+                (* [live_procs] changes at the dispatch, before the charge *)
+                wake_sleepers ~clock:(p.clock - config.acquire_proc_cycles) ~id:p.id;
                 let start = max q.clock p.clock in
                 q.idle <- q.idle + (start - q.clock);
                 q.clock <- start;
@@ -531,6 +705,7 @@ struct
           let p = cur () in
           flush_run_ahead p;
           p.state <- Free;
+          wake_from p;
           A_yield)
 
     let initial_datum = D.initial
@@ -697,26 +872,30 @@ struct
 
     let poll () = !poll_hook ()
     let set_poll_hook f = poll_hook := f
-    let idle () = charge_idle config.idle_quantum_cycles
+    let idle () = charge_idle quantum
 
     (* Fast path: park once and let the loop service the per-quantum
-       checks in place ([poll]).  The park charges the first quantum, so
-       the first check happens one quantum after the call — exactly where
-       the reference polling loop evaluates it. *)
+       checks ([poll]).  The park charges the first quantum, so the first
+       check happens one quantum after the call — exactly where the
+       reference polling loop evaluates it — and it always runs: a running
+       proc is never asleep, so [wake_at <= clock]. *)
     let idle_until ~ready =
       if config.run_ahead then begin
         let p = cur () in
-        advance p (p.clock + config.idle_quantum_cycles) ~idle:true;
+        advance p (p.clock + quantum) ~idle:true;
         incr idle_parks_ct;
         park p (fun c -> A_poll (ready, c))
       end
       else begin
         let rec go () =
-          charge_idle config.idle_quantum_cycles;
+          charge_idle quantum;
           if not (ready ()) then go ()
         in
         go ()
       end
+
+    let wake_idle () = wake_from (cur ())
+    let idle_deadline t = deadline := t
 
     let now () = Sim_config.cycles_to_seconds config (cur ()).clock
 
@@ -734,6 +913,8 @@ struct
     Array.iteri (fun i _ -> procs.(i) <- fresh_proc i) procs;
     Array.fill Work.queue_wait_secs 0 config.procs 0.;
     Ready_heap.clear ready;
+    n_sleepers := 0;
+    deadline := infinity;
     Interconnect.reset ic;
     GcM.reset ();
     max_clock := 0;

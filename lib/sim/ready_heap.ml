@@ -27,11 +27,9 @@ let create ~ids =
     ops = 0;
   }
 
-let length t = t.size
 let is_empty t = t.size = 0
 let ops t = t.ops
 let max_clock t = max_int lsr t.bits
-let mem t ~id = t.pos.(id) >= 0
 
 (* Min order: earliest clock first, lowest id among equal clocks — exactly
    the order the O(P)-scan scheduler picked, so heap and scan dispatch
@@ -41,14 +39,10 @@ let[@inline] check_clock t fn clock =
   if clock < 0 || clock > max_clock t then
     invalid_arg (fn ^ ": clock past the packing bound")
 
-let push t ~clock ~id =
-  check_clock t "Ready_heap.push" clock;
-  if t.pos.(id) >= 0 then raise Duplicate_id;
-  let k = (clock lsl t.bits) lor id in
-  t.size <- t.size + 1;
-  t.ops <- t.ops + 1;
-  (* Sift the hole up: shift larger parents down, place k once. *)
-  let i = ref (t.size - 1) in
+(* Place key [k] at hole [i] or above it: shift larger parents down,
+   place k once. *)
+let sift_up t k i =
+  let i = ref i in
   let placed = ref false in
   while not !placed do
     if !i = 0 then placed := true
@@ -64,11 +58,25 @@ let push t ~clock ~id =
     end
   done;
   t.keys.(!i) <- k;
-  t.pos.(id) <- !i
+  t.pos.(k land t.mask) <- !i
 
-let min_key t =
-  if t.size = 0 then None
-  else Some (t.keys.(0) lsr t.bits, t.keys.(0) land t.mask)
+let push t ~clock ~id =
+  check_clock t "Ready_heap.push" clock;
+  if t.pos.(id) >= 0 then raise Duplicate_id;
+  t.size <- t.size + 1;
+  t.ops <- t.ops + 1;
+  sift_up t ((clock lsl t.bits) lor id) (t.size - 1)
+
+(* An earlier key can only move toward the root, so one sift-up from the
+   id's own slot restores the order. *)
+let decrease t ~clock ~id =
+  check_clock t "Ready_heap.decrease" clock;
+  let i = t.pos.(id) in
+  if i < 0 then invalid_arg "Ready_heap.decrease: id not in the heap";
+  let k = (clock lsl t.bits) lor id in
+  if k > t.keys.(i) then invalid_arg "Ready_heap.decrease: later key";
+  t.ops <- t.ops + 1;
+  sift_up t k i
 
 (* Allocation-free probe for the run-ahead fast path: would (clock, id)
    be dispatched ahead of every currently-ready proc? *)
@@ -99,7 +107,7 @@ let sift_down t k n =
   t.pos.(k land t.mask) <- !i
 
 (* Remove the minimum and return its id.  Undefined on an empty heap —
-   callers check [is_empty]; [pop] wraps this in an option. *)
+   callers check [is_empty]. *)
 let pop_unchecked t =
   let id = t.keys.(0) land t.mask in
   t.pos.(id) <- -1;
@@ -118,8 +126,6 @@ let rekey_min t ~clock =
   if t.size = 0 then invalid_arg "Ready_heap.rekey_min: empty heap";
   t.ops <- t.ops + 1;
   sift_down t ((clock lsl t.bits) lor (t.keys.(0) land t.mask)) t.size
-
-let pop t = if t.size = 0 then None else Some (pop_unchecked t)
 
 let clear t =
   for i = 0 to t.size - 1 do

@@ -5,13 +5,13 @@
     deterministic pick order of the O(P) array scan it replaces, so
     switching the scheduler to this heap cannot change virtual-time
     results.  The id universe is fixed at creation ([0 .. ids-1], the proc
-    ids); a position index over it gives O(1) membership and supports the
-    scheduler's invariant checks.
+    ids); a position index over it finds an id's slot in O(1), which
+    {!decrease} needs and the invariant check uses.
 
     A key is one int, [clock lsl bits lor id] with [bits = ⌈log2 ids⌉], and
     the heap stores nothing else: callers map ids to their own records, and
-    no push, {!pop_unchecked} or {!rekey_min} allocates or stores a
-    pointer.  The packing bounds clocks at {!max_clock}: 2^52 cycles at
+    no push, {!pop_unchecked}, {!rekey_min} or {!decrease} allocates or
+    stores a pointer.  The packing bounds clocks at {!max_clock}: 2^52 cycles at
     1024 ids, about nine years of simulated time at 16 MHz. *)
 
 type t
@@ -30,11 +30,8 @@ val push : t -> clock:int -> id:int -> unit
 (** Raises [Invalid_argument] when [clock] is outside [0 .. max_clock t]
     (its key would wrap and silently reorder dispatch). *)
 
-val pop : t -> int option
-(** Remove and return the id with the minimum [(clock, id)] key. *)
-
 val pop_unchecked : t -> int
-(** {!pop} without the option wrapper (and without its allocation).
+(** Remove and return the id with the minimum [(clock, id)] key.
     Undefined on an empty heap — guard with {!is_empty}. *)
 
 val peek_unchecked : t -> int
@@ -43,12 +40,17 @@ val peek_unchecked : t -> int
 
 val rekey_min : t -> clock:int -> unit
 (** Move the minimum's id to a new clock in place, by one sift-down: how
-    the scheduler services a failed idle poll.  Raises [Invalid_argument]
-    on an empty heap, or, as {!push}, for a clock outside
-    [0 .. max_clock t]. *)
+    the scheduler keys a failed idle poller at its next poll.  Raises
+    [Invalid_argument] on an empty heap, or, as {!push}, for a clock
+    outside [0 .. max_clock t]. *)
 
-val min_key : t -> (int * int) option
-(** The minimum key, without removing it. *)
+val decrease : t -> clock:int -> id:int -> unit
+(** Move [id], which is in the heap, to the key [(clock, id)], no later
+    than its own, by one sift-up: how a wake hint brings a sleeping poller
+    forward from its timer deadline.  Counted as one op.  Raises
+    [Invalid_argument] when [id] is absent, when the key is later than
+    its current one, or, as {!push}, for a clock outside
+    [0 .. max_clock t]. *)
 
 val precedes_min : t -> clock:int -> id:int -> bool
 (** [true] iff the heap is empty or [(clock, id)] orders strictly before
@@ -56,13 +58,11 @@ val precedes_min : t -> clock:int -> id:int -> bool
     this proc be re-picked" probe.  [clock] must be within the packing
     bound, as for {!push}. *)
 
-val mem : t -> id:int -> bool
-val length : t -> int
 val is_empty : t -> bool
 
 val ops : t -> int
-(** Pushes, pops and re-keys since creation or the last {!clear}
-    (host-side cost counter). *)
+(** Pushes, pops, re-keys and decreases since creation or the last
+    {!clear} (host-side cost counter). *)
 
 val clear : t -> unit
 

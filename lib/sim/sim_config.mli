@@ -73,10 +73,11 @@ type t = {
   debug : bool;
       (** Check the run-ahead machinery's assumptions as it runs: the
           ready-heap invariants (heap order + index consistency) after
-          every scheduler operation, and on every parked-poller dispatch a
-          second evaluation of the readiness predicate, which must agree.
-          O(procs) per check and doubled predicate evaluations; debug
-          only. *)
+          every scheduler operation, on every real idle poll a second
+          evaluation of the readiness predicate, which must agree, and
+          the sleep rule: sleeping pollers are still polled every quantum,
+          and each poll the rule skips must fail.  O(procs) per check and
+          every idle poll run; debug only. *)
   sched : string;
       (** Thread-scheduler policy for pools run on this machine, in
           {!Mpthreads.Sched_policy.of_string} syntax

@@ -56,6 +56,11 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
 
   let clamp_proc ~n proc = if proc < 0 || proc >= n then 0 else proc
 
+  (* Every queue fill issues the platform's idle-wake hint: an idle
+     proc's predicate reads the policy's [looks_nonempty], which only a
+     fill can turn true. *)
+  let wake = P.Work.wake_idle
+
   (* The historical default: per-proc locked deques, owner front-push/pop,
      rotor spray for new work, rotating-scan steal-one from the back.
      Issues exactly the [Multi_queue] op sequence the pre-policy scheduler
@@ -65,7 +70,7 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
 
     type 'a t = 'a MQ.t
 
-    let create ~procs = MQ.create ~procs
+    let create ~procs = MQ.create ~wake ~procs ()
     let prepare _ ~procs:_ = ()
     let push_local q ~proc x = MQ.push q ~proc x
     let push_yield = push_local
@@ -85,7 +90,7 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
 
     type 'a t = 'a MQ.t
 
-    let create ~procs:_ = MQ.create ~procs:1
+    let create ~procs:_ = MQ.create ~wake ~procs:1 ()
     let prepare _ ~procs:_ = ()
     let push_local q ~proc:_ x = MQ.push_back q ~proc:0 x
     let push_yield = push_local
@@ -106,7 +111,7 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
 
     type 'a t = 'a MQ.t
 
-    let create ~procs:_ = MQ.create ~procs:1
+    let create ~procs:_ = MQ.create ~wake ~procs:1 ()
     let prepare _ ~procs:_ = ()
     let push_local q ~proc:_ x = MQ.push q ~proc:0 x
     let push_yield = push_local
@@ -165,7 +170,7 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
           Array.init procs (fun p ->
               Mp.Mp_intf.padded
                 {
-                  q = SQ.create ~occupied ();
+                  q = SQ.create ~occupied ~wake ();
                   rng = seed_of p;
                   last_victim = -1;
                   attempts = 0;
@@ -308,7 +313,7 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
 
     let create ~procs =
       let k = max 1 (min K.pools procs) in
-      { mq = MQ.create ~procs:k; pools = k; rotor = 0 }
+      { mq = MQ.create ~wake ~procs:k (); pools = k; rotor = 0 }
 
     (* Clamping to the acquired-proc count keeps every pool owned by at
        least one proc (pool p is served by procs ≡ p mod pools), so no

@@ -78,14 +78,21 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
      the drain re-checks everything. *)
   let next_due = Atomic.make infinity
 
+  (* The platform is handed every new due time: it is the deadline at
+     which an idle proc's [timer_due] can turn true with no hinted write
+     ([Work.idle_deadline]). *)
   let note_heap_changed () =
-    Atomic.set next_due
-      (match PQ.peek_opt !timers with Some (t, _) -> t | None -> infinity)
+    let t = match PQ.peek_opt !timers with Some (t, _) -> t | None -> infinity in
+    Atomic.set next_due t;
+    P.Work.idle_deadline t
 
+  (* A new timer can bring [next_due] forward, so it wakes idle procs
+     inside the section, where the write happened. *)
   let at time callback =
     P.Lock.locked timer_lock (fun () ->
         PQ.enq !timers ~priority:(timer_priority time) (time, callback);
-        note_heap_changed ())
+        note_heap_changed ();
+        P.Work.wake_idle ())
 
   (* Charge-free: the clock is read only when a timer is pending. *)
   let timer_due () =
@@ -169,7 +176,9 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
              hint, the earliest due time, the finished flag — and is
              side-effect- and charge-free, as [Work.idle_until] requires; a
              wake re-runs the full (charged) probes above from the same
-             position. *)
+             position.  Every write that can turn it true issues
+             [Work.wake_idle] (a queue fill, [at], the pool's finish), and
+             the earliest due time is the declared [Work.idle_deadline]. *)
           P.Work.idle_until ~ready:(fun () ->
               !finished
               || timer_due ()
@@ -236,7 +245,7 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
     acquired := 1;
     Atomic.set thread_error None;
     timers := PQ.create ();
-    Atomic.set next_due infinity;
+    note_heap_changed ();
     per_proc := fresh_states (P.Work.now ());
     quantum := q;
     P.Work.set_poll_hook poll_check;
@@ -254,6 +263,7 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
       try Ok (f ()) with Engine.Abandoned as e -> raise e | e -> Error e
     in
     finished := true;
+    P.Work.wake_idle ();
     active := false;
     P.Work.set_poll_hook (fun () -> ());
     Obs.Counters.set c_forks (total (fun s -> s.forks));

@@ -395,7 +395,10 @@ let test_sig_mask_nesting () =
    backend — preemptive (domains), uniprocessor, simulated, or the
    exploration checker — must satisfy.  All waiting goes through
    [Work.idle_until] so the same code is correct under true parallelism
-   and under cooperative scheduling. *)
+   and under cooperative scheduling, and every write a waiter reads is
+   followed by [Work.wake_idle], as its contract asks: a simulated
+   poller sleeps until a hint, a deadline or a proc's acquire or
+   release. *)
 
 module Conformance (B : Mp_intf.PLATFORM with type Proc.proc_datum = int) =
 struct
@@ -446,7 +449,8 @@ struct
             P.Proc.set_datum 100;
             let got = Atomic.make (-1) in
             spawn_worker ~datum:42 (fun () ->
-                Atomic.set got (P.Proc.get_datum ()));
+                Atomic.set got (P.Proc.get_datum ());
+                P.Work.wake_idle ());
             P.Work.idle_until ~ready:(fun () -> Atomic.get got >= 0);
             join ();
             (P.Proc.get_datum (), Atomic.get got))
@@ -471,6 +475,7 @@ struct
             with P.Proc.No_More_Procs -> ());
            let limited = !acquired = spare in
            Atomic.set release true;
+           P.Work.wake_idle ();
            join ();
            limited && Atomic.get started = spare))
 
@@ -539,6 +544,7 @@ struct
                      P.Work.idle_until ~ready:(fun () -> Atomic.get root_done);
                      failwith "late");
                  Atomic.set root_done true;
+                 P.Work.wake_idle ();
                  0)))
 
   let test_double_resume () =

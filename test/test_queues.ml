@@ -179,7 +179,7 @@ module MQ = Multi_queue.Make (U.Lock)
 
 let test_multi_local_lifo () =
   U.run (fun () ->
-      let t = MQ.create ~procs:2 in
+      let t = MQ.create ~procs:2 () in
       MQ.push t ~proc:0 1;
       MQ.push t ~proc:0 2;
       Alcotest.(check (option int)) "own queue newest first" (Some 2)
@@ -190,7 +190,7 @@ let test_multi_local_lifo () =
 
 let test_multi_steal_oldest () =
   U.run (fun () ->
-      let t = MQ.create ~procs:2 in
+      let t = MQ.create ~procs:2 () in
       MQ.push t ~proc:0 1;
       MQ.push t ~proc:0 2;
       Alcotest.(check (option int)) "thief takes oldest" (Some 1)
@@ -199,14 +199,14 @@ let test_multi_steal_oldest () =
 
 let test_multi_take_falls_back_to_steal () =
   U.run (fun () ->
-      let t = MQ.create ~procs:3 in
+      let t = MQ.create ~procs:3 () in
       MQ.push t ~proc:2 42;
       Alcotest.(check (option int)) "take steals" (Some 42) (MQ.take t ~proc:0);
       Alcotest.(check (option int)) "now all empty" None (MQ.take t ~proc:0))
 
 let test_multi_push_global_distributes () =
   U.run (fun () ->
-      let t = MQ.create ~procs:4 in
+      let t = MQ.create ~procs:4 () in
       for i = 1 to 8 do
         MQ.push_global t i
       done;

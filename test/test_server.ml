@@ -111,6 +111,59 @@ let test_ws_suspension_budget () =
     Alcotest.failf "ws@16 took %d suspensions, %.0f per request (budget 150)"
       c.Report.Server_bench.suspensions per_request
 
+(* ---------------- sleep-rule twins ---------------- *)
+
+(* The CML, semaphore, bounded-queue and timer pipeline on three
+   Sequents that must agree digit for digit: the default machine (idle
+   pollers sleep until a wake hint or their timer deadline), the [debug]
+   machine (every poll runs, and each one the sleep rule would skip must
+   fail) and the always-suspend oracle ([run_ahead = false]).  A fill or
+   a timer set that forgot its hint leaves a poller asleep past the poll
+   that would have seen it: the default digest moves, and the debug
+   machine fails outright. *)
+module Twin (C : sig
+  val config : Sim.Sim_config.t
+end) =
+struct
+  module M = Sim.Mp_sim.Int (C) ()
+  module S = Workloads.Server.Make (M)
+
+  let digest (sched, procs) =
+    let cfg = { Workloads.Server.default with requests = 300 } in
+    let r = S.run ~procs ~sched cfg in
+    Printf.sprintf
+      "count=%d sum=%d p50=%d p99=%d elapsed=%.9f qwait=%.9f makespan=%d"
+      (Obs.Histogram.count r.Workloads.Server.hist)
+      (Obs.Histogram.sum r.hist) r.p50 r.p99 r.elapsed r.queue_wait
+      (M.Machine.makespan_cycles ())
+end
+
+module Twin_default = Twin (struct
+  let config = Sim.Sim_config.sequent ~procs:16 ()
+end)
+
+module Twin_debug = Twin (struct
+  let config = { (Sim.Sim_config.sequent ~procs:16 ()) with debug = true }
+end)
+
+module Twin_oracle = Twin (struct
+  let config = { (Sim.Sim_config.sequent ~procs:16 ()) with run_ahead = false }
+end)
+
+let test_sleep_rule_twins () =
+  List.iter
+    (fun ((sched, procs) as cell) ->
+      let tag m =
+        Printf.sprintf "%s@%d %s" (Mpthreads.Sched_policy.to_string sched)
+          procs m
+      in
+      let d = Twin_default.digest cell in
+      Alcotest.(check string) (tag "debug = default") d (Twin_debug.digest cell);
+      Alcotest.(check string)
+        (tag "always-suspend = default")
+        d (Twin_oracle.digest cell))
+    Mpthreads.Sched_policy.[ (Ws, 16); (Distributed, 4) ]
+
 (* ---------------- pure generators ---------------- *)
 
 let test_arrivals_pure_ascending () =
@@ -254,7 +307,11 @@ let () =
               (golden_case (sched, procs) expected))
           golden );
       ( "determinism",
-        [ Alcotest.test_case "rerun identical" `Quick test_rerun_identical ] );
+        [
+          Alcotest.test_case "rerun identical" `Quick test_rerun_identical;
+          Alcotest.test_case "sleep rule = debug = always-suspend" `Quick
+            test_sleep_rule_twins;
+        ] );
       ( "tails",
         [
           Alcotest.test_case "ws p99 < fifo p99 at 16 procs" `Quick

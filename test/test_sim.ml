@@ -248,6 +248,67 @@ let test_deadlock_detection () =
     | _ -> false
     | exception Mp.Mp_intf.Deadlock _ -> true)
 
+(* A thread package of its own: the deadlocked pool's [with_pool] never
+   returns, so its instance stays active. *)
+module SD = Mpthreads.Sched_thread.Make (P)
+module Sy = Mpsync.Sync.Make (P) (SD)
+
+(* A thread-level deadlock: the root reads an ivar nobody fills, so every
+   pool proc idles with an empty run queue, no timer and no finish to
+   wait for.  The sleep rule sees that no proc is left to issue a wake
+   hint and raises instead of polling forever (the pre-sleep loop hung
+   here).  The run ends the sleepers' fibers; the root's own continuation
+   stays parked in the ivar, out of the platform's reach. *)
+let test_pool_deadlock_raises () =
+  let live = Mp.Engine.live_fibers () in
+  let msg =
+    match
+      P.run (fun () ->
+          SD.with_pool ~procs:4 (fun () -> Sy.Ivar.read (Sy.Ivar.create ())))
+    with
+    | () -> "returned"
+    | exception Mp.Mp_intf.Deadlock msg -> msg
+  in
+  checkb
+    (Printf.sprintf "Deadlock names the sleepers: %s" msg)
+    true
+    (String.starts_with ~prefix:"sim:sequent: procs 0, 1, 2, 3 sleep" msg);
+  check "only the ivar's waiter is left live" (live + 1)
+    (Mp.Engine.live_fibers ());
+  (* a sleeper with nothing that could wake it, and no pool: every fiber
+     it held is ended *)
+  let live = Mp.Engine.live_fibers () in
+  checkb "bare idle_until deadlock" true
+    (match P.run (fun () -> P.Work.idle_until ~ready:(fun () -> false)) with
+    | () -> false
+    | exception Mp.Mp_intf.Deadlock _ -> true);
+  check "live fibers back at start" live (Mp.Engine.live_fibers ());
+  check "platform reusable" 3 (P.run (fun () -> 3));
+  (* a [debug] machine keeps every sleeper in the heap, and still sees it *)
+  let module D =
+    Sim.Mp_sim.Int (struct
+        let config = { cfg with Sim.Sim_config.debug = true }
+      end)
+      ()
+  in
+  checkb "debug machine deadlock" true
+    (match D.run (fun () -> D.Work.idle_until ~ready:(fun () -> false)) with
+    | () -> false
+    | exception Mp.Mp_intf.Deadlock _ -> true)
+
+(* A declared deadline is not a deadlock: a pool whose only pending event
+   is a timer sleeps until the timer's quantum boundary, then finishes. *)
+let test_pool_timer_wakes () =
+  let elapsed =
+    P.run (fun () ->
+        S.with_pool ~procs:4 (fun () ->
+            let t0 = S.now () in
+            S.sleep 0.01;
+            S.now () -. t0))
+  in
+  checkb (Printf.sprintf "slept %.6f s, at least 10 ms" elapsed) true
+    (elapsed >= 0.01)
+
 let test_idle_accounting () =
   ignore
     (P.run (fun () ->
@@ -281,34 +342,54 @@ let test_trace_records () =
 
 (* ---------------- ready heap ---------------- *)
 
+(* The scheduler's calls only: [push], [peek_unchecked], [pop_unchecked],
+   [rekey_min], [decrease], [precedes_min] and [is_empty]. *)
+let drain h =
+  let rec go acc =
+    if Sim.Ready_heap.is_empty h then List.rev acc
+    else go (Sim.Ready_heap.pop_unchecked h :: acc)
+  in
+  go []
+
 let test_ready_heap_order () =
   let h = Sim.Ready_heap.create ~ids:8 in
   List.iter
     (fun (clock, id) -> Sim.Ready_heap.push h ~clock ~id)
     [ (50, 3); (10, 5); (10, 2); (99, 0); (10, 7) ];
   checkb "valid after pushes" true (Sim.Ready_heap.valid h);
-  check "size" 5 (Sim.Ready_heap.length h);
-  checkb "min key" true (Sim.Ready_heap.min_key h = Some (10, 2));
-  let order = List.init 5 (fun _ -> Option.get (Sim.Ready_heap.pop h)) in
+  check "min id" 2 (Sim.Ready_heap.peek_unchecked h);
+  checkb "min key is (10, 2)" true
+    ((not (Sim.Ready_heap.precedes_min h ~clock:10 ~id:2))
+    && Sim.Ready_heap.precedes_min h ~clock:10 ~id:1);
   (* earliest clock first; lowest id among equal clocks *)
-  Alcotest.(check (list int)) "pop order" [ 2; 5; 7; 3; 0 ] order;
+  Alcotest.(check (list int)) "pop order" [ 2; 5; 7; 3; 0 ] (drain h);
   checkb "empty" true (Sim.Ready_heap.is_empty h)
 
 let test_ready_heap_index () =
   let h = Sim.Ready_heap.create ~ids:4 in
   Sim.Ready_heap.push h ~clock:5 ~id:1;
-  checkb "mem" true (Sim.Ready_heap.mem h ~id:1);
-  checkb "not mem" false (Sim.Ready_heap.mem h ~id:0);
   checkb "duplicate rejected" true
     (match Sim.Ready_heap.push h ~clock:9 ~id:1 with
     | () -> false
     | exception Sim.Ready_heap.Duplicate_id -> true);
-  checkb "ops counted" true (Sim.Ready_heap.ops h >= 1);
+  checkb "decrease of an absent id rejected" true
+    (match Sim.Ready_heap.decrease h ~clock:1 ~id:0 with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  checkb "decrease to a later key rejected" true
+    (match Sim.Ready_heap.decrease h ~clock:6 ~id:1 with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  Sim.Ready_heap.push h ~clock:3 ~id:2;
+  Sim.Ready_heap.decrease h ~clock:3 ~id:1;
+  check "decreased id overtakes on the id tie-break" 1
+    (Sim.Ready_heap.peek_unchecked h);
+  checkb "ops counted" true (Sim.Ready_heap.ops h = 3);
   Sim.Ready_heap.clear h;
   checkb "cleared" true (Sim.Ready_heap.is_empty h);
-  checkb "membership cleared" false (Sim.Ready_heap.mem h ~id:1);
+  Sim.Ready_heap.push h ~clock:1 ~id:1;
   Sim.Ready_heap.push h ~clock:1 ~id:3;
-  checkb "reusable after clear" true (Sim.Ready_heap.pop h = Some 3)
+  Alcotest.(check (list int)) "reusable after clear" [ 1; 3 ] (drain h)
 
 (* A key is [clock lsl ⌈log2 ids⌉ lor id]: a clock past [max_clock] would
    wrap negative and jump the queue, so [push] refuses it. *)
@@ -334,7 +415,6 @@ let test_ready_heap_clock_bound () =
         | exception Invalid_argument _ -> true))
     [ bound + 1; max_int; -1 ];
   checkb "rejected pushes leave it valid" true (Sim.Ready_heap.valid h);
-  checkb "rejected id absent" false (Sim.Ready_heap.mem h ~id:7);
   List.iter
     (fun clock ->
       checkb
@@ -342,17 +422,23 @@ let test_ready_heap_clock_bound () =
         true
         (match Sim.Ready_heap.rekey_min h ~clock with
         | () -> false
+        | exception Invalid_argument _ -> true);
+      checkb
+        (Printf.sprintf "decrease to %d rejected" clock)
+        true
+        (match Sim.Ready_heap.decrease h ~clock ~id:0 with
+        | () -> false
         | exception Invalid_argument _ -> true))
-    [ bound + 1; max_int ];
+    [ bound + 1; max_int; -1 ];
   checkb "bound key orders last" true
-    (Sim.Ready_heap.min_key h = Some (bound - 1, 15));
-  Alcotest.(check (list int))
-    "pop order at the bound" [ 15; 0 ]
-    (List.init 2 (fun _ -> Option.get (Sim.Ready_heap.pop h)))
+    (Sim.Ready_heap.peek_unchecked h = 15
+    && not (Sim.Ready_heap.precedes_min h ~clock:(bound - 1) ~id:15));
+  Alcotest.(check (list int)) "pop order at the bound" [ 15; 0 ] (drain h)
 
 (* The scheduler's per-dispatch patterns on a Sequent-sized heap — pop
-   the minimum and push it back, or re-key it in place as a failed idle
-   poll does: no minor word per push, pop or re-key. *)
+   the minimum and push it back, re-key it in place as a failed idle
+   poll does, and bring a sleeper forward as a wake hint does: no minor
+   word per push, pop, re-key or decrease. *)
 let test_ready_heap_no_alloc () =
   let h = Sim.Ready_heap.create ~ids:16 in
   for id = 0 to 15 do
@@ -368,15 +454,19 @@ let test_ready_heap_no_alloc () =
     words (fun () ->
         for i = 1 to 10_000 do
           let id = Sim.Ready_heap.pop_unchecked h in
-          Sim.Ready_heap.push h ~clock:(i + (id * 37 mod 101)) ~id;
-          (* the minimum is at most the key just pushed (<= i + 100), so
+          Sim.Ready_heap.push h ~clock:(i + 200 + (id * 37 mod 101)) ~id;
+          (* the minimum is at most the key just pushed (<= i + 300), so
              this moves it later *)
           let m = Sim.Ready_heap.peek_unchecked h in
-          Sim.Ready_heap.rekey_min h ~clock:(i + 101 + (m * 13 mod 17))
+          Sim.Ready_heap.rekey_min h ~clock:(i + 301 + (m * 13 mod 17));
+          (* and the id just pushed comes forward, but no earlier than
+             anything popped so far *)
+          Sim.Ready_heap.decrease h ~clock:(i + 100 + (id mod 7)) ~id
         done)
   in
-  check "10k pushes, pops and re-keys" 0 (int_of_float (used -. probe));
-  check "ops" 30_016 (Sim.Ready_heap.ops h);
+  check "10k pushes, pops, re-keys and decreases" 0
+    (int_of_float (used -. probe));
+  check "ops" 40_016 (Sim.Ready_heap.ops h);
   checkb "valid" true (Sim.Ready_heap.valid h)
 
 let prop_ready_heap_sorts =
@@ -384,27 +474,24 @@ let prop_ready_heap_sorts =
     ~count:100
     QCheck.(list_of_size Gen.(int_range 0 32) (int_range 0 1000))
     (fun clocks ->
-      let n = List.length clocks in
-      let h = Sim.Ready_heap.create ~ids:(max 1 n) in
+      let h = Sim.Ready_heap.create ~ids:(max 1 (List.length clocks)) in
       List.iteri (fun id clock -> Sim.Ready_heap.push h ~clock ~id) clocks;
       let clock_of = Array.of_list clocks in
-      let popped =
-        List.init n (fun _ ->
-            let id = Option.get (Sim.Ready_heap.pop h) in
-            (clock_of.(id), id))
-      in
+      let popped = List.map (fun id -> (clock_of.(id), id)) (drain h) in
       popped = List.sort compare (List.mapi (fun id c -> (c, id)) clocks))
 
 (* Random operation sequences against a sorted (clock, id) list, over id
    universes at and around the powers of two, with clocks from tied small
    values up to (and one past) the packing bound.  [Rekey c] moves the
-   minimum to the later of [c] and its own clock. *)
+   minimum to the later of [c] and its own clock; [Decrease (c, id)]
+   moves [id] to the earlier of [c] and its own clock. *)
 type heap_op =
   | Push of int * int
   | Pop
   | Rekey of int
+  | Decrease of int * int
   | Precedes of int * int
-  | Min_key
+  | Peek
 
 let heap_ops_arb =
   let open QCheck.Gen in
@@ -427,8 +514,10 @@ let heap_ops_arb =
           (3, return Pop);
           (3, map (fun c -> Rekey c) clock);
           (1, return (Rekey (bound + 1)));
+          (3, map2 (fun c i -> Decrease (c, i)) clock id);
+          (1, map (fun i -> Decrease (bound + 1, i)) id);
           (2, map2 (fun c i -> Precedes (c, i)) clock id);
-          (1, return Min_key);
+          (1, return Peek);
         ]
     in
     map (fun ops -> (ids, ops)) (list_size (int_range 0 200) op)
@@ -437,8 +526,9 @@ let heap_ops_arb =
     | Push (c, i) -> Printf.sprintf "push %d %d" c i
     | Pop -> "pop"
     | Rekey c -> Printf.sprintf "rekey %d" c
+    | Decrease (c, i) -> Printf.sprintf "decrease %d %d" c i
     | Precedes (c, i) -> Printf.sprintf "precedes %d %d" c i
-    | Min_key -> "min_key"
+    | Peek -> "peek"
   in
   QCheck.make
     ~print:(fun (ids, ops) ->
@@ -451,7 +541,6 @@ let prop_ready_heap_model =
       let h = Sim.Ready_heap.create ~ids in
       let bound = Sim.Ready_heap.max_clock h in
       let model = ref [] in
-      let min_of () = match !model with [] -> None | m :: _ -> Some m in
       List.for_all
         (fun op ->
           let agrees =
@@ -465,10 +554,12 @@ let prop_ready_heap_model =
                     in_range && not dup
                 | exception Invalid_argument _ -> not in_range
                 | exception Sim.Ready_heap.Duplicate_id -> in_range && dup)
-            | Pop ->
-                let want = Option.map snd (min_of ()) in
-                if want <> None then model := List.tl !model;
-                Sim.Ready_heap.pop h = want
+            | Pop -> (
+                match !model with
+                | [] -> Sim.Ready_heap.is_empty h
+                | (_, id) :: rest ->
+                    model := rest;
+                    Sim.Ready_heap.pop_unchecked h = id)
             | Rekey c -> (
                 match !model with
                 | [] -> (
@@ -484,14 +575,32 @@ let prop_ready_heap_model =
                         model := List.merge compare [ (clock, id) ] rest;
                         clock <= bound
                     | exception Invalid_argument _ -> clock > bound))
+            | Decrease (c, id) -> (
+                match List.find_opt (fun (_, i) -> i = id) !model with
+                | None -> (
+                    match Sim.Ready_heap.decrease h ~clock:c ~id with
+                    | () -> false
+                    | exception Invalid_argument _ -> true)
+                | Some (m, _) -> (
+                    let clock = min c m in
+                    match Sim.Ready_heap.decrease h ~clock ~id with
+                    | () ->
+                        model :=
+                          List.merge compare [ (clock, id) ]
+                            (List.filter (fun (_, i) -> i <> id) !model);
+                        clock >= 0 && clock <= bound
+                    | exception Invalid_argument _ -> clock < 0 || clock > bound))
             | Precedes (clock, id) ->
                 Sim.Ready_heap.precedes_min h ~clock ~id
-                = (match min_of () with None -> true | Some m -> (clock, id) < m)
-            | Min_key -> Sim.Ready_heap.min_key h = min_of ()
+                = (match !model with [] -> true | m :: _ -> (clock, id) < m)
+            | Peek -> (
+                match !model with
+                | [] -> Sim.Ready_heap.is_empty h
+                | (_, id) :: _ -> Sim.Ready_heap.peek_unchecked h = id)
           in
           agrees
           && Sim.Ready_heap.valid h
-          && Sim.Ready_heap.length h = List.length !model)
+          && Sim.Ready_heap.is_empty h = (!model = []))
         ops)
 
 (* ---------------- determinism equivalence (goldens) ---------------- *)
@@ -530,38 +639,38 @@ let golden : (string * (int * int * int * int * int * int * int) list) list =
     ( "allpairs",
       [
         (1, 24989411, 3, 6779796, 3110929143068210077, 159, 4);
-        (4, 8254180, 3, 6795260, 3110929143068210077, 7379, 26103);
-        (16, 7240736, 3, 6928468, 3110929143068210077, 13896, 60809);
+        (4, 8254180, 3, 6795260, 3110929143068210077, 7339, 25603);
+        (16, 7240736, 3, 6928468, 3110929143068210077, 13828, 53107);
       ] );
     ( "mst",
       [
         (1, 13100115, 0, 1144688, 545289, 398, 1);
-        (4, 4813737, 0, 1196944, 545289, 6540, 12775);
-        (16, 4121773, 0, 1398592, 545289, 18603, 66069);
+        (4, 4813737, 0, 1196944, 545289, 6494, 12530);
+        (16, 4121773, 0, 1398592, 545289, 18589, 57803);
       ] );
     ( "abisort",
       [
         (1, 15615536, 1, 3237376, -3144944675602481919, 161, 2);
-        (4, 4766695, 1, 3238384, -3144944675602481919, 903, 7769);
-        (16, 3261294, 1, 3252032, -3144944675602481919, 1655, 14911);
+        (4, 4766695, 1, 3238384, -3144944675602481919, 898, 7021);
+        (16, 3261294, 1, 3252032, -3144944675602481919, 1655, 11075);
       ] );
     ( "simple",
       [
         (1, 6194562, 0, 1365280, 3572242472924374168, 48, 1);
-        (4, 1875882, 0, 1366592, 3572242472924374168, 1166, 4237);
-        (16, 1990043, 0, 1372312, 3572242472924374168, 1476, 16900);
+        (4, 1875882, 0, 1366592, 3572242472924374168, 1163, 3664);
+        (16, 1990043, 0, 1372312, 3572242472924374168, 1455, 5090);
       ] );
     ( "mm",
       [
         (1, 41473586, 1, 4083440, -2429353301021976480, 203, 2);
-        (4, 12229207, 1, 4084384, -2429353301021976480, 528, 10693);
-        (16, 4229267, 1, 4089544, -2429353301021976480, 850, 17117);
+        (4, 12229207, 1, 4084384, -2429353301021976480, 528, 7728);
+        (16, 4229267, 1, 4089544, -2429353301021976480, 850, 9663);
       ] );
     ( "seq",
       [
         (1, 4850864, 0, 286144, 1, 30, 1);
-        (4, 4898818, 0, 1144520, 4, 658, 2688);
-        (16, 6224842, 2, 4579288, 16, 2725, 11484);
+        (4, 4898818, 0, 1144520, 4, 658, 2676);
+        (16, 6224842, 2, 4579288, 16, 2721, 10878);
       ] );
   ]
 
@@ -633,6 +742,30 @@ let test_run_ahead_equivalence () =
       check (tag "collections") sn.Mp.Stats.gc_count sf.Mp.Stats.gc_count;
       check (tag "bus bytes") sn.Mp.Stats.bus_bytes sf.Mp.Stats.bus_bytes)
     [ ("abisort", 4); ("mst", 4); ("seq", 16) ]
+
+module GPool = Mpthreads.Sched_thread.Make (G)
+module NoRaPool = Mpthreads.Sched_thread.Make (NoRa)
+
+(* The pool's finish is a hinted write: its sleeping procs poll again
+   right after it, not when the root's later work ends.  Each proc's
+   idle time and the makespan match the always-suspend oracle's. *)
+let test_finish_wakes_sleepers () =
+  ignore
+    (G.run (fun () ->
+         GPool.with_pool ~procs:16 (fun () -> G.Work.charge 100_000);
+         G.Work.charge 1_000_000));
+  let fast = G.stats () and mf = G.Machine.makespan_cycles () in
+  ignore
+    (NoRa.run (fun () ->
+         NoRaPool.with_pool ~procs:16 (fun () -> NoRa.Work.charge 100_000);
+         NoRa.Work.charge 1_000_000));
+  let ref_ = NoRa.stats () in
+  check "makespan" (NoRa.Machine.makespan_cycles ()) mf;
+  Array.iteri
+    (fun i (s : Mp.Stats.proc_stats) ->
+      checkf (Printf.sprintf "proc %d idle" i) ref_.Mp.Stats.per_proc.(i).idle
+        s.idle)
+    fast.Mp.Stats.per_proc
 
 (* The same oracle at the proc counts the quiescence-epoch coalescing does
    not see elsewhere in the suite: mid-grid (2) and the SGI-sized pool (8).
@@ -1153,10 +1286,12 @@ let test_numa_1024_host_budget () =
 
 module GS = Mpthreads.Sched_thread.Make (G)
 
-(* A failed idle poll re-keys the poller in the ready heap and charges it
-   one quantum: no allocation.  Fifteen pool procs poll while the root
-   charges 100 x 100k cycles; the words left over are the pool's setup and
-   the root's own charges, well under one word per poll. *)
+(* A failed idle poll charges the poller one quantum and puts it to
+   sleep, and a wake and a catch-up book the skipped polls: no allocation
+   on any of these paths.  Fifteen pool procs idle while the root charges
+   100 x 100k cycles; [sim.idle_polls] still counts every quantum of the
+   reference machine's polling, and the words left over are the pool's
+   setup and the root's own charges, well under one word per poll. *)
 let test_idle_poll_no_alloc () =
   let before = Gc.minor_words () in
   ignore
@@ -1171,7 +1306,14 @@ let test_idle_poll_no_alloc () =
   let per_poll = words /. float_of_int polls in
   checkb
     (Printf.sprintf "%.3f minor words per idle poll, under 0.5" per_poll)
-    true (per_poll < 0.5)
+    true (per_poll < 0.5);
+  (* The 15 pollers sleep from their first failed poll until the pool's
+     finish wakes them: a few loop decisions each (153 in all), not one
+     per quantum as when every poll ran (over 75,525). *)
+  let decisions = (G.stats ()).Mp.Stats.sched_decisions in
+  checkb
+    (Printf.sprintf "%d loop decisions, under 1,000" decisions)
+    true (decisions < 1_000)
 
 (* ---------------- sim-core host cost budget ---------------- *)
 
@@ -1298,6 +1440,10 @@ let () =
           Alcotest.test_case "acquire charges" `Quick test_proc_acquire_charges;
           Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
           Alcotest.test_case "idle accounting" `Quick test_idle_accounting;
+          Alcotest.test_case "a deadlocked pool raises" `Quick
+            test_pool_deadlock_raises;
+          Alcotest.test_case "a pending timer is not a deadlock" `Quick
+            test_pool_timer_wakes;
           Alcotest.test_case "an idle poll allocates nothing" `Quick
             test_idle_poll_no_alloc;
         ] );
@@ -1330,6 +1476,8 @@ let () =
             test_run_ahead_equivalence;
           Alcotest.test_case "equivalent at procs 2 and 8" `Quick
             test_run_ahead_equivalence_2_8;
+          Alcotest.test_case "a pool's finish wakes its sleepers" `Quick
+            test_finish_wakes_sleepers;
           Alcotest.test_case "horizon assertion mode matches goldens" `Quick
             test_horizon_debug_matches_golden;
           Alcotest.test_case "suspension budget" `Quick test_suspension_budget;
