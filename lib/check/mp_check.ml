@@ -437,7 +437,6 @@ struct
     let step ?alloc_words:_ ~instrs:_ () = ()
     let charge _ = ()
     let alloc ~words:_ = ()
-    let traffic ~bytes:_ = ()
 
     (* Lines carry no cost here, but the sharing protocol is still worth
        exploring: scenarios read the sharer set back ([line_sharers]) to

@@ -231,12 +231,6 @@ module type WORK = sig
   val alloc : words:int -> unit
   (** Account for heap allocation only. *)
 
-  val traffic : bytes:int -> unit
-  (** Account for raw shared-bus traffic that is not allocation (cache
-      misses on shared data, lock RMW transactions).  No-op on real
-      backends.  Always node-local under a NUMA machine; traffic on words
-      shared across nodes goes through {!write_line}. *)
-
   type line
   (** A cache line holding one contended shared word (a lock or run-queue
       word).  The simulator tracks which nodes cache the line; on real
@@ -253,11 +247,11 @@ module type WORK = sig
 
   val write_line : line -> bytes:int -> unit
   (** One RMW/write bus transaction on the line: claim it exclusive for
-      the calling proc's node and account [bytes] of traffic.  If no other
-      node cached the line this is exactly [traffic ~bytes] (node-local);
-      otherwise the transfer crosses the inter-node link and each remote
-      copy is invalidated (counted under ["cache.invalidations"]).  No-op
-      on real backends, like [traffic]. *)
+      the calling proc's node and account [bytes] of bus traffic.  If no
+      other node cached the line the transfer stays on the node's bus;
+      otherwise it crosses the inter-node link and each remote copy is
+      invalidated (counted under ["cache.invalidations"]).  No-op on real
+      backends. *)
 
   val poll : unit -> unit
   (** Safe point: give the platform (and, through the poll hook, the thread
@@ -331,7 +325,6 @@ module Free_work () = struct
   let step ?alloc_words:_ ~instrs:_ () = !hook ()
   let charge _ = ()
   let alloc ~words:_ = ()
-  let traffic ~bytes:_ = ()
 
   type line = unit
 

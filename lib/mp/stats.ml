@@ -59,10 +59,6 @@ let idle_fraction t =
     t.per_proc;
   if !den = 0. then 0. else !num /. !den
 
-let gc_fraction t =
-  if t.elapsed = 0. || t.procs = 0 then 0.
-  else t.gc_time /. (float_of_int t.procs *. t.elapsed)
-
 let bus_utilization t = if t.elapsed = 0. then 0. else t.bus_busy /. t.elapsed
 
 let bus_mb_per_sec t =

@@ -57,10 +57,6 @@ val idle_fraction : t -> float
     the quantity behind the paper's "average processor idle rates above
     50%" claim for [simple]. *)
 
-val gc_fraction : t -> float
-(** gc_time / (procs * elapsed): share of total processor-seconds spent in
-    (or waiting on) sequential collection. *)
-
 val bus_utilization : t -> float
 (** bus_busy / elapsed. *)
 

@@ -21,9 +21,6 @@ type gc_kind =
   | Major  (** stop-the-world collection (the historical [stw] model) *)
   | Par  (** stop-the-world with the copy split over parallel collectors *)
 
-val gc_kind_name : gc_kind -> string
-(** Lower-case label used in the JSONL encoding. *)
-
 type t =
   | Dispatch of { proc : int; clock : int }
       (** the scheduler handed the proc to its pending action *)

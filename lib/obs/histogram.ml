@@ -75,24 +75,6 @@ let min_value t = if count t = 0 then 0 else Atomic.get t.mn
 let max_value t = if count t = 0 then 0 else Atomic.get t.mx
 let mean t = if count t = 0 then 0. else float_of_int (sum t) /. float_of_int (count t)
 
-let merge_into ~src ~dst =
-  for i = 0 to n_buckets - 1 do
-    let n = Atomic.get src.buckets.(i) in
-    if n > 0 then ignore (Atomic.fetch_and_add dst.buckets.(i) n)
-  done;
-  ignore (Atomic.fetch_and_add dst.count (Atomic.get src.count));
-  ignore (Atomic.fetch_and_add dst.sum (Atomic.get src.sum));
-  if count src > 0 then begin
-    min_gauge dst.mn (Atomic.get src.mn);
-    max_gauge dst.mx (Atomic.get src.mx)
-  end
-
-let merge a b =
-  let t = create () in
-  merge_into ~src:a ~dst:t;
-  merge_into ~src:b ~dst:t;
-  t
-
 let reset t =
   Array.iter (fun c -> Atomic.set c 0) t.buckets;
   Atomic.set t.count 0;

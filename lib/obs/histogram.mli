@@ -10,9 +10,7 @@
     record in constant space.
 
     Cells are [Atomic], so concurrent recorders on the domains backend are
-    safe; [merge] is a pointwise sum and hence associative and commutative,
-    so a merged histogram does not depend on the order its parts are
-    added in. *)
+    safe. *)
 
 type t
 
@@ -25,23 +23,14 @@ val add : t -> int -> unit
 
 val count : t -> int
 val sum : t -> int
-val min_value : t -> int
 val max_value : t -> int
 val mean : t -> float
-
-val merge : t -> t -> t
-(** Fresh histogram holding the pointwise sum; associative, commutative. *)
-
-val merge_into : src:t -> dst:t -> unit
 
 val quantile : t -> float -> int
 (** [quantile t q] for q in [0,1]: inclusive upper bound of the bucket
     holding the rank-⌈q·count⌉ value, clamped to the recorded max — an
     overestimate of the exact order statistic by at most one bucket width
     (relative error ≤ 1/{!sub}).  0 when empty. *)
-
-val quantile_bounds : t -> float -> int * int
-(** [(lo, hi)] bracketing the exact order statistic: lo ≤ exact ≤ hi. *)
 
 val reset : t -> unit
 

@@ -1,9 +1,5 @@
 type t = { emit : Event.t -> unit; flush : unit -> unit }
 
-let null = { emit = ignore; flush = ignore }
-
-let memory ring = { emit = Ring.record ring; flush = ignore }
-
 let jsonl oc =
   (* One writer mutex: domains-backend emitters may share the channel, and
      interleaved [output_string] calls would tear lines. *)
@@ -17,16 +13,4 @@ let jsonl oc =
         output_char oc '\n';
         Mutex.unlock m);
     flush = (fun () -> flush oc);
-  }
-
-let tee a b =
-  {
-    emit =
-      (fun e ->
-        a.emit e;
-        b.emit e);
-    flush =
-      (fun () ->
-        a.flush ();
-        b.flush ());
   }

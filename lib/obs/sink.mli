@@ -1,22 +1,12 @@
 (** Pluggable event sinks.
 
-    A sink is where enabled telemetry events go after (optionally) being
-    retained in the per-stream rings: nowhere ([null]), a caller-owned
-    ring ([memory]), or a JSONL stream ([jsonl]). *)
+    A sink is where enabled telemetry events go besides the per-stream
+    rings ({!Telemetry.enable_memory}): a JSONL stream ([jsonl]) or any
+    caller-built record, such as a counting sink. *)
 
 type t = { emit : Event.t -> unit; flush : unit -> unit }
-
-val null : t
-(** Drops everything.  The disabled path never reaches a sink at all —
-    emission is guarded by the platform's [enabled] flag — so [null] only
-    matters for explicitly-attached no-op sinks. *)
-
-val memory : Event.t Ring.t -> t
-(** Record into a caller-owned bounded ring. *)
 
 val jsonl : out_channel -> t
 (** One JSON object per line ({!Event.to_json}).  Writes are serialized
     with an internal mutex so concurrent domains cannot tear lines; the
     caller closes the channel after [flush]. *)
-
-val tee : t -> t -> t

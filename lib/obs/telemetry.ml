@@ -4,7 +4,7 @@ type t = {
   now_ts : unit -> int;
   counters : Counters.t;
   mutable on : bool;
-  mutable rings : Event.t Ring.t array; (* [||] unless a memory sink is up *)
+  mutable rings : Event.t Ring.t array; (* [||] unless [enable_memory] is up *)
   mutable sink : Sink.t option;
 }
 

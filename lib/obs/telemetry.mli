@@ -44,7 +44,7 @@ val emit : t -> Event.t -> unit
 (** No-op unless enabled. *)
 
 val ring : t -> int -> Event.t Ring.t option
-(** The ring of a given stream, when a memory sink is enabled. *)
+(** The ring of a given stream, while {!enable_memory}'s rings are up. *)
 
 val events : t -> Event.t list
 (** All retained events, merged across streams in timestamp order (stable:

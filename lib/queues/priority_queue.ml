@@ -65,19 +65,3 @@ let peek q = if q.size = 0 then raise Empty else q.heap.(0).value
 let peek_opt q = if q.size = 0 then None else Some q.heap.(0).value
 let length q = q.size
 let is_empty q = q.size = 0
-
-module As_queue (P : sig
-  val priority : int
-end) =
-struct
-  exception Empty = Queue_intf.Empty
-
-  type nonrec 'a queue = 'a queue
-
-  let create () = create ()
-  let enq q x = enq q ~priority:P.priority x
-  let deq = deq
-  let deq_opt = deq_opt
-  let length = length
-  let is_empty = is_empty
-end

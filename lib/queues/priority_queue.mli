@@ -3,11 +3,3 @@
     stays starvation-ordered and deterministic). *)
 
 include Queue_intf.PRIORITY_QUEUE
-
-module As_queue (P : sig
-  val priority : int
-  (** Fixed priority assigned by [enq]. *)
-end) : Queue_intf.QUEUE_EXT
-(** Adapts the priority queue to the paper's [QUEUE] signature by fixing the
-    priority of every enqueue — the footnote-1 signature mismatch resolved
-    the other way around. *)

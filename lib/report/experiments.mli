@@ -39,9 +39,6 @@ type sample = {
   heap_ops : int;  (** ready-heap pushes, pops and re-keys (likewise) *)
 }
 
-val default_procs : int list
-(** 1, 2, 4, 6, 8, 10, 12, 14, 16 — Figure 6's x axis. *)
-
 val run_cell :
   Sim.Sim_config.t -> string * int -> sample * float * (string * int) list
 (** [run_cell config (bench, procs)] runs one grid cell on a private
@@ -68,7 +65,7 @@ val sweep :
     [plist] is clamped to the machine size and always gains the 1-proc
     baseline every speedup divides by; machines larger than 16 procs
     default to the powers-of-four list [1; 4; 16; 64; 256; 1024], smaller
-    ones to {!default_procs}.
+    ones to Figure 6's x axis [1; 2; 4; 6; ...; 16].
 
     [sched] is the scheduling policy for every pool in the sweep, in
     {!Mpthreads.Sched_policy.of_string} syntax; default ["distributed"].
@@ -81,10 +78,6 @@ val sweep :
     every [jobs] value.  Defaults to 1; inside {!trace} the cells run one
     at a time. *)
 
-val gc_models : string list
-(** The three collectors of the E8 headroom replay:
-    ["stw"; "par_stw"; "minor_pp"]. *)
-
 val gc_sweep :
   ?plist:int list ->
   ?jobs:int ->
@@ -92,9 +85,10 @@ val gc_sweep :
   ?machine:string ->
   unit ->
   (string * sample list) list
-(** One {!sweep} per collector in {!gc_models} on the same machine
-    (default ["sequent"]) and schedule, for the paper-§6.2 "how much does
-    the sequential stop-the-world collector cost us" replay (E8). *)
+(** One {!sweep} per collector (["stw"; "par_stw"; "minor_pp"]) on the
+    same machine (default ["sequent"]) and schedule, for the paper-§6.2
+    "how much does the sequential stop-the-world collector cost us"
+    replay (E8). *)
 
 val trace : string -> (unit -> 'a) -> 'a
 (** [trace path f] runs [f] with every cell's telemetry (scheduler, proc,

@@ -26,11 +26,6 @@ val schedulers : string list
 (** ["fifo"; "distributed"; "ws"] — central-queue baseline, the
     golden-pinned default, and work stealing. *)
 
-val grid_procs : int list
-(** [1; 4; 16]. *)
-
-val ramp_rates : quick:bool -> float list
-
 val run_cell :
   machine:string -> config:Workloads.Server.config -> string * int * float ->
   cell
@@ -44,8 +39,9 @@ val golden_line : cell -> string
     values the server golden table pins. *)
 
 val grid : ?quick:bool -> ?jobs:int -> ?machine:string -> unit -> cell list
-(** One cell per (scheduler, procs) at the default offered load; [jobs]
-    (default 1) fans the cells across host domains. *)
+(** One cell per (scheduler, procs) at the default offered load, procs
+    ranging over 1, 4 and 16; [jobs] (default 1) fans the cells across
+    host domains. *)
 
 val ramp :
   ?quick:bool -> ?jobs:int -> ?machine:string -> ?procs:int -> unit ->

@@ -831,11 +831,6 @@ struct
       done;
       run_ops (List.rev !ops)
 
-    let traffic ~bytes =
-      if bytes > 0 then
-        let p = cur () in
-        yield_unless (apply ~admit:true p ~cpu:0 ~bytes ~route:0 ~idle:false) p
-
     (* Contended shared words outside the platform lock (the lock-algorithm
        family's cells, run-queue heads): same sharer-set model as
        [sim_lock].  [read_line] is charge-free by contract — the read's

@@ -175,6 +175,3 @@ let procs_per_node c =
 
 let cycles_to_seconds c n = float_of_int n /. (c.mhz *. 1.0e6)
 let seconds_to_cycles c s = int_of_float (s *. c.mhz *. 1.0e6)
-
-let lock_pair_microseconds c =
-  float_of_int (c.try_lock_cycles + c.unlock_cycles) /. c.mhz

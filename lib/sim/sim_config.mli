@@ -97,9 +97,6 @@ val numa : ?nodes:int -> ?procs_per_node:int -> ?sched:string -> unit -> t
     bandwidth, joined by a single shared link of twice that bandwidth plus
     a 120-cycle crossing latency.  Name: ["numa:<nodes>x<procs>"]. *)
 
-val machine_names : string list
-(** Accepted spellings for {!of_machine_string} ([--machine]). *)
-
 val of_machine_string : ?sched:string -> ?gc:Gc_model.t -> string -> (t, string) result
 (** Parse a machine selector: ["sequent"], ["sgi"], ["numa:<nodes>x<procs>"]
     (e.g. [numa:4x16]), or ["numa1024"], the canonical 1024-proc preset
@@ -117,7 +114,3 @@ val procs_per_node : t -> int
 
 val cycles_to_seconds : t -> int -> float
 val seconds_to_cycles : t -> float -> int
-
-val lock_pair_microseconds : t -> float
-(** Modelled cost in µs of one uncontended lock+unlock pair — the paper's
-    footnote-4 microbenchmark (46 µs Sequent, 6 µs SGI). *)

@@ -18,8 +18,6 @@ val merge : up:bool -> int array -> int -> int -> unit
 (** [merge ~up a lo n] sorts the bitonic segment [a.(lo .. lo+n-1)]
     ascending ([up]) or descending. *)
 
-val is_power_of_two : int -> bool
-
 val half_clean : up:bool -> int array -> int -> int -> bool
 (** One comparator column over a bitonic segment; returns whether any
     exchange happened.  Exposed as the parallel merge's building block. *)
@@ -30,6 +28,7 @@ val ordered : up:bool -> int array -> int -> int -> bool
 
 val comparators_used : unit -> int
 (** Comparator applications since the last {!reset_counters} (adaptivity
-    instrumentation, also used by the benchmark cost model). *)
+    instrumentation; the benchmark cost model charges n log² n comparators
+    analytically and does not read it). *)
 
 val reset_counters : unit -> unit

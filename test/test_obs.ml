@@ -160,16 +160,6 @@ let test_event_json_shape () =
 
 (* ---------------- sinks ---------------- *)
 
-let test_sink_memory_and_tee () =
-  let r1 = Obs.Ring.create ~capacity:8 in
-  let r2 = Obs.Ring.create ~capacity:8 in
-  let s = Obs.Sink.tee (Obs.Sink.memory r1) (Obs.Sink.memory r2) in
-  s.Obs.Sink.emit ev_dispatch;
-  s.Obs.Sink.flush ();
-  check "first branch" 1 (Obs.Ring.length r1);
-  check "second branch" 1 (Obs.Ring.length r2);
-  Obs.Sink.null.Obs.Sink.emit ev_dispatch (* must not raise *)
-
 let test_sink_jsonl_lines () =
   let path = Filename.temp_file "obs_test" ".jsonl" in
   Fun.protect
@@ -277,7 +267,6 @@ let () =
         ] );
       ( "sinks",
         [
-          Alcotest.test_case "memory and tee" `Quick test_sink_memory_and_tee;
           Alcotest.test_case "jsonl lines" `Quick test_sink_jsonl_lines;
         ] );
       ( "telemetry",

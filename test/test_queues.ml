@@ -55,24 +55,6 @@ let test_lifo_empty () =
   Alcotest.check_raises "empty" Queue_intf.Empty (fun () ->
       ignore (Lifo_queue.deq q))
 
-(* ---------------- Random ---------------- *)
-
-let test_random_is_permutation () =
-  let q = Random_queue.create_seeded 7 in
-  let input = List.init 50 Fun.id in
-  List.iter (Random_queue.enq q) input;
-  let out = drain Random_queue.deq_opt q in
-  check_list "permutation" input (List.sort compare out)
-
-let test_random_deterministic_by_seed () =
-  let run seed =
-    let q = Random_queue.create_seeded seed in
-    List.iter (Random_queue.enq q) (List.init 20 Fun.id);
-    drain Random_queue.deq_opt q
-  in
-  check_list "same seed, same order" (run 5) (run 5);
-  checkb "different seeds differ somewhere" true (run 5 <> run 6)
-
 (* ---------------- Priority ---------------- *)
 
 let test_priority_order () =
@@ -90,14 +72,6 @@ let test_priority_fifo_among_equals () =
   List.iter (fun x -> Priority_queue.enq q ~priority:3 x) [ 1; 2; 3; 4 ];
   let out = List.init 4 (fun _ -> Priority_queue.deq q) in
   check_list "insertion order among equals" [ 1; 2; 3; 4 ] out
-
-let test_priority_as_queue () =
-  let module Q = Priority_queue.As_queue (struct
-    let priority = 0
-  end) in
-  let q = Q.create () in
-  List.iter (Q.enq q) [ 1; 2; 3 ];
-  check_list "fixed priority = fifo" [ 1; 2; 3 ] (drain Q.deq_opt q)
 
 let test_priority_empty () =
   let q : int Priority_queue.queue = Priority_queue.create () in
@@ -151,30 +125,9 @@ let test_bounded_wraparound () =
     check "ring order" round (Bounded_queue.deq q)
   done
 
-(* ---------------- Locked wrapper ---------------- *)
-
-module U = Mp.Mp_uniproc.Int ()
-module LQ = Locked_queue.Make (U.Lock) (Fifo_queue)
-
-let test_locked_queue_basic () =
-  let q = LQ.create () in
-  U.run (fun () ->
-      LQ.enq q 1;
-      LQ.enq q 2;
-      check "fifo through lock" 1 (LQ.deq q);
-      check "length" 1 (LQ.length q);
-      LQ.with_lock q (fun () -> ()))
-
-let test_locked_queue_exn_releases () =
-  let q = LQ.create () in
-  U.run (fun () ->
-      (try LQ.with_lock q (fun () -> failwith "inside") with Failure _ -> ());
-      (* lock must have been released: another operation succeeds *)
-      LQ.enq q 5;
-      check "usable after exn" 5 (LQ.deq q))
-
 (* ---------------- Multi queue ---------------- *)
 
+module U = Mp.Mp_uniproc.Int ()
 module MQ = Multi_queue.Make (U.Lock)
 
 let test_multi_local_lifo () =
@@ -234,15 +187,6 @@ let prop_lifo_reverses =
       List.iter (Lifo_queue.enq q) input;
       drain Lifo_queue.deq_opt q = List.rev input)
 
-let prop_random_permutes =
-  QCheck.Test.make ~name:"random: drain is a permutation" ~count:200
-    QCheck.(pair small_int (list small_int))
-    (fun (seed, input) ->
-      let q = Random_queue.create_seeded seed in
-      List.iter (Random_queue.enq q) input;
-      List.sort compare (drain Random_queue.deq_opt q)
-      = List.sort compare input)
-
 let prop_priority_sorted =
   QCheck.Test.make ~name:"priority: drain sorted by priority desc" ~count:200
     QCheck.(list (pair small_int small_int))
@@ -291,6 +235,34 @@ let prop_bounded_never_exceeds =
            else ignore (Bounded_queue.deq_opt q));
           Bounded_queue.length q <= cap)
         ops)
+
+let prop_multi_conserves =
+  QCheck.Test.make ~name:"multi: take drains every push exactly once"
+    ~count:200
+    QCheck.(pair (int_range 1 4) (list (pair (int_range 0 2) small_int)))
+    (fun (procs, ops) ->
+      U.run (fun () ->
+          let t = MQ.create ~procs () in
+          List.iteri
+            (fun i (kind, p) ->
+              let proc = p mod procs in
+              match kind with
+              | 0 -> MQ.push t ~proc i
+              | 1 -> MQ.push_back t ~proc i
+              | _ -> MQ.push_global t i)
+            ops;
+          let n = List.length ops in
+          let counted = MQ.total_length t = n && MQ.looks_nonempty t = (n > 0) in
+          (* takers rotate over the procs, so takes both pop and steal *)
+          let rec go k acc =
+            match MQ.take t ~proc:(k mod procs) with
+            | Some x -> go (k + 1) (x :: acc)
+            | None -> acc
+          in
+          let out = go 0 [] in
+          counted
+          && List.sort compare out = List.init n Fun.id
+          && not (MQ.looks_nonempty t)))
 
 (* ---------------- SPMC steal-half queue ---------------- *)
 
@@ -485,18 +457,11 @@ let () =
           Alcotest.test_case "order" `Quick test_lifo_order;
           Alcotest.test_case "empty raises" `Quick test_lifo_empty;
         ] );
-      ( "random",
-        [
-          Alcotest.test_case "permutation" `Quick test_random_is_permutation;
-          Alcotest.test_case "seed-deterministic" `Quick
-            test_random_deterministic_by_seed;
-        ] );
       ( "priority",
         [
           Alcotest.test_case "order" `Quick test_priority_order;
           Alcotest.test_case "fifo among equals" `Quick
             test_priority_fifo_among_equals;
-          Alcotest.test_case "as QUEUE" `Quick test_priority_as_queue;
           Alcotest.test_case "empty raises" `Quick test_priority_empty;
         ] );
       ( "deque",
@@ -509,12 +474,6 @@ let () =
           Alcotest.test_case "capacity" `Quick test_bounded_capacity;
           Alcotest.test_case "invalid" `Quick test_bounded_invalid;
           Alcotest.test_case "wraparound" `Quick test_bounded_wraparound;
-        ] );
-      ( "locked",
-        [
-          Alcotest.test_case "basic" `Quick test_locked_queue_basic;
-          Alcotest.test_case "exception releases lock" `Quick
-            test_locked_queue_exn_releases;
         ] );
       ( "multi",
         [
@@ -539,10 +498,10 @@ let () =
         [
           prop_fifo_preserves_order;
           prop_lifo_reverses;
-          prop_random_permutes;
           prop_priority_sorted;
           prop_deque_double_ended;
           prop_bounded_never_exceeds;
+          prop_multi_conserves;
           prop_spmc_four_domain_race;
         ];
     ]

@@ -69,7 +69,6 @@ let test_stats_zero () =
   let t = Mp.Stats.zero ~platform:"x" ~procs:3 in
   check "procs" 3 (Array.length t.Mp.Stats.per_proc);
   Alcotest.(check (float 0.)) "idle fraction of empty" 0. (Mp.Stats.idle_fraction t);
-  Alcotest.(check (float 0.)) "gc fraction of empty" 0. (Mp.Stats.gc_fraction t);
   Alcotest.(check (float 0.)) "bus util of empty" 0. (Mp.Stats.bus_utilization t)
 
 let test_stats_fractions () =
@@ -114,6 +113,55 @@ let test_loc_scan () =
       checkb "has system-dependent parts" true
         (List.mem "system-dependent" kinds);
       checkb "has generic parts" true (List.mem "generic" kinds)
+
+(* E2 as EXPERIMENTS.md and README quote it must be what [scan] counts,
+   so a change to lib/'s size updates both docs in the same diff.  The
+   docs group thousands with a space and wrap lines anywhere. *)
+let test_loc_docs_quote_scan () =
+  match Report.Loc_count.find_root () with
+  | None -> Alcotest.fail "project root not found"
+  | Some root ->
+      let entries = Report.Loc_count.scan ~root in
+      let sum p =
+        List.fold_left
+          (fun a e -> if p e then a + e.Report.Loc_count.lines else a)
+          0 entries
+      in
+      let n x =
+        if x < 1000 then string_of_int x
+        else Printf.sprintf "%d %03d" (x / 1000) (x mod 1000)
+      in
+      let row c = n (sum (fun e -> e.Report.Loc_count.component = c)) in
+      let uni = row "backend: uniprocessor"
+      and dom = row "backend: domains (kernel threads)"
+      and sim = row "backend: simulated multiprocessor" in
+      let total = sum (fun _ -> true)
+      and dep = sum (fun e -> e.Report.Loc_count.kind = "system-dependent") in
+      let pct =
+        Printf.sprintf "%.1f %%" (100. *. float_of_int dep /. float_of_int total)
+      in
+      let quotes file text =
+        let doc =
+          In_channel.with_open_bin (Filename.concat root file) In_channel.input_all
+          |> String.split_on_char '\n' |> String.concat " "
+          |> String.split_on_char ' ' |> List.filter (( <> ) "")
+          |> String.concat " "
+        in
+        if not (contains doc text) then
+          Alcotest.failf "%s does not quote E2 as %S" file text
+      in
+      quotes "EXPERIMENTS.md"
+        (Printf.sprintf
+           "`mp_repro portability` counts %s lines for the uniprocessor \
+            backend, %s for the domains backend and %s for the simulated \
+            machine, out of a lib/ total of %s (%s system-dependent lines, %s"
+           uni dom sim (n total) (n dep) pct);
+      quotes "README.md"
+        (Printf.sprintf
+           "**Portability table**: per-backend (system-dependent) code is %s \
+            of the runtime's %s lines (%s), most of it the simulated machine \
+            (%s); the two real ports (uniprocessor %s, domains %s)"
+           (n dep) (n total) pct sim uni dom)
 
 (* ---------------- model ---------------- *)
 
@@ -385,6 +433,8 @@ let () =
         [
           Alcotest.test_case "find root" `Quick test_loc_finds_root;
           Alcotest.test_case "scan" `Quick test_loc_scan;
+          Alcotest.test_case "docs quote the scan" `Quick
+            test_loc_docs_quote_scan;
         ] );
       ( "model",
         [
