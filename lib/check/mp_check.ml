@@ -436,7 +436,6 @@ struct
     let hook = ref (fun () -> ())
     let step ?alloc_words:_ ~instrs:_ () = ()
     let charge _ = ()
-    let alloc ~words:_ = ()
 
     (* Lines carry no cost here, but the sharing protocol is still worth
        exploring: scenarios read the sharer set back ([line_sharers]) to
@@ -455,11 +454,6 @@ struct
       !hook ()
 
     let set_poll_hook f = hook := f
-
-    let idle () =
-      sched_point
-        ~op:(Check_intf.desc "work.idle" Check_intf.obj_local Check_intf.Yield)
-        K_yield
 
     let idle_until ~ready =
       if not (ready ()) then

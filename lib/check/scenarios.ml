@@ -146,8 +146,8 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
     }
 
   (* A bounded queue behind a TTAS lock: [try_put] is one locked attempt;
-     [put] and [get] retry, idling between attempts, until there is room
-     or an item. *)
+     [put] and [get] retry, pausing (a yield point) between attempts,
+     until there is room or an item. *)
   type bounded = {
     try_put : int -> bool;
     put : int -> unit;
@@ -162,7 +162,7 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
     in
     let rec put v =
       if not (try_put v) then begin
-        C.Work.idle ();
+        C.Prims.pause ();
         put v
       end
     in
@@ -170,7 +170,7 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
       match T_ttas.locked l (fun () -> Queues.Bounded_queue.deq_opt q) with
       | Some v -> v
       | None ->
-          C.Work.idle ();
+          C.Prims.pause ();
           get ()
     in
     { try_put; put; get }

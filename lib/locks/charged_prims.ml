@@ -12,8 +12,6 @@ module Make (P : Mp.Mp_intf.PLATFORM) = struct
      invalidations.  On real backends [P.Work.line] is stateless and free. *)
   type 'a cell = { v : 'a Atomic.t; ln : P.Work.line }
 
-  let spins = ref 0
-
   (* Spins from the lock-algorithm collection land in the platform's
      registry under their own name so they don't collide with the
      platform Lock's own "lock.spins". *)
@@ -67,33 +65,5 @@ module Make (P : Mp.Mp_intf.PLATFORM) = struct
   let pause_n n =
     if n > 0 then P.Work.charge (n * pause_cycles)
 
-  (* [on_spin] is the hottest operation in a contended section — every
-     failed probe of every spinning proc lands here — and the simulator
-     runs all fibers on one host domain, so the count can be kept in a
-     plain ref and flushed to the shared registry cell in batches instead
-     of paying an atomic RMW per spin.  Flushes happen every
-     [flush_batch] spins and at every read/reset point, so any observer
-     going through [spin_count] (or reading the registry after a run's
-     final [reset_spin_count]/[spin_count]) sees exact totals. *)
-  let pending = ref 0
-  let flush_batch = 256
-
-  let flush () =
-    if !pending > 0 then begin
-      Obs.Counters.add c_spins !pending;
-      pending := 0
-    end
-
-  let on_spin () =
-    incr spins;
-    incr pending;
-    if !pending >= flush_batch then flush ()
-
-  let spin_count () =
-    flush ();
-    !spins
-
-  let reset_spin_count () =
-    flush ();
-    spins := 0
+  let on_spin () = Obs.Counters.incr c_spins
 end

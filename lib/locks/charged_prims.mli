@@ -17,8 +17,7 @@ module Make (P : Mp.Mp_intf.PLATFORM) : sig
       cell's line, and a pause unit 10.  [unsafe_peek] is free and leaves
       the line alone, as scheduler idle predicates require; the [ws]
       steal sweep peeks the same way to skip empty-looking queues, and
-      re-validates a queue it probes with a charged [get] and CAS. *)
-
-  val spin_count : unit -> int
-  val reset_spin_count : unit -> unit
+      re-validates a queue it probes with a charged [get] and CAS.
+      [on_spin] counts under ["lock.prims_spins"] in the platform's
+      registry. *)
 end

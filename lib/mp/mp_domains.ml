@@ -206,8 +206,6 @@ module Make
   module Work = struct
     include Mp_intf.Free_work ()
 
-    let idle () = Domain.cpu_relax ()
-
     let idle_until ~ready =
       while not (ready ()) do
         Domain.cpu_relax ()

@@ -108,7 +108,7 @@ module type LOCK = sig
       but a platform may fuse the acquire/section/release into a cheaper
       episode — the simulator, for instance, runs the whole critical
       section under one scheduler interaction.  [f] must itself be free of
-      charges and suspensions (no [Work.step]/[charge]/[alloc]/[idle] and
+      charges and suspensions (no [Work.step]/[charge]/[idle_until] and
       no blocking), which is the natural shape for the short
       pointer-swinging sections the run-queue and thread packages use. *)
 end
@@ -228,9 +228,6 @@ module type WORK = sig
   val charge : int -> unit
   (** Account for raw virtual cycles (no allocation). *)
 
-  val alloc : words:int -> unit
-  (** Account for heap allocation only. *)
-
   type line
   (** A cache line holding one contended shared word (a lock or run-queue
       word).  The simulator tracks which nodes cache the line; on real
@@ -262,15 +259,11 @@ module type WORK = sig
   (** Install the thread package's preemption check, invoked at each safe
       point. *)
 
-  val idle : unit -> unit
-  (** Pause briefly while waiting for work; accounted as idle time. *)
-
   val idle_until : ready:(unit -> bool) -> unit
   (** Pause, accounted as idle time, until [ready ()] holds.  Reference
       semantics (and the behavior of every real backend): repeatedly
-      {!idle} one quantum, then evaluate [ready]; return as soon as it is
-      true — i.e. equivalent to [let rec go () = idle (); if not (ready ())
-      then go () in go ()].  [ready] must be free of side effects and of
+      pause one idle quantum, then evaluate [ready]; return as soon as it
+      is true.  [ready] must be free of side effects and of
       charges: the simulator may evaluate it from scheduler context,
       outside the calling fiber, servicing the per-quantum checks without
       a suspension per quantum (quiescence-epoch coalescing).
@@ -282,7 +275,7 @@ module type WORK = sig
       {!idle_deadline}.  The simulator relies on it: after a failed poll
       the poller sleeps, and only those events make it poll again.  A
       write that turns a predicate true without the hint leaves the
-      poller asleep (a [debug] machine asserts that no skipped poll would
+      poller asleep (a [Checked] machine asserts that no skipped poll would
       have succeeded). *)
 
   val wake_idle : unit -> unit
@@ -324,7 +317,6 @@ module Free_work () = struct
   let hook = ref (fun () -> ())
   let step ?alloc_words:_ ~instrs:_ () = !hook ()
   let charge _ = ()
-  let alloc ~words:_ = ()
 
   type line = unit
 
@@ -350,10 +342,6 @@ end
     allocates nothing, charges no virtual time and takes no extra
     suspensions.  Counters are always live ([Atomic] increments). *)
 module type TELEMETRY = sig
-  val handle : Obs.Telemetry.t
-  (** The underlying instance, for consumers that want direct access to
-      the per-stream rings. *)
-
   val enabled : unit -> bool
   (** Whether events are being recorded.  Emitting call sites must check
       this {e before} constructing an event. *)
@@ -391,7 +379,8 @@ end
 module Telemetry_of (X : sig
   val handle : Obs.Telemetry.t
 end) : TELEMETRY = struct
-  let handle = X.handle
+  open X
+
   let enabled () = Obs.Telemetry.enabled handle
   let now_ts () = Obs.Telemetry.ts handle
   let emit e = Obs.Telemetry.emit handle e

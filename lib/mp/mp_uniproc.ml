@@ -61,14 +61,12 @@ struct
   module Work = struct
     include Mp_intf.Free_work ()
 
-    let idle () = ()
-
     (* Single proc: if nothing is ready, nothing ever will be — but that is
        the caller's deadlock, not ours, so spin exactly as the old
        idle-loop fallback did. *)
     let idle_until ~ready =
       while not (ready ()) do
-        idle ()
+        ()
       done
 
     let queue_wait = ref 0.

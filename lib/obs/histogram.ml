@@ -40,7 +40,6 @@ type t = {
   buckets : int Atomic.t array;
   count : int Atomic.t;
   sum : int Atomic.t;
-  mn : int Atomic.t; (* max_int when empty *)
   mx : int Atomic.t; (* -1 when empty *)
 }
 
@@ -49,13 +48,8 @@ let create () =
     buckets = Array.init n_buckets (fun _ -> Atomic.make 0);
     count = Atomic.make 0;
     sum = Atomic.make 0;
-    mn = Atomic.make max_int;
     mx = Atomic.make (-1);
   }
-
-let rec min_gauge cell v =
-  let cur = Atomic.get cell in
-  if v < cur && not (Atomic.compare_and_set cell cur v) then min_gauge cell v
 
 let rec max_gauge cell v =
   let cur = Atomic.get cell in
@@ -66,12 +60,10 @@ let add t v =
   ignore (Atomic.fetch_and_add t.buckets.(index_of v) 1);
   ignore (Atomic.fetch_and_add t.count 1);
   ignore (Atomic.fetch_and_add t.sum v);
-  min_gauge t.mn v;
   max_gauge t.mx v
 
 let count t = Atomic.get t.count
 let sum t = Atomic.get t.sum
-let min_value t = if count t = 0 then 0 else Atomic.get t.mn
 let max_value t = if count t = 0 then 0 else Atomic.get t.mx
 let mean t = if count t = 0 then 0. else float_of_int (sum t) /. float_of_int (count t)
 
@@ -79,16 +71,15 @@ let reset t =
   Array.iter (fun c -> Atomic.set c 0) t.buckets;
   Atomic.set t.count 0;
   Atomic.set t.sum 0;
-  Atomic.set t.mn max_int;
   Atomic.set t.mx (-1)
 
 (* Rank of quantile q among n recorded values: the smallest bucket whose
    cumulative count reaches ceil(q*n) (clamped to [1,n]).  Returned value is
    the bucket's inclusive upper bound, clamped to the recorded max, so the
-   exact order statistic lies in [lo, result]. *)
-let quantile_bounds t q =
+   exact order statistic lies at or below it, within the bucket. *)
+let quantile t q =
   let n = count t in
-  if n = 0 then (0, 0)
+  if n = 0 then 0
   else begin
     let rank = int_of_float (ceil (q *. float_of_int n)) in
     let rank = if rank < 1 then 1 else if rank > n then n else rank in
@@ -103,13 +94,10 @@ let quantile_bounds t q =
          incr i
        done
      with Exit -> ());
-    let lo, hi = bounds_of !found in
+    let hi = snd (bounds_of !found) in
     let mx = max_value t in
-    let mn = min_value t in
-    ((if lo < mn then mn else lo), if hi > mx then mx else hi)
+    if hi > mx then mx else hi
   end
-
-let quantile t q = snd (quantile_bounds t q)
 
 let nonzero_buckets t =
   let out = ref [] in

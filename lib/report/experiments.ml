@@ -225,7 +225,7 @@ let print_fig6 fmt samples =
   let ps = procs_of samples in
   Render.series fmt ~xlabel:"speedup@procs" ~xs:ps ~rows:(fig6_rows samples);
   Format.fprintf fmt "@.";
-  Render.chart fmt ~xs:ps ~rows:(fig6_rows samples) ();
+  Render.chart fmt ~xs:ps ~rows:(fig6_rows samples);
   let ok = List.for_all (fun s -> s.verified) samples in
   Format.fprintf fmt
     "@.results vs sequential references: %s@."

@@ -33,7 +33,8 @@ let series fmt ~xlabel ~xs ~rows =
   in
   table fmt ~header ~rows
 
-let chart fmt ~xs ~rows ?(height = 16) () =
+let chart fmt ~xs ~rows =
+  let height = 16 in
   let max_y =
     List.fold_left
       (fun acc (_, vals) -> List.fold_left max acc vals)

@@ -18,11 +18,6 @@ val series :
     (e.g. Figure 6: columns are proc counts, rows are benchmarks). *)
 
 val chart :
-  Format.formatter ->
-  xs:int list ->
-  rows:(string * float list) list ->
-  ?height:int ->
-  unit ->
-  unit
-(** Crude ASCII rendering of the same series (speedup vs procs), one
-    letter per series, linear ideal shown as [.]. *)
+  Format.formatter -> xs:int list -> rows:(string * float list) list -> unit
+(** Crude ASCII rendering of the same series (speedup vs procs), 16 rows
+    high, one letter per series, linear ideal shown as [.]. *)

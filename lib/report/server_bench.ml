@@ -84,11 +84,11 @@ let grid ?(quick = false) ?(jobs = 1) ?(machine = "sequent") () =
   in
   Exec.Job_pool.map ~jobs (run_cell ~machine ~config) cells
 
-let ramp ?(quick = false) ?(jobs = 1) ?(machine = "sequent") ?(procs = 16) () =
+let ramp ?(quick = false) ?(jobs = 1) ?(machine = "sequent") () =
   let config = base_config ~quick in
   let cells =
     List.concat_map
-      (fun sched -> List.map (fun rate -> (sched, procs, rate)) (ramp_rates ~quick))
+      (fun sched -> List.map (fun rate -> (sched, 16, rate)) (ramp_rates ~quick))
       schedulers
   in
   Exec.Job_pool.map ~jobs (run_cell ~machine ~config) cells
@@ -171,7 +171,7 @@ let to_json ~quick grid_cells ramp_cells =
        "  \"config\": {\"requests\": %d, \"arrival\": \"poisson\", \
         \"service\": \"exp\", \"service_mean_instrs\": %d, \"shards\": %d, \
         \"workers_per_shard\": %d, \"queue_cap\": %d, \"seed\": %d},\n"
-       cfg.Workloads.Server.requests cfg.Workloads.Server.service_mean_instrs
+       cfg.Workloads.Server.requests Workloads.Server.service_mean_instrs
        cfg.Workloads.Server.shards cfg.Workloads.Server.workers_per_shard
        cfg.Workloads.Server.queue_cap cfg.Workloads.Server.seed);
   Buffer.add_string b "  \"cells\": [\n";

@@ -43,10 +43,8 @@ val grid : ?quick:bool -> ?jobs:int -> ?machine:string -> unit -> cell list
     ranging over 1, 4 and 16; [jobs] (default 1) fans the cells across
     host domains. *)
 
-val ramp :
-  ?quick:bool -> ?jobs:int -> ?machine:string -> ?procs:int -> unit ->
-  cell list
-(** Offered-load ramp per scheduler at [procs] (default 16). *)
+val ramp : ?quick:bool -> ?jobs:int -> ?machine:string -> unit -> cell list
+(** Offered-load ramp per scheduler at 16 procs. *)
 
 val knee : cell list -> sched:string -> float option
 (** Lowest ramp rate whose p99 exceeds 5x the lightest-load p99 —

@@ -27,6 +27,9 @@ struct
   let config = C.config
   let name = "sim:" ^ config.name
 
+  let run_ahead = config.mode <> Reference
+  let checked = config.mode = Checked
+
   module Kont = Engine
 
   type pstate = Free | Ready | Current | Gc_waiting
@@ -61,8 +64,8 @@ struct
   type sim_lock = { mutable held : bool; line : Interconnect.line }
 
   (* One op of a work program ([Work.step]'s interleaved compute/alloc
-     slices, [Work.alloc]'s slice loop): the unit at which the reference
-     machine charges and suspends. *)
+     slices): the unit at which the reference machine charges and
+     suspends. *)
   type work_op = W_charge of int | W_alloc of int
 
   (* What to do once a parked lock episode acquires the lock: resume the
@@ -112,7 +115,8 @@ struct
      of scanning all procs.  Invariant: a proc is in the heap iff its state
      is [Ready], except a sleeper with no wake key ([wake_at = max_int]),
      which is [Ready] but out of it.  A sleeper in the heap is keyed at
-     [wake_at] (at [clock] on a [debug] machine, which keeps every poll). *)
+     [wake_at] (at [clock] on a [Checked] machine, which keeps every
+     poll). *)
   let ready = Ready_heap.create ~ids:config.procs
   let current = ref 0
   let cur () = procs.(!current)
@@ -127,7 +131,7 @@ struct
   (* The deadline last declared through [Work.idle_deadline], in
      [Work.now]'s seconds. *)
   let deadline = ref infinity
-  let quantum = config.idle_quantum_cycles
+  let quantum = Sim_config.idle_quantum_cycles
   let ic = Interconnect.create config
 
   (* GC cost model: all region accounting (admission, trigger, episode
@@ -138,7 +142,7 @@ struct
                       {
                         Gc_model.procs = config.procs;
                         region_words = config.gc_region_words;
-                        survival = config.gc_survival;
+                        survival = Sim_config.gc_survival;
                         cycles_per_word = config.gc_cycles_per_word;
                         fixed_cycles = config.gc_fixed_cycles;
                         minor_fixed_cycles = config.gc_minor_fixed_cycles;
@@ -182,7 +186,7 @@ struct
   (* Ready-set maintenance.                                             *)
   (* ------------------------------------------------------------------ *)
 
-  let check_heap () = if config.debug then assert (Ready_heap.valid ready)
+  let check_heap () = if checked then assert (Ready_heap.valid ready)
 
   (* A suspension flushes any run-ahead accumulation: later inline charges
      belong to the next dispatch. *)
@@ -249,7 +253,7 @@ struct
     p.slot <- !n_sleepers;
     sleepers.(!n_sleepers) <- p.id;
     incr n_sleepers;
-    if config.debug then Ready_heap.rekey_min ready ~clock:p.clock
+    if checked then Ready_heap.rekey_min ready ~clock:p.clock
     else if p.wake_at < max_int then Ready_heap.rekey_min ready ~clock:p.wake_at
     else ignore (Ready_heap.pop_unchecked ready)
 
@@ -270,7 +274,7 @@ struct
       let s = procs.(sleepers.(i)) in
       let k = first_poll_after s ~clock ~id in
       if k < s.wake_at then begin
-        if not config.debug then
+        if not checked then
           if s.wake_at = max_int then Ready_heap.push ready ~clock:k ~id:s.id
           else Ready_heap.decrease ready ~clock:k ~id:s.id;
         s.wake_at <- k
@@ -311,7 +315,7 @@ struct
     let clock = p.clock in
     advance p (Interconnect.transact ic ~proc:p.id ~clock ~cpu ~bytes ~route) ~idle;
     let inline =
-      admit && config.run_ahead
+      admit && run_ahead
       && (not !gc_pending)
       && Ready_heap.precedes_min ready ~clock:p.clock ~id:p.id
     in
@@ -329,6 +333,9 @@ struct
     apply ~admit:true p ~cpu ~bytes
       ~route:(Interconnect.claim ic ln ~proc:p.id)
       ~idle:false
+
+  (* A probe or release of a platform lock: an RMW on the lock word. *)
+  let lock_rmw p l ~cpu = rmw p l.line ~cpu ~bytes:Sim_config.lock_bus_bytes
 
   (* Allocation is spread over the computation it belongs to: one charge
      per small slice, so bus occupancy interleaves with other procs instead
@@ -349,7 +356,7 @@ struct
         ~admit:(GcM.admit ~proc:p.id ~words)
         p
         ~cpu:(int_of_float (config.alloc_cycles_per_word *. float_of_int words))
-        ~bytes:(words * config.word_bytes) ~route:0 ~idle:false
+        ~bytes:(words * Sim_config.word_bytes) ~route:0 ~idle:false
     in
     p.alloc_words <- p.alloc_words + words;
     let was_pending = !gc_pending in
@@ -412,8 +419,7 @@ struct
      scheduler (a parked [A_lock]): probe and test inline while the gate
      allows, and stop where the reference machine would next dispatch. *)
   let rec lock_probe p l attempt =
-    if rmw p l.line ~cpu:config.try_lock_cycles ~bytes:config.lock_bus_bytes
-    then lock_test p l attempt
+    if lock_rmw p l ~cpu:config.try_lock_cycles then lock_test p l attempt
     else Test_pending attempt
 
   and lock_test p l attempt =
@@ -542,7 +548,7 @@ struct
      reference machine's dispatch of the polling fiber at this (clock, id)
      position.  If the predicate holds, [p] leaves the heap and its fiber
      resumes; otherwise [p] is charged one idle quantum and sleeps — no
-     push, no allocation and no effect-handler suspension.  A [debug]
+     push, no allocation and no effect-handler suspension.  A [Checked]
      machine keeps polling a sleeper every quantum, and each poll the
      sleep rule skips must fail. *)
   let poll p rdy k =
@@ -567,7 +573,7 @@ struct
     else begin
       (* The equivalence argument needs a pure predicate: a second
          evaluation at the same position must agree. *)
-      if config.debug then assert (rdy () = r);
+      if checked then assert (rdy () = r);
       if p.slot >= 0 then unsleep p;
       if r then begin
         take p Current;
@@ -588,8 +594,7 @@ struct
     | Won, K_lock k -> run_proc p (resume k)
     | Won, K_locked (run, k) ->
         run ();
-        if rmw p l.line ~cpu:config.unlock_cycles ~bytes:config.lock_bus_bytes
-        then begin
+        if lock_rmw p l ~cpu:config.unlock_cycles then begin
           l.held <- false;
           run_proc p (resume k)
         end
@@ -619,7 +624,7 @@ struct
     if not (Ready_heap.is_empty ready) then begin
       let p = procs.(Ready_heap.peek_unchecked ready) in
       assert (p.state = Ready);
-      if p.clock < p.wake_at && not config.debug then catch_up p;
+      if p.clock < p.wake_at && not checked then catch_up p;
       if !gc_pending then
         (* Park ready procs at the barrier in min-clock order, exactly as
            the scan did, until none remain and the collection can run. *)
@@ -734,9 +739,7 @@ struct
        either, so the atomicity is the same. *)
     let try_lock l =
       let p = cur () in
-      yield_unless
-        (rmw p l.line ~cpu:config.try_lock_cycles ~bytes:config.lock_bus_bytes)
-        p;
+      yield_unless (lock_rmw p l ~cpu:config.try_lock_cycles) p;
       if l.held then begin
         p.spins <- p.spins + 1;
         false
@@ -774,21 +777,19 @@ struct
              { proc = q.id; clock = q.clock; spins = !attempt })
 
     let lock l =
-      if config.run_ahead then ignore (lock_fast l (fun c -> K_lock c))
+      if run_ahead then ignore (lock_fast l (fun c -> K_lock c))
       else lock_ref l
 
     let unlock l =
       let p = cur () in
-      yield_unless
-        (rmw p l.line ~cpu:config.unlock_cycles ~bytes:config.lock_bus_bytes)
-        p;
+      yield_unless (lock_rmw p l ~cpu:config.unlock_cycles) p;
       l.held <- false
 
     (* lock + charge-free critical section + unlock, fused into a single
        parked episode: under contention the whole sequence costs at most
        one suspension instead of one per probe, retry and unlock. *)
     let locked l f =
-      if config.run_ahead then begin
+      if run_ahead then begin
         let res = ref None in
         let run () = res := Some (try Ok (f ()) with e -> Error e) in
         let parked = lock_fast l (fun c -> K_locked (run, c)) in
@@ -812,7 +813,7 @@ struct
      the gate disabled this is the reference per-op loop. *)
   let run_ops ops =
     let p = cur () in
-    if config.run_ahead then
+    if run_ahead then
       match work_run p ops with
       | None -> ()
       | Some rest -> park p (fun c -> A_work (rest, c))
@@ -820,16 +821,6 @@ struct
 
   module Work = struct
     let charge n = charge_busy n
-
-    let alloc ~words =
-      let ops = ref [] in
-      let remaining = ref words in
-      while !remaining > 0 do
-        let slice = min !remaining alloc_slice_words in
-        ops := W_alloc slice :: !ops;
-        remaining := !remaining - slice
-      done;
-      run_ops (List.rev !ops)
 
     (* Contended shared words outside the platform lock (the lock-algorithm
        family's cells, run-queue heads): same sharer-set model as
@@ -867,7 +858,6 @@ struct
 
     let poll () = !poll_hook ()
     let set_poll_hook f = poll_hook := f
-    let idle () = charge_idle quantum
 
     (* Fast path: park once and let the loop service the per-quantum
        checks ([poll]).  The park charges the first quantum, so the first
@@ -875,7 +865,7 @@ struct
        reference polling loop evaluates it — and it always runs: a running
        proc is never asleep, so [wake_at <= clock]. *)
     let idle_until ~ready =
-      if config.run_ahead then begin
+      if run_ahead then begin
         let p = cur () in
         advance p (p.clock + quantum) ~idle:true;
         incr idle_parks_ct;

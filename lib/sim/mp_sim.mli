@@ -17,7 +17,7 @@
     {- idle time, accounted whenever a proc polls for work.}}
 
     Client code runs for real (results are computed exactly); only {e time}
-    is virtual, advanced by [Work.step]/[Work.charge]/[Work.alloc] and by
+    is virtual, advanced by [Work.step]/[Work.charge]/[Work.idle_until] and by
     the platform's own lock/proc operations.  Simulated [Lock] and [Work]
     operations must be called from client (fiber) code, never from an
     [Engine.suspend] body. *)

@@ -68,4 +68,4 @@ val clear : t -> unit
 
 val valid : t -> bool
 (** Heap order and index consistency hold; O(n).  For tests and the
-    [debug] config knob. *)
+    [Checked] machine mode. *)

@@ -14,32 +14,35 @@ type machine = {
 
 let flat_bus = { nodes = 1; link_latency_cycles = 0; link_bytes_per_cycle = 0. }
 
+type mode = Run_ahead | Checked | Reference
+
 type t = {
   name : string;
   procs : int;
   mhz : float;
   cpi : float;
-  word_bytes : int;
   bus_bytes_per_cycle : float;
   machine : machine;
   alloc_cycles_per_word : float;
   try_lock_cycles : int;
   unlock_cycles : int;
-  lock_bus_bytes : int;
   spin_retry_cycles : int;
-  idle_quantum_cycles : int;
   gc_region_words : int;
-  gc_survival : float;
   gc_cycles_per_word : float;
   gc_fixed_cycles : int;
   gc_minor_fixed_cycles : int;
   gc_barrier_cycles : int;
   gc : Gc_model.t;
   acquire_proc_cycles : int;
-  run_ahead : bool;
-  debug : bool;
+  mode : mode;
   sched : string;
 }
+
+(* What both presets always set alike (see the interface). *)
+let word_bytes = 4
+let lock_bus_bytes = 8
+let idle_quantum_cycles = 2_000
+let gc_survival = 0.03
 
 (* Sequent Symmetry S81: 16 MHz 80386s; 25 MB/s usable bus; MP mutex
    lock+unlock = 46 us = 736 cycles at 16 MHz. *)
@@ -49,25 +52,20 @@ let sequent ?(procs = 16) ?(sched = "distributed") () =
     procs;
     mhz = 16.;
     cpi = 4.5;
-    word_bytes = 4;
     bus_bytes_per_cycle = 25.0e6 /. 16.0e6;
     machine = flat_bus;
     alloc_cycles_per_word = 2.0;
     try_lock_cycles = 500;
     unlock_cycles = 236;
-    lock_bus_bytes = 8;
     spin_retry_cycles = 200;
-    idle_quantum_cycles = 2_000;
     gc_region_words = 512 * 1024;
-    gc_survival = 0.03;
     gc_cycles_per_word = 30.;
     gc_fixed_cycles = 100_000;
     gc_minor_fixed_cycles = 5_000;
     gc_barrier_cycles = 10_000;
     gc = Gc_model.default;
     acquire_proc_cycles = 10_000;
-    run_ahead = true;
-    debug = false;
+    mode = Run_ahead;
     sched;
   }
 
@@ -79,25 +77,20 @@ let sgi ?(procs = 8) ?(sched = "distributed") () =
     procs;
     mhz = 33.;
     cpi = 1.2;
-    word_bytes = 4;
     bus_bytes_per_cycle = 30.0e6 /. 33.0e6;
     machine = flat_bus;
     alloc_cycles_per_word = 1.0;
     try_lock_cycles = 130;
     unlock_cycles = 68;
-    lock_bus_bytes = 8;
     spin_retry_cycles = 60;
-    idle_quantum_cycles = 2_000;
     gc_region_words = 512 * 1024;
-    gc_survival = 0.03;
     gc_cycles_per_word = 10.;
     gc_fixed_cycles = 60_000;
     gc_minor_fixed_cycles = 3_000;
     gc_barrier_cycles = 6_000;
     gc = Gc_model.default;
     acquire_proc_cycles = 6_000;
-    run_ahead = true;
-    debug = false;
+    mode = Run_ahead;
     sched;
   }
 

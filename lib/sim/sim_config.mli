@@ -29,25 +29,38 @@ type machine = {
   link_bytes_per_cycle : float;
 }
 
+(** How the simulator runs; virtual time is bit-identical in every mode. *)
+type mode =
+  | Run_ahead
+      (** A charge is applied inline, with no effect-handler suspension,
+          whenever the proc would be re-dispatched at once anyway; lock
+          episodes, work programs and idle polls park once and are
+          serviced by the scheduler at the reference positions. *)
+  | Checked
+      (** [Run_ahead], checking as it runs: the ready-heap invariants
+          after every scheduler operation, a second evaluation of every
+          real idle poll's predicate, which must agree, and the sleep
+          rule: sleepers are still polled every quantum, and each poll
+          the rule skips must fail.  O(procs) per check. *)
+  | Reference
+      (** The always-suspend oracle of the twin tests: one suspension per
+          charge, per spin probe and per idle quantum. *)
+
 type t = {
   name : string;
   procs : int;  (** physical processors *)
   mhz : float;  (** clock: cycles per microsecond *)
   cpi : float;  (** cycles per abstract workload instruction *)
-  word_bytes : int;
   bus_bytes_per_cycle : float;
       (** usable shared-bus bandwidth (per node) *)
   machine : machine;  (** interconnect topology; one node in the presets *)
   alloc_cycles_per_word : float;  (** CPU cost of heap allocation *)
   try_lock_cycles : int;  (** one test-and-set attempt *)
   unlock_cycles : int;
-  lock_bus_bytes : int;  (** bus traffic of one lock RMW *)
   spin_retry_cycles : int;
       (** delay between spin probes, before the simulator's fixed
           deterministic jitter ({!Mp_sim}'s [retry_delay]) *)
-  idle_quantum_cycles : int;  (** granularity of idle polling *)
   gc_region_words : int;  (** shared allocation region before a GC *)
-  gc_survival : float;  (** fraction of the region live at collection *)
   gc_cycles_per_word : float;  (** copy cost per surviving word *)
   gc_fixed_cycles : int;  (** synchronization + redivision overhead *)
   gc_minor_fixed_cycles : int;
@@ -61,23 +74,7 @@ type t = {
           not change the machine [name]; sweeps label samples with the
           model separately. *)
   acquire_proc_cycles : int;  (** OS cost of acquiring a proc (§3.1) *)
-  run_ahead : bool;
-      (** Enable the run-ahead gate: a charge is applied inline, without
-          an effect-handler suspension, whenever the proc would be
-          re-dispatched immediately anyway; lock episodes, work programs
-          and idle polling park once and are serviced by the scheduler at
-          the reference positions.  Virtual-time results are bit-identical
-          either way; [false] forces one suspension per charge, per spin
-          probe and per idle quantum (the always-suspend reference machine,
-          the oracle of the twin tests). *)
-  debug : bool;
-      (** Check the run-ahead machinery's assumptions as it runs: the
-          ready-heap invariants (heap order + index consistency) after
-          every scheduler operation, on every real idle poll a second
-          evaluation of the readiness predicate, which must agree, and
-          the sleep rule: sleeping pollers are still polled every quantum,
-          and each poll the rule skips must fail.  O(procs) per check and
-          every idle poll run; debug only. *)
+  mode : mode;  (** [Run_ahead] in every preset *)
   sched : string;
       (** Thread-scheduler policy for pools run on this machine, in
           {!Mpthreads.Sched_policy.of_string} syntax
@@ -87,6 +84,16 @@ type t = {
           [Sched_thread.with_pool].  Default ["distributed"], the
           golden-pinned historical policy. *)
 }
+
+(** Constants both presets share: [word_bytes] 4, [lock_bus_bytes] (the
+    bus traffic of one lock RMW) 8, [idle_quantum_cycles] (the idle polling
+    granularity) 2,000 and [gc_survival] (the fraction of the region live
+    at a collection) 0.03. *)
+
+val word_bytes : int
+val lock_bus_bytes : int
+val idle_quantum_cycles : int
+val gc_survival : float
 
 val sequent : ?procs:int -> ?sched:string -> unit -> t
 val sgi : ?procs:int -> ?sched:string -> unit -> t

@@ -82,46 +82,43 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
     let steal_attempts = MQ.steal_attempts
   end
 
-  (* One shared slot, enqueue at the back, dequeue at the front: the
-     classic central FIFO run queue — the baseline work stealing is
-     measured against.  Every proc contends on the single slot lock. *)
-  module Central_fifo : Thread_intf.SCHEDULER = struct
+  (* One shared slot, dequeued at the front; every proc contends on the
+     single slot lock.  [E.push] picks the end new and resumed work joins
+     at, and with it the discipline. *)
+  module Central (E : sig
+    val name : string
+    val push : 'a MQ.t -> proc:int -> 'a -> unit
+  end) : Thread_intf.SCHEDULER = struct
+    let name = E.name
+
+    type 'a t = 'a MQ.t
+
+    let create ~procs:_ = MQ.create ~wake ~procs:1 ()
+    let prepare _ ~procs:_ = ()
+    let push_local q ~proc:_ x = E.push q ~proc:0 x
+    let push_yield = push_local
+    let push_new = push_local
+    let take q ~proc:_ = MQ.take_local q ~proc:0
+    let looks_nonempty q ~proc:_ = MQ.looks_nonempty_local q ~proc:0
+    let total_length = MQ.total_length
+    let steals _ = 0
+    let steal_attempts _ = 0
+  end
+
+  (* Enqueue at the back: the classic central FIFO run queue, the
+     baseline work stealing is measured against. *)
+  module Central_fifo = Central (struct
     let name = "fifo"
+    let push = MQ.push_back
+  end)
 
-    type 'a t = 'a MQ.t
-
-    let create ~procs:_ = MQ.create ~wake ~procs:1 ()
-    let prepare _ ~procs:_ = ()
-    let push_local q ~proc:_ x = MQ.push_back q ~proc:0 x
-    let push_yield = push_local
-    let push_new q ~proc:_ x = MQ.push_back q ~proc:0 x
-    let take q ~proc:_ = MQ.take_local q ~proc:0
-    let looks_nonempty q ~proc:_ = MQ.looks_nonempty_local q ~proc:0
-    let total_length = MQ.total_length
-    let steals _ = 0
-    let steal_attempts _ = 0
-  end
-
-  (* One shared slot, enqueue and dequeue both at the front.  This is what
-     the scheduler's old [~run_queue:`Central] mode did (slot-0 push_front
-     + pop_front), so `Central` maps here and keeps its historical
-     behavior bit-for-bit. *)
-  module Central_lifo : Thread_intf.SCHEDULER = struct
+  (* Enqueue at the front too.  This is what the scheduler's old
+     [~run_queue:`Central] mode did (slot-0 push_front + pop_front), so
+     `Central` maps here and keeps its historical behavior bit-for-bit. *)
+  module Central_lifo = Central (struct
     let name = "lifo"
-
-    type 'a t = 'a MQ.t
-
-    let create ~procs:_ = MQ.create ~wake ~procs:1 ()
-    let prepare _ ~procs:_ = ()
-    let push_local q ~proc:_ x = MQ.push q ~proc:0 x
-    let push_yield = push_local
-    let push_new q ~proc:_ x = MQ.push q ~proc:0 x
-    let take q ~proc:_ = MQ.take_local q ~proc:0
-    let looks_nonempty q ~proc:_ = MQ.looks_nonempty_local q ~proc:0
-    let total_length = MQ.total_length
-    let steals _ = 0
-    let steal_attempts _ = 0
-  end
+    let push = MQ.push
+  end)
 
   (* Multiprogrammed work stealing (the Manticore workGroup shape): one
      lock-free SPMC steal-half queue per proc, randomized victim selection,

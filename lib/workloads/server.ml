@@ -27,8 +27,6 @@ type config = {
   requests : int;
   arrival : arrival;
   rate : float;  (** mean offered load, requests per (virtual) second *)
-  service_mean_instrs : int;
-      (** mean of the exponential per-request service demand *)
   shards : int;  (** worker pools; requests hash over them *)
   workers_per_shard : int;
   queue_cap : int;  (** bound of each shard queue (the backpressure) *)
@@ -42,7 +40,6 @@ let default =
     requests = 2000;
     arrival = Poisson;
     rate = 250.;
-    service_mean_instrs = 20_000;
     shards = 4;
     workers_per_shard = 1;
     queue_cap = 64;
@@ -72,9 +69,11 @@ let uniform ~seed ~stream i =
 
 let shard_of cfg i = mix ((cfg.seed * 31) + 3 + (i * 104729)) mod cfg.shards
 
+let service_mean_instrs = 20_000
+
 let service_instrs cfg i =
   let u = uniform ~seed:cfg.seed ~stream:2 i in
-  let n = int_of_float (-.log u *. float_of_int cfg.service_mean_instrs) in
+  let n = int_of_float (-.log u *. float_of_int service_mean_instrs) in
   if n < 16 then 16 else if n > 5_000_000 then 5_000_000 else n
 
 (* Intended arrival instants, seconds from run start, ascending.  With a

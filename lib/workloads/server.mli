@@ -21,8 +21,6 @@ type config = {
   arrival : arrival;
   rate : float;  (** mean offered load, requests per (virtual) second;
                      non-finite or ≤ 0 ⇒ one closed burst at t = 0 *)
-  service_mean_instrs : int;
-      (** mean of the exponential per-request service demand *)
   shards : int;
   workers_per_shard : int;
   queue_cap : int;
@@ -36,9 +34,11 @@ val arrivals : config -> float array
 (** Intended arrival instants (seconds from run start, ascending) — a pure
     function of the config, exposed for tests. *)
 
+val service_mean_instrs : int
 val shard_of : config -> int -> int
 val service_instrs : config -> int -> int
-(** Per-request shard and service demand: pure functions of the id. *)
+(** Per-request shard and service demand: pure functions of the id, the
+    demand exponential with mean [service_mean_instrs] (20,000). *)
 
 type result = {
   completed : int;

@@ -269,6 +269,47 @@ let test_charged_contention_ttas_cheaper () =
        b_ttas)
     true (b_tas - b_ttas > 30_000)
 
+(* Every [on_spin] lands in the platform's "lock.prims_spins" counter, so
+   the registry is exact after any run, however few the spins: a count
+   flushed in batches of 256 would read 0 after this one.  A fresh machine
+   with its own charged primitives starts the count at 0. *)
+module SpinP =
+  Sim.Mp_sim.Int (struct
+      let config = Sim.Sim_config.sequent ~procs:4 ()
+    end)
+    ()
+
+module SpinCP = Locks.Charged_prims.Make (SpinP)
+
+let on_spin_calls = ref 0
+
+module Counting_prims = struct
+  include SpinCP
+
+  let on_spin () =
+    incr on_spin_calls;
+    SpinCP.on_spin ()
+end
+
+module SpinTtas = Locks.Ttas_lock.Make (Counting_prims)
+
+let test_charged_spin_count_exact () =
+  let module S = Mpthreads.Sched_thread.Make (SpinP) in
+  ignore
+    (SpinP.run (fun () ->
+         S.with_pool ~procs:4 (fun () ->
+             let l = SpinTtas.mutex_lock () in
+             S.par_iter ~chunks:4 8 (fun _ ->
+                 SpinTtas.lock l;
+                 SpinP.Work.step ~instrs:2_000 ~alloc_words:100 ();
+                 SpinTtas.unlock l))));
+  let spins = !on_spin_calls in
+  checkb (Printf.sprintf "contended, fewer than 256 spins (%d)" spins) true
+    (spins > 0 && spins < 256);
+  Alcotest.(check int)
+    "registry = on_spin calls" spins
+    (Obs.Counters.get (SpinP.Telemetry.counter "lock.prims_spins"))
+
 let test_mcs_handoff () =
   let l = Mcs.mutex_lock () in
   Mcs.lock l;
@@ -335,5 +376,7 @@ let () =
             test_charged_prims_cost_time;
           Alcotest.test_case "ttas beats tas under contention" `Quick
             test_charged_contention_ttas_cheaper;
+          Alcotest.test_case "spin count is exact" `Quick
+            test_charged_spin_count_exact;
         ] );
     ]

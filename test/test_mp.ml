@@ -52,9 +52,7 @@ let test_uni_lock_deadlock_detected () =
 let test_uni_work_noops () =
   U.run (fun () ->
       U.Work.charge 100;
-      U.Work.alloc ~words:100;
       U.Work.step ~instrs:100 ();
-      U.Work.idle ();
       checkb "wall clock advances" true (U.Work.now () > 0.))
 
 let test_uni_poll_hook () =

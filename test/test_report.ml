@@ -41,8 +41,7 @@ let test_chart_has_legend () =
   let out =
     render_to_string (fun fmt ->
         Report.Render.chart fmt ~xs:[ 1; 2; 4 ]
-          ~rows:[ ("one", [ 1.; 2.; 4. ]); ("two", [ 1.; 1.5; 2. ]) ]
-          ())
+          ~rows:[ ("one", [ 1.; 2.; 4. ]); ("two", [ 1.; 1.5; 2. ]) ])
   in
   checkb "legend" true (contains out "A = one" && contains out "B = two")
 
@@ -59,7 +58,7 @@ let test_table_empty_rows () =
 let test_chart_scales_to_max () =
   let out =
     render_to_string (fun fmt ->
-        Report.Render.chart fmt ~xs:[ 1; 16 ] ~rows:[ ("s", [ 1.0; 12.5 ]) ] ())
+        Report.Render.chart fmt ~xs:[ 1; 16 ] ~rows:[ ("s", [ 1.0; 12.5 ]) ])
   in
   checkb "y axis reaches the max value" true (contains out "12.5")
 

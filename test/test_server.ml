@@ -115,11 +115,11 @@ let test_ws_suspension_budget () =
 
 (* The CML, semaphore, bounded-queue and timer pipeline on three
    Sequents that must agree digit for digit: the default machine (idle
-   pollers sleep until a wake hint or their timer deadline), the [debug]
+   pollers sleep until a wake hint or their timer deadline), the [Checked]
    machine (every poll runs, and each one the sleep rule would skip must
-   fail) and the always-suspend oracle ([run_ahead = false]).  A fill or
+   fail) and the always-suspend oracle ([Reference]).  A fill or
    a timer set that forgot its hint leaves a poller asleep past the poll
-   that would have seen it: the default digest moves, and the debug
+   that would have seen it: the default digest moves, and the [Checked]
    machine fails outright. *)
 module Twin (C : sig
   val config : Sim.Sim_config.t
@@ -143,11 +143,11 @@ module Twin_default = Twin (struct
 end)
 
 module Twin_debug = Twin (struct
-  let config = { (Sim.Sim_config.sequent ~procs:16 ()) with debug = true }
+  let config = { (Sim.Sim_config.sequent ~procs:16 ()) with mode = Checked }
 end)
 
 module Twin_oracle = Twin (struct
-  let config = { (Sim.Sim_config.sequent ~procs:16 ()) with run_ahead = false }
+  let config = { (Sim.Sim_config.sequent ~procs:16 ()) with mode = Reference }
 end)
 
 let test_sleep_rule_twins () =

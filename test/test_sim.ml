@@ -95,15 +95,15 @@ let test_now_in_seconds () =
 (* ---------------- allocation and bus ---------------- *)
 
 let test_alloc_accounts_words_and_bytes () =
-  ignore (P.run (fun () -> P.Work.alloc ~words:1_000));
+  ignore (P.run (fun () -> P.Work.step ~instrs:0 ~alloc_words:1_000 ()));
   let st = P.stats () in
   check "words" 1_000 (Mp.Stats.total_alloc_words st);
-  check "bytes over the bus" (1_000 * cfg.Sim.Sim_config.word_bytes)
+  check "bytes over the bus" (1_000 * Sim.Sim_config.word_bytes)
     st.Mp.Stats.bus_bytes
 
 let test_bus_busy_matches_bandwidth () =
-  ignore (P.run (fun () -> P.Work.alloc ~words:10_000));
-  let bytes = 10_000 * cfg.Sim.Sim_config.word_bytes in
+  ignore (P.run (fun () -> P.Work.step ~instrs:0 ~alloc_words:10_000 ()));
+  let bytes = 10_000 * Sim.Sim_config.word_bytes in
   let expected_cycles =
     float_of_int bytes /. cfg.Sim.Sim_config.bus_bytes_per_cycle
   in
@@ -119,7 +119,7 @@ let test_bus_contention_serializes () =
       (P.run (fun () ->
            S.with_pool ~procs (fun () ->
                S.par_iter ~chunks:procs procs (fun _ ->
-                   P.Work.alloc ~words))));
+                   P.Work.step ~instrs:0 ~alloc_words:words ()))));
     P.Machine.makespan_cycles ()
   in
   let t1 = run_procs 1 50_000 in
@@ -133,19 +133,23 @@ let test_bus_contention_serializes () =
 let test_gc_triggers_on_region () =
   ignore
     (P.run (fun () ->
-         P.Work.alloc ~words:(cfg.Sim.Sim_config.gc_region_words + 1_000)));
+         P.Work.step ~instrs:0
+           ~alloc_words:(cfg.Sim.Sim_config.gc_region_words + 1_000)
+           ()));
   checkb "collection happened" true ((P.stats ()).Mp.Stats.gc_count >= 1)
 
 let test_gc_none_under_region () =
-  ignore (P.run (fun () -> P.Work.alloc ~words:10_000));
+  ignore (P.run (fun () -> P.Work.step ~instrs:0 ~alloc_words:10_000 ()));
   check "no collection" 0 (P.stats ()).Mp.Stats.gc_count
 
 let test_gc_cost_model () =
   ignore
-    (P.run (fun () -> P.Work.alloc ~words:cfg.Sim.Sim_config.gc_region_words));
+    (P.run (fun () ->
+         P.Work.step ~instrs:0 ~alloc_words:cfg.Sim.Sim_config.gc_region_words
+           ()));
   let copied =
     int_of_float
-      (cfg.Sim.Sim_config.gc_survival
+      (Sim.Sim_config.gc_survival
       *. float_of_int cfg.Sim.Sim_config.gc_region_words)
   in
   let expected =
@@ -161,7 +165,9 @@ let test_gc_stalls_all_procs () =
          S.with_pool ~procs:4 (fun () ->
              S.par_iter ~chunks:4 4 (fun i ->
                  if i = 0 then
-                   P.Work.alloc ~words:(cfg.Sim.Sim_config.gc_region_words + 10)
+                   P.Work.step ~instrs:0
+                     ~alloc_words:(cfg.Sim.Sim_config.gc_region_words + 10)
+                     ()
                  else P.Work.charge 2_000_000))));
   let st = P.stats () in
   (* every active proc paid a gc wait *)
@@ -174,7 +180,9 @@ let test_gc_stalls_all_procs () =
 let test_gc_excluded_seconds () =
   ignore
     (P.run (fun () ->
-         P.Work.alloc ~words:(cfg.Sim.Sim_config.gc_region_words + 10)));
+         P.Work.step ~instrs:0
+           ~alloc_words:(cfg.Sim.Sim_config.gc_region_words + 10)
+           ()));
   let st = P.stats () in
   let total = st.Mp.Stats.elapsed in
   let no_gc = total -. st.Mp.Stats.gc_time in
@@ -192,7 +200,7 @@ let test_lock_charges_configured_cycles () =
          P.Lock.unlock l));
   let lock_bus =
     2.
-    *. (float_of_int cfg.Sim.Sim_config.lock_bus_bytes
+    *. (float_of_int Sim.Sim_config.lock_bus_bytes
        /. cfg.Sim.Sim_config.bus_bytes_per_cycle)
   in
   let expected =
@@ -299,10 +307,10 @@ let test_pool_deadlock_raises () =
     | exception Mp.Mp_intf.Deadlock _ -> true);
   check "live fibers back at start" live (Mp.Engine.live_fibers ());
   check "platform reusable" 3 (P.run (fun () -> 3));
-  (* a [debug] machine keeps every sleeper in the heap, and still sees it *)
+  (* a [Checked] machine keeps every sleeper in the heap, and still sees it *)
   let module D =
     Sim.Mp_sim.Int (struct
-        let config = { cfg with Sim.Sim_config.debug = true }
+        let config = { cfg with Sim.Sim_config.mode = Checked }
       end)
       ()
   in
@@ -340,7 +348,9 @@ let test_trace_records () =
   Fun.protect ~finally:P.Telemetry.disable (fun () ->
       ignore
         (P.run (fun () ->
-             P.Work.alloc ~words:(cfg.Sim.Sim_config.gc_region_words + 10)));
+             P.Work.step ~instrs:0
+               ~alloc_words:(cfg.Sim.Sim_config.gc_region_words + 10)
+               ()));
       let evs = P.Telemetry.events () in
       checkb "dispatches recorded" true
         (List.exists (function Obs.Event.Dispatch _ -> true | _ -> false) evs);
@@ -638,7 +648,7 @@ module GB = Workloads.Bench_suite.Make (G)
 module NoRa =
   Sim.Mp_sim.Int (struct
       let config =
-        { (Sim.Sim_config.sequent ~procs:16 ()) with run_ahead = false }
+        { (Sim.Sim_config.sequent ~procs:16 ()) with mode = Reference }
     end)
     ()
 
@@ -802,13 +812,13 @@ let test_run_ahead_equivalence_2_8 () =
        (fun bench -> [ (bench, 2); (bench, 8) ])
        [ "allpairs"; "mst"; "abisort"; "simple"; "mm"; "seq" ])
 
-(* The assertion mode ([debug]) re-evaluates every poller readiness probe
+(* The assertion mode ([Checked]) re-evaluates every poller readiness probe
    and cross-checks the ready heap after every scheduler operation; with it
    enabled the machine must still reproduce the golden table bit-for-bit. *)
 module HDbg =
   Sim.Mp_sim.Int (struct
       let config =
-        { (Sim.Sim_config.sequent ~procs:16 ()) with Sim.Sim_config.debug = true }
+        { (Sim.Sim_config.sequent ~procs:16 ()) with mode = Checked }
     end)
     ()
 
@@ -968,7 +978,7 @@ module ParStwNoRa =
         {
           (Sim.Sim_config.sequent ~procs:16 ()) with
           gc = Sim.Gc_model.Par_stw 0;
-          run_ahead = false;
+          mode = Reference;
         }
     end)
     ()
@@ -993,7 +1003,7 @@ module MinorPpNoRa =
         {
           (Sim.Sim_config.sequent ~procs:16 ()) with
           gc = Sim.Gc_model.Minor_pp;
-          run_ahead = false;
+          mode = Reference;
         }
     end)
     ()
@@ -1176,7 +1186,7 @@ module N2x8NoRa =
       let config =
         {
           (Sim.Sim_config.numa ~nodes:2 ~procs_per_node:8 ()) with
-          run_ahead = false;
+          mode = Reference;
         }
     end)
     ()
@@ -1366,7 +1376,9 @@ let prop_alloc_conservation =
   QCheck.Test.make ~name:"alloc words are conserved in stats" ~count:50
     QCheck.(list (int_range 1 2_000))
     (fun allocs ->
-      ignore (P.run (fun () -> List.iter (fun w -> P.Work.alloc ~words:w) allocs));
+      ignore
+        (P.run (fun () ->
+             List.iter (fun w -> P.Work.step ~instrs:0 ~alloc_words:w ()) allocs));
       Mp.Stats.total_alloc_words (P.stats ()) = List.fold_left ( + ) 0 allocs)
 
 let prop_parallel_deterministic =
