@@ -129,7 +129,8 @@ struct
         | Some _ as won -> won
         | None -> claim_from q ~try_claim)
 
-  (* Phase 1: look for an immediately available partner.  Under global lock. *)
+  (* Phase 1, before any continuation is captured: look for an immediately
+     available partner.  Under global lock. *)
   let poll_base : type a. a base -> (unit -> a) option = function
     | BAlways f -> Some f
     | BTimeout (d, f) -> if d <= 0. then Some f else None
@@ -153,8 +154,8 @@ struct
     | b :: rest -> (
         match poll_base b with Some _ as hit -> hit | None -> poll_all rest)
 
-  (* Phase 2: park this thread's continuation on every base.  Under global
-     lock.  [k] expects the result thunk. *)
+  (* Phase 2, after a miss: capture the continuation under the global lock
+     and park it on every base.  [k] expects the result thunk. *)
   let register_base :
       type a. a base -> commit -> (unit -> a) Engine.cont -> int -> unit =
    fun base commit k tid ->
@@ -192,15 +193,15 @@ struct
           List.mapi (fun i (b, _) -> mark_chosen i chosen b) tagged
         in
         let cell_lists = List.map snd tagged in
+        P.Lock.lock global_lock;
         let thunk =
-          Engine.callcc (fun k ->
-              let tid = S.id () in
-              P.Lock.lock global_lock;
-              match poll_all bases with
-              | Some thunk ->
-                  P.Lock.unlock global_lock;
-                  Engine.throw k thunk
-              | None ->
+          match poll_all bases with
+          | Some thunk ->
+              P.Lock.unlock global_lock;
+              thunk
+          | None ->
+              Engine.callcc (fun k ->
+                  let tid = S.id () in
                   let commit = P.Lock.mutex_lock () in
                   List.iter (fun b -> register_base b commit k tid) bases;
                   P.Lock.unlock global_lock;

@@ -18,9 +18,10 @@ module Make
     mutable domain : unit Domain.t option;
     mutable stats : Stats.proc_stats;
     mutable acquires : int;
-        (* lock acquisitions of the current delivery, folded into
-           [lock.acquires] when it ends: the registry cell is shared by
-           every domain, this field by none *)
+    mutable spins : int;
+        (* lock acquisitions and failed probes of the current delivery,
+           folded into [lock.acquires] and [lock.spins] when it ends: the
+           registry cells are shared by every domain, these fields by none *)
   }
 
   let m = Mutex.create ()
@@ -30,7 +31,7 @@ module Make
   let escaped : exn option Atomic.t = Atomic.make None
 
   (* Padded: each slot is written on every dispatch of its own proc
-     ([datum], [acquires]). *)
+     ([datum], [acquires], [spins]). *)
   let slots =
     Array.init max_procs (fun id ->
         Mp_intf.padded
@@ -42,6 +43,7 @@ module Make
           domain = None;
           stats = Stats.make_proc_stats ();
           acquires = 0;
+          spins = 0;
         })
 
   let proc_key = Domain.DLS.new_key (fun () -> -1)
@@ -57,6 +59,7 @@ module Make
   end)
 
   let c_acquires = Telemetry.counter "lock.acquires"
+  let c_spins = Telemetry.counter "lock.spins"
 
   let my_slot () =
     let id = Domain.DLS.get proc_key in
@@ -82,6 +85,8 @@ module Make
     | _ -> raise Engine.Unhandled_action);
     Obs.Counters.add c_acquires slot.acquires;
     slot.acquires <- 0;
+    Obs.Counters.add c_spins slot.spins;
+    slot.spins <- 0;
     slot.stats.busy <- slot.stats.busy +. (Unix.gettimeofday () -. t0);
     slot.stats.alloc_words <-
       slot.stats.alloc_words + int_of_float (Gc.minor_words () -. w0);
@@ -165,7 +170,6 @@ module Make
   module Lock = struct
     type mutex_lock = bool Atomic.t
 
-    let c_spins = Telemetry.counter "lock.spins"
     let mutex_lock () = Atomic.make false
 
     (* Inside a run every lock is taken during some proc's delivery, which
@@ -180,24 +184,22 @@ module Make
       ok
 
     let lock l =
-      let contended = ref 0 in
+      let spins = ref 0 in
       while not (try_lock l) do
-        let stats = (my_slot ()).stats in
-        stats.lock_spins <- stats.lock_spins + 1;
-        Obs.Counters.incr c_spins;
-        incr contended;
+        incr spins;
         while Atomic.get l do
           Domain.cpu_relax ()
         done
       done;
-      if !contended > 0 && Telemetry.enabled () then
-        Telemetry.emit
-          (Obs.Event.Lock_contended
-             {
-               proc = max 0 (Domain.DLS.get proc_key);
-               clock = Telemetry.now_ts ();
-               spins = !contended;
-             })
+      if !spins > 0 then begin
+        let slot = my_slot () in
+        slot.stats.lock_spins <- slot.stats.lock_spins + !spins;
+        slot.spins <- slot.spins + !spins;
+        if Telemetry.enabled () then
+          Telemetry.emit
+            (Obs.Event.Lock_contended
+               { proc = slot.id; clock = Telemetry.now_ts (); spins = !spins })
+      end
 
     let unlock l = Atomic.set l false
     let locked l f = Mp_intf.locked ~lock ~unlock l f

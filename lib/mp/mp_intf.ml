@@ -183,14 +183,9 @@ let padded (x : 'a) : 'a =
   done;
   Obj.obj b
 
-(** {!PRIMS} over [Stdlib.Atomic], with a global spin counter.  Each cell
-    is {!padded}. *)
-module Atomic_prims : sig
-  include PRIMS
-
-  val spin_count : unit -> int
-  val reset_spin_count : unit -> unit
-end = struct
+(** {!PRIMS} over [Stdlib.Atomic].  Each cell is {!padded}; [on_spin]
+    counts nothing, so no spinning domain writes a shared word. *)
+module Atomic_prims : PRIMS = struct
   type 'a cell = 'a Atomic.t
 
   let make v = padded (Atomic.make v)
@@ -207,10 +202,7 @@ end = struct
       Domain.cpu_relax ()
     done
 
-  let spins = Atomic.make 0
-  let on_spin () = Atomic.incr spins
-  let spin_count () = Atomic.get spins
-  let reset_spin_count () = Atomic.set spins 0
+  let on_spin () = ()
 end
 
 (** Virtual-cost charging and safe points.

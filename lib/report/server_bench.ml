@@ -75,20 +75,27 @@ let golden_line c =
     c.sched c.procs (Obs.Histogram.count c.hist) (Obs.Histogram.sum c.hist)
     c.p50_ns c.p95_ns c.p99_ns c.p999_ns c.elapsed c.throughput c.queue_wait
 
+(* A cell runs on at most the machine's procs, so its label says so: the
+   SGI's grid reads 1, 4 and 8 procs and its ramp 8. *)
+let clamp machine procs =
+  min procs (Sim.Sim_config.of_machine_string_exn machine).procs
+
 let grid ?(quick = false) ?(jobs = 1) ?(machine = "sequent") () =
   let config = base_config ~quick in
+  let procs = List.sort_uniq compare (List.map (clamp machine) grid_procs) in
   let cells =
     List.concat_map
-      (fun sched -> List.map (fun procs -> (sched, procs, config.Workloads.Server.rate)) grid_procs)
+      (fun sched -> List.map (fun procs -> (sched, procs, config.Workloads.Server.rate)) procs)
       schedulers
   in
   Exec.Job_pool.map ~jobs (run_cell ~machine ~config) cells
 
 let ramp ?(quick = false) ?(jobs = 1) ?(machine = "sequent") () =
   let config = base_config ~quick in
+  let procs = clamp machine 16 in
   let cells =
     List.concat_map
-      (fun sched -> List.map (fun rate -> (sched, 16, rate)) (ramp_rates ~quick))
+      (fun sched -> List.map (fun rate -> (sched, procs, rate)) (ramp_rates ~quick))
       schedulers
   in
   Exec.Job_pool.map ~jobs (run_cell ~machine ~config) cells

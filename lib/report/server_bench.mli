@@ -40,11 +40,12 @@ val golden_line : cell -> string
 
 val grid : ?quick:bool -> ?jobs:int -> ?machine:string -> unit -> cell list
 (** One cell per (scheduler, procs) at the default offered load, procs
-    ranging over 1, 4 and 16; [jobs] (default 1) fans the cells across
-    host domains. *)
+    ranging over 1, 4 and 16, each clamped to the machine's procs; [jobs]
+    (default 1) fans the cells across host domains. *)
 
 val ramp : ?quick:bool -> ?jobs:int -> ?machine:string -> unit -> cell list
-(** Offered-load ramp per scheduler at 16 procs. *)
+(** Offered-load ramp per scheduler at 16 procs, or the machine's procs if
+    it has fewer. *)
 
 val knee : cell list -> sched:string -> float option
 (** Lowest ramp rate whose p99 exceeds 5x the lightest-load p99 —

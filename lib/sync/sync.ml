@@ -36,12 +36,10 @@ struct
           List.iter (fun (k, tid) -> K.wake_with sync "sync.ivar" (k, v, tid)) readers
 
     let read t =
-      K.park sync "sync.ivar" t.spin (fun w ->
+      K.park sync "sync.ivar" t.spin (fun () ->
           match t.value with
           | Some v -> K.Go (fun () -> v)
-          | None ->
-              t.readers <- w :: t.readers;
-              K.Wait)
+          | None -> K.Wait (fun w -> t.readers <- w :: t.readers))
 
     let poll t =
       P.Lock.lock t.spin;
@@ -68,16 +66,14 @@ struct
       }
 
     let put t v =
-      K.park sync "sync.mvar" t.spin (fun w ->
+      K.park sync "sync.mvar" t.spin (fun () ->
           match Fifo.deq_opt t.takers with
           | Some (taker, tid) ->
               K.Go (fun () -> K.wake_with sync "sync.mvar" (taker, v, tid))
           | None when t.value = None ->
               t.value <- Some v;
               K.Go ignore
-          | None ->
-              Fifo.enq t.putters (v, w);
-              K.Wait)
+          | None -> K.Wait (fun w -> Fifo.enq t.putters (v, w)))
 
     (* With the spin lock held and the slot full: empty the slot, refilling
        it from the first blocked putter.  Returns that putter's wake, to run
@@ -92,7 +88,7 @@ struct
           ignore
 
     let take t =
-      K.park sync "sync.mvar" t.spin (fun w ->
+      K.park sync "sync.mvar" t.spin (fun () ->
           match t.value with
           | Some v ->
               let wake = refill t in
@@ -100,9 +96,7 @@ struct
                 (fun () ->
                   wake ();
                   v)
-          | None ->
-              Fifo.enq t.takers w;
-              K.Wait)
+          | None -> K.Wait (Fifo.enq t.takers))
 
     let try_take t =
       P.Lock.lock t.spin;
@@ -129,15 +123,12 @@ struct
       { spin = P.Lock.mutex_lock (); count = n; waiters = Fifo.create () }
 
     let acquire t =
-      K.park sync "sync.semaphore" t.spin (fun w ->
+      K.park sync "sync.semaphore" t.spin (fun () ->
           if t.count > 0 then begin
             t.count <- t.count - 1;
             K.Go ignore
           end
-          else begin
-            Fifo.enq t.waiters w;
-            K.Wait
-          end)
+          else K.Wait (Fifo.enq t.waiters))
 
     let try_acquire t =
       P.Lock.lock t.spin;
@@ -183,15 +174,12 @@ struct
       }
 
     let read_lock t =
-      K.park sync "sync.rwlock" t.spin (fun w ->
+      K.park sync "sync.rwlock" t.spin (fun () ->
           if (not t.writing) && Fifo.is_empty t.wait_writers then begin
             t.readers <- t.readers + 1;
             K.Go ignore
           end
-          else begin
-            Fifo.enq t.wait_readers w;
-            K.Wait
-          end)
+          else K.Wait (Fifo.enq t.wait_readers))
 
     (* Called with the spin lock held; wakes whoever may proceed. *)
     let promote t =
@@ -226,15 +214,12 @@ struct
       end
 
     let write_lock t =
-      K.park sync "sync.rwlock" t.spin (fun w ->
+      K.park sync "sync.rwlock" t.spin (fun () ->
           if (not t.writing) && t.readers = 0 then begin
             t.writing <- true;
             K.Go ignore
           end
-          else begin
-            Fifo.enq t.wait_writers w;
-            K.Wait
-          end)
+          else K.Wait (Fifo.enq t.wait_writers))
 
     let write_unlock t =
       P.Lock.lock t.spin;
@@ -268,7 +253,7 @@ struct
       { spin = P.Lock.mutex_lock (); parties; arrived = 0; waiters = [] }
 
     let await t =
-      K.park sync "sync.barrier" t.spin (fun (k, tid) ->
+      K.park sync "sync.barrier" t.spin (fun () ->
           let index = t.arrived in
           t.arrived <- t.arrived + 1;
           if t.arrived = t.parties then begin
@@ -280,10 +265,8 @@ struct
                 List.iter (K.wake_with sync "sync.barrier") ws;
                 index)
           end
-          else begin
-            t.waiters <- (k, index, tid) :: t.waiters;
-            K.Wait
-          end)
+          else
+            K.Wait (fun (k, tid) -> t.waiters <- (k, index, tid) :: t.waiters))
   end
 
   (* Multilisp-style futures (the paper's §7 comparison point): a future is
@@ -326,12 +309,9 @@ struct
       List.iter (K.wake sync "sync.countdown") ws
 
     let await t =
-      K.park sync "sync.countdown" t.spin (fun w ->
+      K.park sync "sync.countdown" t.spin (fun () ->
           if t.count = 0 then K.Go ignore
-          else begin
-            t.waiters <- w :: t.waiters;
-            K.Wait
-          end)
+          else K.Wait (fun w -> t.waiters <- w :: t.waiters))
 
     let remaining t =
       P.Lock.lock t.spin;

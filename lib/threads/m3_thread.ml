@@ -75,12 +75,10 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) (S : Thread_intf.SCHED) = struct
     t
 
   let join t =
-    K.park sync "sync.join" t.spin (fun w ->
+    K.park sync "sync.join" t.spin (fun () ->
         match t.state with
         | Done _ | Raised _ -> K.Go ignore
-        | Running ->
-            t.joiners <- w :: t.joiners;
-            K.Wait);
+        | Running -> K.Wait (fun w -> t.joiners <- w :: t.joiners));
     match t.state with
     | Done v -> v
     | Raised e -> raise e

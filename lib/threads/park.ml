@@ -11,7 +11,7 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) (S : Thread_intf.SCHED) = struct
       wakeups = P.Telemetry.counter (name ^ ".wakeups");
     }
 
-  type 'a step = Go of (unit -> 'a) | Wait
+  type 'a step = Go of (unit -> 'a) | Wait of ('a waiter -> unit)
 
   let stamp () = (max 0 (P.Proc.self ()), P.Telemetry.now_ts ())
 
@@ -39,14 +39,15 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) (S : Thread_intf.SCHED) = struct
     S.reschedule_thread w
 
   let park ?(release = ignore) l on spin decide =
-    Engine.callcc (fun k ->
-        P.Lock.lock spin;
-        let tid = S.id () in
-        match decide (k, tid) with
-        | Go after ->
-            P.Lock.unlock spin;
-            after ()
-        | Wait ->
+    P.Lock.lock spin;
+    match decide () with
+    | Go after ->
+        P.Lock.unlock spin;
+        after ()
+    | Wait enqueue ->
+        Engine.callcc (fun k ->
+            let tid = S.id () in
+            enqueue (k, tid);
             P.Lock.unlock spin;
             release ();
             block l on tid)
@@ -65,11 +66,8 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) (S : Thread_intf.SCHED) = struct
         { spin = P.Lock.mutex_lock (); held = false; waiters = Fifo.create () }
 
       let lock t =
-        park layer "sync.mutex" t.spin (fun w ->
-            if t.held then begin
-              Fifo.enq t.waiters w;
-              Wait
-            end
+        park layer "sync.mutex" t.spin (fun () ->
+            if t.held then Wait (Fifo.enq t.waiters)
             else begin
               t.held <- true;
               Go ignore
@@ -107,9 +105,7 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) (S : Thread_intf.SCHED) = struct
         park
           ~release:(fun () -> Mutex.unlock m)
           layer "sync.condition" t.spin
-          (fun w ->
-            Fifo.enq t.waiters w;
-            Wait);
+          (fun () -> Wait (Fifo.enq t.waiters));
         Mutex.lock m
 
       let signal t =

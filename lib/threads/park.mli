@@ -2,9 +2,12 @@
     constructs, the M3/ML thread packages, selective communication and
     CML — written once over [Lock] and [callcc] (paper §3.3).
 
-    A park takes the construct's spin lock inside [callcc], enqueues the
-    waiter [(k, tid)] under it, releases it, emits [Blocked] and bumps
-    [<layer>.blocks], then dispatches.  A wake emits [Wakeup] and bumps
+    A park takes the construct's spin lock and decides under it, as the
+    paper's Figure 5 [send] does.  A thread that may proceed unlocks and
+    goes on in its own fiber: no continuation is captured.  Only a thread
+    that must wait calls [callcc], still holding the lock, to enqueue its
+    waiter [(k, tid)]; it then unlocks, emits [Blocked], bumps
+    [<layer>.blocks] and dispatches.  A wake emits [Wakeup] and bumps
     [<layer>.wakeups], then reschedules.  Telemetry is host-side only. *)
 
 module Make (P : Mp.Mp_intf.PLATFORM_INT) (S : Thread_intf.SCHED) : sig
@@ -20,14 +23,16 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) (S : Thread_intf.SCHED) : sig
     | Go of (unit -> 'a)
         (** Proceed; the thunk runs after the lock is released and gives
             the result (wakes owed to other threads go here). *)
-    | Wait  (** The waiter is enqueued: park. *)
+    | Wait of ('a waiter -> unit)
+        (** Park: the function enqueues the waiter, which [callcc] has
+            just captured, with the lock still held. *)
 
   val park :
     ?release:(unit -> unit) ->
     layer ->
     string ->
     P.Lock.mutex_lock ->
-    ('a waiter -> 'a step) ->
+    (unit -> 'a step) ->
     'a
   (** [park layer on spin decide]; the event is tagged [on].  On [Wait],
       [release] runs between the unlock and the dispatch (a condition wait

@@ -186,19 +186,30 @@ let test_anderson_bounded_slots () =
   checkb "usable after wraparound" true (Anderson.try_lock l);
   Anderson.unlock l
 
+(* [Atomic_prims] counts no spins; a test that wants them wraps [on_spin]. *)
+let atomic_spins = Atomic.make 0
+
+module Counting_atomic = struct
+  include P
+
+  let on_spin () = Atomic.incr atomic_spins
+end
+
+module Counting_ttas = Locks.Ttas_lock.Make (Counting_atomic)
+
 let test_spin_counter () =
-  P.reset_spin_count ();
-  let l = Ttas.mutex_lock () in
-  Ttas.lock l;
+  Atomic.set atomic_spins 0;
+  let l = Counting_ttas.mutex_lock () in
+  Counting_ttas.lock l;
   let d =
     Domain.spawn (fun () ->
-        Ttas.lock l;
-        Ttas.unlock l)
+        Counting_ttas.lock l;
+        Counting_ttas.unlock l)
   in
   Unix.sleepf 0.05;
-  Ttas.unlock l;
+  Counting_ttas.unlock l;
   Domain.join d;
-  checkb "contention recorded" true (P.spin_count () > 0)
+  checkb "contention recorded" true (Atomic.get atomic_spins > 0)
 
 let test_paper_lock_definition () =
   (* §3.3: lock is equivalent to: while not (try_lock sl) do () done *)

@@ -789,6 +789,45 @@ module Words (P : Mp_intf.PLATFORM_INT) = struct
           Alcotest.failf "%s on %s: %.3f words per op, ceiling %.1f" op P.name w
             ceiling)
       (measured ())
+
+  let suspensions f =
+    let s0 = Engine.suspensions () in
+    f ();
+    Engine.suspensions () - s0
+
+  (* A park or sync takes its lock and decides first, so a call that finds
+     what it needs captures no continuation: it performs no suspension. *)
+  let no_capture () =
+    let module K = Mpthreads.Park.Make (P) (Sched) in
+    let module L = K.Sync (struct end) in
+    let recv = ref (-1) in
+    let counts =
+      in_pool (fun () ->
+          let s = Sy.Semaphore.create 1 in
+          let m = L.Mutex.create () in
+          let iv = Sy.Ivar.create () in
+          Sy.Ivar.fill iv 1;
+          let mv = Sy.Mvar.create () in
+          Sy.Mvar.put mv 1;
+          let ch = Chan.channel () in
+          (* A one-proc pool runs the forked receiver only once the root
+             blocks, so the root's send is parked when the receiver syncs. *)
+          Sched.fork (fun () -> recv := suspensions (fun () -> Chan.recv ch));
+          Chan.send ch ();
+          [
+            ( "Semaphore.acquire with a permit free",
+              suspensions (fun () -> Sy.Semaphore.acquire s) );
+            ( "Sync mutex lock of a free mutex",
+              suspensions (fun () -> L.Mutex.lock m) );
+            ( "Ivar.read of a filled ivar",
+              suspensions (fun () -> ignore (Sy.Ivar.read iv)) );
+            ( "Mvar.take of a full mvar",
+              suspensions (fun () -> ignore (Sy.Mvar.take mv)) );
+          ])
+    in
+    List.iter
+      (fun (call, n) -> Alcotest.(check int) (call ^ " on " ^ P.name) 0 n)
+      (counts @ [ ("Cml.recv with its sender parked", !recv) ])
 end
 
 module Words_uni = Words (Mp_uniproc.Int ())
@@ -808,8 +847,8 @@ let real_ceilings =
     ("fork_join of one child", 154.);
     ("yield", 88.);
     ("lock/unlock", 0.);
-    ("semaphore release + acquire", 82.);
-    ("CML send/recv", 344.5);
+    ("semaphore release + acquire", 6.);
+    ("CML send/recv", 270.5);
   ]
 
 let sim_ceilings =
@@ -819,8 +858,8 @@ let sim_ceilings =
     ("fork_join of one child", 247.);
     ("yield", 118.);
     ("lock/unlock", 0.);
-    ("semaphore release + acquire", 82.);
-    ("CML send/recv", 377.5);
+    ("semaphore release + acquire", 6.);
+    ("CML send/recv", 303.5);
   ]
 
 let () =
@@ -887,5 +926,12 @@ let () =
             (Words_dom.test real_ceilings);
           Alcotest.test_case "one-proc simulated Sequent" `Quick
             (Words_sim.test sim_ceilings);
+        ] );
+      (* a construct that does not block captures no continuation *)
+      ( "no capture",
+        [
+          Alcotest.test_case "uniproc" `Quick Words_uni.no_capture;
+          Alcotest.test_case "one-proc simulated Sequent" `Quick
+            Words_sim.no_capture;
         ] );
     ]

@@ -365,6 +365,22 @@ let test_trace_numa () =
   in
   checkb "numa:2x8 trace non-empty" true (bytes > 0)
 
+(* ---------------- server sweep ---------------- *)
+
+(* A server cell names the procs it ran on: the 8-proc SGI's grid reads 1,
+   4 and 8 procs, and its ramp 8. *)
+let test_server_procs_clamped () =
+  let procs cells =
+    List.sort_uniq compare
+      (List.map (fun c -> c.Report.Server_bench.procs) cells)
+  in
+  Alcotest.(check (list int))
+    "sgi grid procs" [ 1; 4; 8 ]
+    (procs (Report.Server_bench.grid ~quick:true ~machine:"sgi" ()));
+  Alcotest.(check (list int))
+    "sgi ramp procs" [ 8 ]
+    (procs (Report.Server_bench.ramp ~quick:true ~machine:"sgi" ()))
+
 (* ---------------- job pool ---------------- *)
 
 let test_job_pool_map () =
@@ -462,6 +478,11 @@ let () =
           Alcotest.test_case "trace reaches numa cells" `Slow test_trace_numa;
           Alcotest.test_case "fib cells verified" `Quick
             test_fib_cells_verified;
+        ] );
+      ( "server",
+        [
+          Alcotest.test_case "cells clamped to the machine's procs" `Quick
+            test_server_procs_clamped;
         ] );
       ( "job_pool",
         [

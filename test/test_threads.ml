@@ -238,9 +238,8 @@ let test_sched_block_and_resume () =
                       loop ()
                 in
                 loop ());
-            SK.park layer "test.cell" spin (fun w ->
-                Atomic.set cell (Some w);
-                SK.Wait)))
+            SK.park layer "test.cell" spin (fun () ->
+                SK.Wait (fun w -> Atomic.set cell (Some w)))))
   in
   check "blocked thread resumed with value" 5 v
 
