@@ -349,6 +349,26 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
           (ascending (List.rev popped))
           "spmc owner ends: the owner did not pop newest-first")
 
+  (* The owner's take-back against a thief: the owner pushes 1 and 2 and
+     takes both back, newest first, while a thief steals once.  Whoever
+     wins each CAS, every element comes out exactly once: a take-back
+     that shrinks the window without synchronising with the thief hands
+     the element the thief claimed out a second time. *)
+  let spmc_take_back_scenario () =
+    C.run (fun () ->
+        let module SQ = Queues.Spmc_queue.Make (C.Prims) in
+        let q = SQ.create () in
+        let stolen = ref [] in
+        let taken =
+          par
+            (fun () -> stolen := Array.to_list (SQ.steal_half q))
+            (fun () ->
+              List.iter (SQ.push q) [ 1; 2 ];
+              List.filter (SQ.take_back q) [ 2; 1 ])
+        in
+        let rest = drain ~again:(Fun.const false) (fun () -> SQ.pop q) in
+        exactly_once "spmc take_back" (!stolen @ taken @ rest) [ 1; 2 ])
+
   (* Pinned micropools: with 2 pools over 2 procs, an item pushed into
      pool p (= proc mod 2) may only ever be taken by a proc of that pool —
      work must not migrate, whatever the interleaving.  Items are tagged
@@ -893,6 +913,7 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
       ("lock_mcs_disjoint", disjoint_scenario (module T_mcs));
       ("queue_spmc", spmc_queue_scenario);
       ("queue_spmc_owner_ends", spmc_owner_ends_scenario);
+      ("queue_spmc_take_back", spmc_take_back_scenario);
       ("sched_micropool_affinity", micropool_affinity_scenario);
       ("sched_ws_steal_half", ws_steal_half_scenario);
       ("queue_multi", multi_queue_scenario);
@@ -915,21 +936,38 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
 
   (* ---- the full thread package (heavy) -------------------------------- *)
 
+  (* A two-child fork_join in a 2-proc pool; [child] is each child's body
+     before it counts, and [on_steals] gets the run's steal count. *)
+  let pool_fork_join ?(child = ignore) ?(on_steals = ignore) sched () =
+    C.run (fun () ->
+        let module S = Mpthreads.Sched_thread.Make (C) in
+        let hits = ref 0 in
+        let count () =
+          child ();
+          incr hits
+        in
+        S.with_pool ~procs:2 ~quantum:1e6 ~sched (fun () ->
+            S.fork_join [ count; count ]);
+        check (!hits = 2) "threads: fork_join lost a task";
+        on_steals (S.steals ()))
+
+  (* Under [ws] a join whose children were all taken back takes no lock,
+     so [threads_pool_ws] has no decision to explore.  Here each child
+     polls before it counts, so the other proc can steal the older child
+     between its push and its take-back, and the parent then waits for it
+     on the join lock. *)
+  let ws_wait ~on_steals =
+    pool_fork_join ~child:C.Work.poll ~on_steals Mpthreads.Sched_policy.Ws
+
   (* One pool scenario per scheduler policy: the whole family must survive
      bounded schedule exploration, not just the golden-pinned default. *)
   let heavy =
     List.map
       (fun sched ->
         ( "threads_pool_" ^ Mpthreads.Sched_policy.to_string sched,
-          fun () ->
-            C.run (fun () ->
-                let module S = Mpthreads.Sched_thread.Make (C) in
-                let hits = ref 0 in
-                S.with_pool ~procs:2 ~quantum:1e6 ~sched (fun () ->
-                    S.fork_join
-                      [ (fun () -> incr hits); (fun () -> incr hits) ]);
-                check (!hits = 2) "threads: fork_join lost a task") ))
+          pool_fork_join sched ))
       Mpthreads.Sched_policy.[ Fifo; Lifo; Distributed; Ws; Micropools 2 ]
+    @ [ ("threads_pool_ws_wait", ws_wait ~on_steals:ignore) ]
 
   let broken =
     [

@@ -27,16 +27,22 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) : sig
   val all : (string * (unit -> unit)) list
   (** Small-state scenarios meant for exhaustive bound-2 DFS: the 8 mutex
       algorithms + the reader/writer spin lock, the shared queues (the
-      spmc queue twice: a steal racing the owner's pops, and both owner
-      ends against a thief), the server accept/shard/work pipeline over
-      bounded shard queues,
+      spmc queue three times: a steal racing the owner's pops, both owner
+      ends against a thief, and the owner's take-backs against a thief),
+      the server accept/shard/work pipeline over bounded shard queues,
       Sync ivar/mvar/semaphore, Select, CML rendezvous and choice, and the
       proc-pool contract. *)
 
   val heavy : (string * (unit -> unit)) list
   (** The full [Sched_thread] package over the checker, one pool scenario
-      per scheduler policy ([threads_pool_<policy>]).  Decision counts
-      are large: explore with a low bound or a schedule cap. *)
+      per scheduler policy ([threads_pool_<policy>]), and
+      [threads_pool_ws_wait], where a [ws] child can be stolen before its
+      parent takes it back.  Decision counts are large: explore with a low
+      bound or a schedule cap. *)
+
+  val ws_wait : on_steals:(int -> unit) -> unit -> unit
+  (** [threads_pool_ws_wait], handing each completed run's steal count to
+      [on_steals]. *)
 
   val broken : (string * (unit -> unit)) list
   (** Deliberately buggy clients (a racy test-and-set lock; a server

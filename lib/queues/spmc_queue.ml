@@ -7,7 +7,9 @@
    depth-first.  Thieves take from the oldest end: [steal_half] claims the
    oldest ceil(n/2) elements at once.  The owner can also add at the
    oldest end ([push_oldest]), which is where a yielding thread goes so
-   that it runs after everything already queued.
+   that it runs after everything already queued, and take back its newest
+   element by identity ([take_back]), which is how a fork/join runs a
+   child no thief took in the parent's own fiber.
 
    The window is one boxed [{head; tail}] record in a single cell, and
    every transition — owner or thief — replaces it by CAS with a freshly
@@ -128,6 +130,16 @@ module Make (A : Mp.Mp_intf.PRIMS) = struct
     else
       let v : a = Obj.obj (buffer_get (A.get t.buf) (w.tail - 1)) in
       if claim t w { w with tail = w.tail - 1 } then Some v else pop t
+
+  (* Owner only: remove [x] if it is still the newest element, decided by
+     the same CAS as [pop].  Every slot inside the window was written when
+     it entered it, and an item is pushed once, so a newest slot holding
+     [x] means no thief has claimed it. *)
+  let rec take_back t x =
+    let w = A.get t.window in
+    w.tail - w.head > 0
+    && buffer_get (A.get t.buf) (w.tail - 1) == Obj.repr x
+    && (claim t w { w with tail = w.tail - 1 } || take_back t x)
 
   (* Thief: claim the oldest ceil(n/2) elements with one CAS.  Returns
      [| |] when the queue looked empty or the claim was lost — the thief

@@ -46,6 +46,12 @@ module Make (A : Mp.Mp_intf.PRIMS) : sig
   (** Owner only: the newest element, or [None] when empty.  Retries
       internally when a thief's claim moved the window. *)
 
+  val take_back : 'a t -> 'a -> bool
+  (** Owner only: remove [x] (compared physically) if it is still the
+      newest element, with the same CAS as {!pop}.  [false], with the
+      window unchanged, when [x] is older, absent or already claimed by a
+      thief. *)
+
   val steal_half : 'a t -> 'a array
   (** Any thread: the oldest ceil(n/2) elements, oldest first, claimed with
       one CAS.  [[||]] when empty or the claim race was lost — the thief is
@@ -79,6 +85,9 @@ val push_oldest : 'a t -> 'a -> unit
 
 val pop : 'a t -> 'a option
 (** Owner only: the newest element, or [None] when empty. *)
+
+val take_back : 'a t -> 'a -> bool
+(** Owner only: remove [x] if it is still the newest element. *)
 
 val steal_half : 'a t -> 'a array
 (** Any thread: the oldest ceil(n/2) elements with one CAS; [[||]] when

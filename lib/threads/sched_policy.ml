@@ -75,6 +75,7 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
     let push_local q ~proc x = MQ.push q ~proc x
     let push_yield = push_local
     let push_new q ~proc:_ x = MQ.push_global q x
+    let take_back _ ~proc:_ _ = false
     let take q ~proc = MQ.take q ~proc
     let looks_nonempty q ~proc:_ = MQ.looks_nonempty q
     let total_length = MQ.total_length
@@ -98,6 +99,7 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
     let push_local q ~proc:_ x = E.push q ~proc:0 x
     let push_yield = push_local
     let push_new = push_local
+    let take_back _ ~proc:_ _ = false
     let take q ~proc:_ = MQ.take_local q ~proc:0
     let looks_nonempty q ~proc:_ = MQ.looks_nonempty_local q ~proc:0
     let total_length = MQ.total_length
@@ -125,7 +127,8 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
      and batch transfer — a thief keeps the oldest stolen element and
      re-owns the rest of the batch on its own queue.  The owner pops its
      newest item, so fork/join runs depth-first on each proc while thieves
-     take the oldest (largest) subtrees.
+     take the oldest (largest) subtrees, and [take_back] lets a fork_join
+     run in place the children no thief took.
 
      No word shared by procs is written on a fork or a dispatch: steal
      counters live in the thief's own slot, and the idle hint [occupied]
@@ -195,6 +198,7 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
     let push_local t ~proc x = SQ.push (own t proc) x
     let push_yield t ~proc x = SQ.push_oldest (own t proc) x
     let push_new = push_local
+    let take_back t ~proc x = SQ.take_back (own t proc) x
 
     (* Peek before probing: a victim whose queue looks empty is skipped
        for free, as [Multi_queue.steal] skips an empty deque.  A probe
@@ -340,6 +344,7 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
       t.rotor <- t.rotor + 1;
       MQ.push_back t.mq ~proc:p x
 
+    let take_back _ ~proc:_ _ = false
     let take t ~proc = MQ.take_local t.mq ~proc:(pool t proc)
 
     let looks_nonempty t ~proc =

@@ -17,8 +17,9 @@
       with rotating-scan steal-one.  Bit-identical goldens.
     - [Ws] — multiprogrammed work stealing: per-proc lock-free SPMC
       steal-half queues ({!Queues.Spmc_queue}) whose owner pops its
-      newest item (depth-first fork/join) while thieves take the oldest
-      half, yields at the oldest end, randomized victim selection from a
+      newest item (depth-first fork/join, whose untouched children run in
+      the parent's fiber) while thieves take the oldest half, yields at the
+      oldest end, randomized victim selection from a
       deterministic per-proc stream, batch transfer.
       Operations are charged through {!Locks.Charged_prims}, so the
       simulator prices steal traffic on the bus.

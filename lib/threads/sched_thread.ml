@@ -192,14 +192,16 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
 
   (* New threads go wherever the policy places unaffiliated work (the
      distributed policies spray them round-robin); resumed continuations
-     stay on the resuming proc's queue for affinity. *)
-  let fork child =
+     stay on the resuming proc's queue for affinity.  [spawn] returns the
+     runnable it queued, so that [fork_join] can take it back. *)
+  let spawn child =
     let proc = max 0 (P.Proc.self ()) in
     let me = !per_proc.(proc) in
     let tid = (me.forks * Array.length !per_proc) + proc + 1 in
     me.forks <- me.forks + 1;
     let (module Q) = !rq in
-    Q.S.push_new Q.q ~proc (Thunk (child, tid));
+    let r = Thunk (child, tid) in
+    Q.S.push_new Q.q ~proc r;
     if P.Telemetry.enabled () then begin
       let ts = P.Telemetry.now_ts () in
       let depth = Q.S.total_length Q.q in
@@ -207,7 +209,10 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
       (* Sample run-queue pressure where it changes: at thread creation. *)
       P.Telemetry.emit (Obs.Event.Queue_depth { proc; clock = ts; depth });
       Obs.Counters.max_gauge c_depth depth
-    end
+    end;
+    r
+
+  let fork child = ignore (spawn child)
 
   (* An explicit yield and a quantum preemption alike: the policy decides
      where a yielder waits (work stealing puts it behind its queue). *)
@@ -276,6 +281,38 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
     | Ok _, Some e -> raise e
     | Error e, _ -> raise e
 
+  (* Fork [fns] in order, then walk them newest first on the way back out
+     of the recursion, running in place each child the policy takes back
+     (Cilk's work-first rule; only [ws] takes back).  Returns how many ran
+     in place.  The recursion keeps the walk free of allocation, so a
+     policy that cannot take back pays nothing for it.  A child run in
+     place is thread [tid] in the parent's fiber, with no join lock; it is
+     a switch, as a dispatch of it would be.  A child that blocks may
+     resume on another proc, so the proc is read after each child, and the
+     parent's id is restored on whichever proc it ends on. *)
+  let rec fork_all wrap = function
+    | [] -> 0
+    | f :: rest -> (
+        let r = spawn (wrap f) in
+        let inlined = fork_all wrap rest in
+        let (module Q) = !rq in
+        let proc = max 0 (P.Proc.self ()) in
+        match r with
+        | Thunk (_, tid) when Q.S.take_back Q.q ~proc r ->
+            let parent = id () in
+            mark_switch !per_proc.(proc);
+            if P.Telemetry.enabled () then
+              P.Telemetry.emit
+                (Obs.Event.Switch
+                   { proc; clock = P.Telemetry.now_ts (); thread = tid });
+            P.Proc.set_datum tid;
+            (try f () with
+             | Engine.Abandoned as e -> raise e
+             | e -> record_error e);
+            P.Proc.set_datum parent;
+            inlined + 1
+        | _ -> inlined)
+
   let fork_join fns =
     match fns with
     | [] -> ()
@@ -299,18 +336,23 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
           | Some (k, tid) -> reschedule (k, tid)
           | None -> ()
         in
-        List.iter (fun f -> fork (wrap f)) fns;
+        let inlined = fork_all wrap fns in
         let my_tid = id () in
-        Engine.callcc (fun k ->
-            let zero =
-              P.Lock.locked lock (fun () ->
-                  if !remaining = 0 then true
-                  else begin
-                    waiter := Some (k, my_tid);
-                    false
-                  end)
-            in
-            if zero then Engine.throw k () else dispatch ())
+        (* Only a child left in the queue, or stolen, is waited for.  The
+           children run in place are subtracted inside the section, since
+           no [callcc] may run inside one. *)
+        if inlined < n then
+          Engine.callcc (fun k ->
+              let zero =
+                P.Lock.locked lock (fun () ->
+                    remaining := !remaining - inlined;
+                    if !remaining = 0 then true
+                    else begin
+                      waiter := Some (k, my_tid);
+                      false
+                    end)
+              in
+              if zero then Engine.throw k () else dispatch ())
 
   let par_iter ?chunks n f =
     if n > 0 then begin

@@ -32,7 +32,10 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) : sig
       winds down.  Not reentrant. *)
 
   val fork_join : (unit -> unit) list -> unit
-  (** Fork every function as a thread and block until all have finished. *)
+  (** Fork every function as a thread and block until all have finished.
+      Under work stealing the caller then takes back, newest first, each
+      child no thief has claimed and runs it in its own fiber; it waits,
+      capturing a continuation, only when a child was stolen. *)
 
   val par_iter : ?chunks:int -> int -> (int -> unit) -> unit
   (** [par_iter n f] runs [f 0 .. f (n-1)] split into [chunks] contiguous

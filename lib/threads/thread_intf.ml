@@ -80,6 +80,12 @@ module type SCHEDULER = sig
   (** Enqueue a freshly forked thread from [proc]; policies with no
       affinity for new work spray these round-robin. *)
 
+  val take_back : 'a t -> proc:int -> 'a -> bool
+  (** Remove [x], just pushed by [proc] (the calling proc), if it is still
+      the newest item of [proc]'s own queue, so that the caller can run it
+      in place.  Work stealing takes it back unless a thief claimed it;
+      every other policy returns [false] without touching the queue. *)
+
   val take : 'a t -> proc:int -> 'a option
   (** Next runnable for [proc] — its own queue first, then whatever the
       policy's steal behavior finds.  [None] when the policy sees nothing

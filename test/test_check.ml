@@ -251,8 +251,11 @@ let test_dpor_equivalence () =
    same figures [mp_repro check --bound 3] and [--no-dpor] print; plain
    DFS stops at the 20,000-schedule cap on threads_mutex_condition).  Any
    change to the sequence of platform operations a park or wake performs
-   moves one of these numbers.  (name, (dpor schedules, dpor prunes, plain
-   DFS schedules)) *)
+   moves one of these numbers.  threads_pool_ws explores one schedule: both
+   children are taken back and run in the parent's fiber, where no queue
+   operation is a serialization point and no lock is taken;
+   threads_pool_ws_wait lets a thief in first.  (name, (dpor schedules,
+   dpor prunes, plain DFS schedules)) *)
 let dpor_pins =
   [
     ("lock_tas", (13, 0, 15));
@@ -269,6 +272,7 @@ let dpor_pins =
     ("lock_mcs_disjoint", (19, 18, 3_268));
     ("queue_spmc", (265, 0, 664));
     ("queue_spmc_owner_ends", (672, 0, 1_759));
+    ("queue_spmc_take_back", (91, 0, 259));
     ("sched_micropool_affinity", (7, 0, 598));
     ("sched_ws_steal_half", (4, 0, 4));
     ("queue_multi", (5, 4, 75));
@@ -290,8 +294,9 @@ let dpor_pins =
     ("threads_pool_fifo", (431, 90, 8_595));
     ("threads_pool_lifo", (431, 90, 8_595));
     ("threads_pool_distributed", (291, 42, 19_051));
-    ("threads_pool_ws", (12, 0, 12));
+    ("threads_pool_ws", (1, 0, 1));
     ("threads_pool_micropools:2", (52, 20, 897));
+    ("threads_pool_ws_wait", (10, 0, 10));
   ]
 
 let test_dpor_schedule_pins () =
@@ -317,6 +322,26 @@ let test_dpor_schedule_pins () =
       checki (name ^ ": plain DFS schedules at bound 3") want_plain
         (explore false).Mpcheck.Mp_check.schedules)
     corpus
+
+(* A [ws] join waits only for a child a thief took first.  In
+   threads_pool_ws_wait each child polls before it counts, so some
+   explored schedule steals the older child before its parent can take it
+   back, and that run still counts both children. *)
+let test_ws_join_waits_for_a_steal () =
+  let runs = ref 0 and stealing = ref 0 in
+  let on_steals n =
+    incr runs;
+    if n > 0 then incr stealing
+  in
+  let r =
+    P.Explore.dfs ~bound:3 ~max_schedules:20_000 ~max_steps:20_000 ~dpor:true
+      (S.ws_wait ~on_steals)
+  in
+  checkb "no failure" true (r.Mpcheck.Mp_check.failure = None);
+  checki "every schedule ran to the end" r.Mpcheck.Mp_check.schedules !runs;
+  checkb
+    (Printf.sprintf "%d of %d schedules steal a child" !stealing !runs)
+    true (!stealing > 0)
 
 (* DPOR's headline reduction, read off the pinned table (which the case
    above checks against both explorers): race-directed exploration visits
@@ -519,6 +544,8 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_dpor_cross_check;
           Alcotest.test_case "reduction at least 10x on three lock scenarios"
             `Quick test_dpor_reduction;
+          Alcotest.test_case "a ws join waits for a stolen child" `Quick
+            test_ws_join_waits_for_a_steal;
         ] );
       ( "procs3",
         [

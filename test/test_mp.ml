@@ -724,7 +724,7 @@ module Words (P : Mp_intf.PLATFORM_INT) = struct
     let probe = words ignore in
     (words batch -. probe) /. float_of_int ops
 
-  let in_pool f = P.run (fun () -> Sched.with_pool ~procs:1 f)
+  let in_pool ?sched f = P.run (fun () -> Sched.with_pool ~procs:1 ?sched f)
 
   (* the other side of a two-thread operation, until [stop] is set *)
   let with_partner partner f =
@@ -749,6 +749,10 @@ module Words (P : Mp_intf.PLATFORM_INT) = struct
       );
       ( "fork_join of one child",
         in_pool (fun () -> per_op (fun () -> Sched.fork_join [ ignore ])) );
+      (* the child is taken back and run in the parent's fiber *)
+      ( "fork_join of one child under ws",
+        in_pool ~sched:Mpthreads.Sched_policy.Ws (fun () ->
+            per_op (fun () -> Sched.fork_join [ ignore ])) );
       ( "yield",
         with_partner
           (fun stop ->
@@ -825,9 +829,19 @@ module Words (P : Mp_intf.PLATFORM_INT) = struct
               suspensions (fun () -> ignore (Sy.Mvar.take mv)) );
           ])
     in
+    (* No thief can take a child from a one-proc pool, so both are taken
+       back and run in the parent's fiber, which never waits. *)
+    let fork_join =
+      in_pool ~sched:Mpthreads.Sched_policy.Ws (fun () ->
+          suspensions (fun () -> Sched.fork_join [ ignore; ignore ]))
+    in
     List.iter
       (fun (call, n) -> Alcotest.(check int) (call ^ " on " ^ P.name) 0 n)
-      (counts @ [ ("Cml.recv with its sender parked", !recv) ])
+      (counts
+      @ [
+          ("Cml.recv with its sender parked", !recv);
+          ("fork_join of two children under ws, one-proc pool", fork_join);
+        ])
 end
 
 module Words_uni = Words (Mp_uniproc.Int ())
@@ -844,7 +858,8 @@ let real_ceilings =
   [
     ("suspend/resume", 20.);
     ("callcc + throw", 66.);
-    ("fork_join of one child", 154.);
+    ("fork_join of one child", 151.);
+    ("fork_join of one child under ws", 35.);
     ("yield", 88.);
     ("lock/unlock", 0.);
     ("semaphore release + acquire", 6.);
@@ -855,7 +870,8 @@ let sim_ceilings =
   [
     ("suspend/resume", 20.);
     ("callcc + throw", 66.);
-    ("fork_join of one child", 247.);
+    ("fork_join of one child", 244.);
+    ("fork_join of one child under ws", 38.);
     ("yield", 118.);
     ("lock/unlock", 0.);
     ("semaphore release + acquire", 6.);

@@ -372,6 +372,31 @@ let test_spmc_push_oldest () =
     (Array.init 20 (fun i -> 40 - i))
     (Spmc_queue.steal_half q)
 
+(* The owner's take-back: only the newest item comes back, and a miss
+   leaves the window as it was. *)
+let test_spmc_take_back () =
+  let occupied = Atomic.make 0 in
+  let q = Spmc_queue.create ~occupied () in
+  List.iter (Spmc_queue.push q) [ 1; 2; 3 ];
+  checkb "an older item" false (Spmc_queue.take_back q 2);
+  checkb "an absent item" false (Spmc_queue.take_back q 9);
+  check "a miss leaves the window" 3 (Spmc_queue.size q);
+  checkb "the newest item" true (Spmc_queue.take_back q 3);
+  check "one fewer" 2 (Spmc_queue.size q);
+  Alcotest.(check (option int)) "the next newest pops" (Some 2)
+    (Spmc_queue.pop q);
+  Alcotest.(check (array int)) "a thief claims the last" [| 1 |]
+    (Spmc_queue.steal_half q);
+  checkb "an item a thief claimed" false (Spmc_queue.take_back q 1);
+  (* its slot still holds it, outside the window *)
+  Spmc_queue.push q 4;
+  checkb "a claimed item below a newer push" false (Spmc_queue.take_back q 1);
+  check "still one item" 1 (Spmc_queue.size q);
+  checkb "taking back the last empties the queue" true
+    (Spmc_queue.take_back q 4);
+  check "occupied count back to 0" 0 (Atomic.get occupied);
+  checkb "nothing to take back" false (Spmc_queue.take_back q 4)
+
 (* [occupied] counts non-empty queues: only a fill or an emptying moves it. *)
 let test_spmc_occupied_count () =
   let occupied = Atomic.make 0 in
@@ -391,16 +416,16 @@ let test_spmc_occupied_count () =
   ignore (Spmc_queue.steal_half a);
   check "empty claims change nothing" 0 (Atomic.get occupied)
 
-(* The steal-half queue under 4 host domains: 1 owner pushing/popping + 3
-   thief domains consuming whole steal-half batches.
-   Conservation across CAS races and owner-side buffer growth: every
-   pushed value consumed exactly once. *)
+(* The steal-half queue under 4 host domains: 1 owner pushing, taking
+   back what it just pushed and popping + 3 thief domains consuming whole
+   steal-half batches.  Conservation across CAS races and owner-side
+   buffer growth: every pushed value consumed exactly once. *)
 let prop_spmc_four_domain_race =
   QCheck.Test.make
     ~name:"spmc_queue: 1 owner + 3 steal-half thieves (4 domains) conserve"
     ~count:10
-    QCheck.(pair (int_range 500 5_000) (int_range 2 7))
-    (fun (n, pop_every) ->
+    QCheck.(triple (int_range 500 5_000) (int_range 2 7) (int_range 2 7))
+    (fun (n, pop_every, take_back_every) ->
       let q = Spmc_queue.create () in
       let consumed = Atomic.make 0 in
       let sum = Atomic.make 0 in
@@ -418,20 +443,21 @@ let prop_spmc_four_domain_race =
         done
       in
       let thieves = List.init 3 (fun _ -> Domain.spawn thief) in
+      let consume v =
+        ignore (Atomic.fetch_and_add sum v);
+        Atomic.incr consumed
+      in
       for i = 1 to n do
         Spmc_queue.push q i;
-        if i mod pop_every = 0 then
-          match Spmc_queue.pop q with
-          | Some v ->
-              ignore (Atomic.fetch_and_add sum v);
-              Atomic.incr consumed
-          | None -> ()
+        if i mod take_back_every = 0 && Spmc_queue.take_back q i then
+          consume i
+        else if i mod pop_every = 0 then
+          Option.iter consume (Spmc_queue.pop q)
       done;
       let rec drain () =
         match Spmc_queue.pop q with
         | Some v ->
-            ignore (Atomic.fetch_and_add sum v);
-            Atomic.incr consumed;
+            consume v;
             drain ()
         | None -> if Atomic.get consumed < n then drain ()
       in
@@ -493,6 +519,7 @@ let () =
             test_spmc_interleaved_push;
           Alcotest.test_case "oldest-end push" `Quick test_spmc_push_oldest;
           Alcotest.test_case "occupied count" `Quick test_spmc_occupied_count;
+          Alcotest.test_case "take back" `Quick test_spmc_take_back;
         ] );
       qsuite "properties"
         [
