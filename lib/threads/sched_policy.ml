@@ -135,6 +135,16 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
      counts non-empty queues, so only the CAS that fills an empty queue or
      takes its last element writes it.
 
+     Idle procs do not stampede one loaded queue: [thieves] counts the
+     procs inside a sweep, and a proc enters one only while that count is
+     below [occupied], so each non-empty queue draws one thief at a time.
+     Both counts are uncharged host-side bookkeeping: on the simulator a
+     proc's check and entry fall in one step, so no other thief passes
+     the check in between, as one would during a charged check.  On real
+     procs two thieves can pass together; a surplus thief only probes.
+     [steal] raises only when its fiber is discarded with the pool, so
+     the count needs no exception guard.
+
      Determinism: victim selection uses a per-proc xorshift stream seeded
      from the proc index only, so a simulator run is a pure function of the
      program — byte-identical across hosts and across [Job_pool] fan-out
@@ -154,6 +164,7 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
       slots : 'a slot array;
       mutable live : int; (* procs acquired into the pool; set by prepare *)
       occupied : int Stdlib.Atomic.t;
+      thieves : int Stdlib.Atomic.t; (* procs inside [steal] *)
     }
 
     let seed_of p =
@@ -178,6 +189,7 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
                 });
         live = procs;
         occupied;
+        thieves = Mp.Mp_intf.padded (Stdlib.Atomic.make 0);
       }
 
     let prepare t ~procs =
@@ -279,16 +291,29 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
                     live start)
       end
 
+    (* A non-empty queue that no thief is sweeping for. *)
+    let unclaimed t =
+      Stdlib.Atomic.get t.thieves < Stdlib.Atomic.get t.occupied
+
     (* An idle proc's poll of its own empty queue costs no charged read
-       either: [pop] runs only when the peek sees an item. *)
+       either: [pop] runs only when the peek sees an item.  A thief
+       leaving its sweep frees a place, so it hints if a non-empty queue
+       still lacks a thief: that is the write [looks_nonempty] reads. *)
     let take t ~proc =
       let proc = clamp_proc ~n:(Array.length t.slots) proc in
       let q = t.slots.(proc).q in
       match if SQ.looks_nonempty q then SQ.pop q else None with
       | Some _ as v -> v
-      | None -> steal t ~proc
+      | None when unclaimed t ->
+          Stdlib.Atomic.incr t.thieves;
+          let v = steal t ~proc in
+          Stdlib.Atomic.decr t.thieves;
+          if unclaimed t then wake ();
+          v
+      | None -> None
 
-    let looks_nonempty t ~proc:_ = Stdlib.Atomic.get t.occupied > 0
+    let looks_nonempty t ~proc =
+      SQ.looks_nonempty (own t proc) || unclaimed t
 
     let total_length t =
       Array.fold_left (fun acc s -> acc + SQ.length_hint s.q) 0 t.slots

@@ -1262,8 +1262,10 @@ module N1024B = Workloads.Bench_suite.Make (N1024)
    110k/101k suspensions) so model tweaks fit but an accidental return
    to suspend-per-charge (~1 suspension per decision) fails loudly.  The
    ws rows guard the idle sweep: an idle proc peeks at a queue before it
-   pays a charged read of it (mm 32k/100k; 2.4M/37.7M when every probe
-   of every sweep was a charged read). *)
+   pays a charged read of it, and enters a sweep only while fewer procs
+   are sweeping than there are non-empty queues (mm 4.4k/8.4k; 32k/101k
+   while every woken proc swept, 2.4M/37.7M when every probe of every
+   sweep was a charged read). *)
 let test_numa_large_p_suspension_budget () =
   List.iter
     (fun (sched, bench, procs, budget) ->
@@ -1287,15 +1289,14 @@ let test_numa_large_p_suspension_budget () =
         (Distributed, "mm", 256, 30_000);
         (Distributed, "fib", 64, 400_000);
         (Distributed, "fib", 256, 400_000);
-        (Ws, "mm", 256, 120_000);
-        (Ws, "mm", 1024, 400_000);
+        (Ws, "mm", 256, 10_000);
+        (Ws, "mm", 1024, 20_000);
       ]
 
 (* Host-seconds guard on a 1024-proc ws cell: it must stay affordable
-   (measured 1.6-1.7 s solo on a 2-vCPU Xeon VM, 2.0-2.4 s while the ready
-   heap also stored proc records; every ws push is still a bus RMW that
-   waits behind the running tasks' traffic; the budget leaves room for
-   slow CI hosts without letting it grow unbounded). *)
+   (measured 0.1 s on a 2-vCPU Xeon VM since idle procs stopped
+   stampeding a loaded queue, 0.8-1.1 s before; the budget leaves room
+   for slow CI hosts without letting it grow unbounded). *)
 let test_numa_1024_host_budget () =
   let t0 = Sys.time () in
   ignore
